@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 selftest failure, 2 bad flags or invalid
 parameter values, 3 graph file problems, 4 delta too large for the
-requested degree bound, 5 size guard on exact enumeration.
+requested degree bound, 5 size guard (exact enumeration too large, or a
+truncation order whose patterns exceed the canonical-form cap).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def _add_threads(p: argparse.ArgumentParser) -> None:
         "--threads",
         type=int,
         default=os.cpu_count() or 1,
-        help="worker pool bound (results do not depend on it)",
+        help="Monte Carlo worker threads (results do not depend on it)",
     )
 
 
@@ -67,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", required=True, help="box half-width excess, rational p/q")
     p.add_argument("--eps", required=True, help="relative accuracy, rational p/q")
     p.add_argument("--max-degree", type=int, default=None, help="certify for this degree bound (rejects denser graphs)")
-    _add_threads(p)
 
     p = sub.add_parser("exact", help="exact volume by full forest enumeration")
     _add_common(p)
@@ -85,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", required=True)
     p.add_argument("--eps", default=None, help="pick K from the certificate (default)")
     p.add_argument("--order", type=int, default=None, help="explicit K override")
-    _add_threads(p)
 
     p = sub.add_parser("weights", help="weight of one tree inside its host")
     _add_common(p)
@@ -120,9 +119,7 @@ def cmd_volume(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     delta = _rational(args.delta, "delta")
     eps = _rational(args.eps, "eps")
-    res = approximate_volume(
-        g, delta, eps, max_degree=args.max_degree, threads=args.threads
-    )
+    res = approximate_volume(g, delta, eps, max_degree=args.max_degree)
     payload = {
         "xi": float(res.xi),
         "lower": float(res.lower),
@@ -194,7 +191,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
         cert = zero_free_radius(delta, max(g.max_degree(), 2))
         radius = cert.radius
         K = truncation_order(g.n, eps, cert.radius)
-    a = assemble_a(g, dp, K, threads=args.threads)
+    a = assemble_a(g, dp, K)
     eng = engine_for(dp)
     patterns = []
     for key, (count, rep) in sorted(pattern_counts(g, min(2 * K, g.n)).items()):
@@ -310,7 +307,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     delta = Fraction(1, 100)
     eps = Fraction(1, 100)
     for g, name in ((path_graph(4), "P4"), (cycle_graph(5), "C5")):
-        res = approximate_volume(g, delta, eps, threads=args.threads)
+        res = approximate_volume(g, delta, eps)
         ex = exact_volume(g, DeltaParams(delta))
         width_ok = float(res.upper) / float(res.lower) <= (1 + float(eps)) ** 2 * (1 + 1e-9)
         check(
@@ -319,7 +316,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
             f"K={res.K} xi={float(res.xi):.6g}",
         )
     pet = petersen_graph()
-    res = approximate_volume(pet, delta, Fraction(1, 4), threads=args.threads)
+    res = approximate_volume(pet, delta, Fraction(1, 4))
     est = mc_volume(pet, delta, args.samples, seed=23, threads=args.threads)
     overlap = (
         est.mean - 4 * est.stderr <= float(res.upper)

@@ -1,8 +1,12 @@
 """Series coefficients of the forest partition function.
 
 e_k(G) sums prod w_T over k-edge forests; a_k are the Taylor coefficients
-of log p at 0, obtained by Newton's identity.  For graphs too large to
-enumerate, a_k is assembled from connected induced patterns:
+of log p at 0, obtained by Newton's identity.  Grouping forests by the
+vertex sets of their trees makes p a hard-core polymer gas: a polymer is a
+connected set S with weight c(G[S]) t^{|S|} z^{|S|-1}, t = delta/(1/2+delta),
+where the delta-free class weight c lives in the WeightCache (small_e).
+For graphs too large to enumerate, a_k is assembled from connected induced
+patterns:
 a_k(G) = sum over connected H with 2 <= |V(H)| <= 2k of gamma_{H,k} ind(H,G),
 where gamma is defined by Moebius-style inversion over the pattern order and
 additivity of a_k across disjoint unions makes the expansion exact.
@@ -10,13 +14,12 @@ additivity of a_k across disjoint unions makes the expansion exact.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .canon import canonical_form
-from .graphs import Graph, bits, enumerate_connected_sets, spanning_trees
+from .graphs import Graph, enumerate_connected_sets
 from .treeweight import DeltaParams, WeightCache, default_cache
 
 
@@ -47,57 +50,49 @@ class GammaTable:
 def small_e(
     g: Graph, dp: DeltaParams, K: int, cache: WeightCache | None = None
 ) -> CoeffVector:
-    """e_j for j <= K by direct forest enumeration inside g."""
+    """e_j for j <= K, with p(z) summed as a hard-core polymer gas on g.
+
+    Polymers are connected sets S with 2 <= |S| <= K+1 and weight
+    phi(S) z^{|S|-1}, phi(S) = c(g[S]) t^{|S|}; e_j collects the families
+    of pairwise disjoint polymers of total degree j.  The subset DP
+    P[W] = P[W - v] + sum over polymers S with v in S, S in W, of
+    phi(S) z^{|S|-1} P[W - S], v = min W, runs over the sets W reachable from V(g).
+    """
     cache = cache or default_cache()
-    wt = cache.host_weights(g, dp)
-    kmax = min(K, max(g.n - 1, 0))
-    e = [Fraction(0)] * (K + 1)
-    e[0] = Fraction(1)
-    n, m = g.n, g.m
-    ends = g.edges
-    parent = list(range(n))
-    size = [1] * n
-    comps: dict[int, tuple[int, ...]] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def rec(start: int, depth: int) -> None:
-        for i in range(start, m):
-            u, v = ends[i]
-            ru = find(u)
-            rv = find(v)
-            if ru == rv:
-                continue
-            if size[ru] < size[rv]:
-                ru, rv = rv, ru
-            parent[rv] = ru
-            size[ru] += size[rv]
-            old_ru = comps.get(ru)
-            old_rv = comps.pop(rv, None)
-            merged = (old_ru or ()) + (old_rv or ()) + (i,)
-            comps[ru] = tuple(sorted(merged))
-            prod = Fraction(1)
-            for ranks in comps.values():
-                prod *= wt[ranks]
-            e[depth] += prod
-            if depth < kmax:
-                rec(i + 1, depth + 1)
-            if old_ru is None:
-                del comps[ru]
-            else:
-                comps[ru] = old_ru
-            if old_rv is not None:
-                comps[rv] = old_rv
-            size[ru] -= size[rv]
-            parent[rv] = rv
-        return
-
-    if kmax >= 1:
-        rec(0, 1)
-    return CoeffVector(graph=g, e=tuple(e))
+    t = dp.delta / dp.box_hi
+    # polymers by their lowest vertex bit, which is where the DP meets them
+    polymers: dict[int, list[tuple[int, int, Fraction]]] = {}
+    if t:
+        for mask in enumerate_connected_sets(g, K + 1, min_size=2):
+            sub, _ = g.induced_subgraph(mask)
+            phi = cache.class_weight(canonical_form(sub)) * t**sub.n
+            polymers.setdefault(mask & -mask, []).append((mask, sub.n - 1, phi))
+    # every set the recursion reaches; a state's successors have a higher
+    # lowest vertex, so evaluating by descending lowest bit is bottom-up
+    todo = [g.vertex_mask()]
+    reached = {0}
+    while todo:
+        w = todo.pop()
+        if w in reached:
+            continue
+        reached.add(w)
+        low = w & -w
+        todo.append(w ^ low)
+        todo.extend(w ^ s for s, _, _ in polymers.get(low, ()) if s & w == s)
+    poly: dict[int, list[Fraction]] = {0: [Fraction(1)] + [Fraction(0)] * K}
+    for w in sorted(reached, key=lambda w: w & -w, reverse=True):
+        if not w:
+            continue
+        low = w & -w
+        out = list(poly[w ^ low])
+        for s, deg, phi in polymers.get(low, ()):
+            if s & w == s:
+                rest = poly[w ^ s]
+                for j in range(K + 1 - deg):
+                    if rest[j]:
+                        out[j + deg] += phi * rest[j]
+        poly[w] = out
+    return CoeffVector(graph=g, e=tuple(poly[g.vertex_mask()]))
 
 
 def lambda_coeff(
@@ -106,8 +101,9 @@ def lambda_coeff(
     """Coefficient of the induced count of h in the forest expansion.
 
     Nonzero only when |V(h)| = k + #components and every component has at
-    least two vertices; then it is the product over components C of
-    w(C) = sum of w_T over spanning trees T of C.
+    least two vertices; then it is the product over components C of the
+    polymer weight phi(C) = c(C) t^{|C|}, the sum of w_T over spanning
+    trees T of C.
     """
     cache = cache or default_cache()
     comps = h.components()
@@ -115,16 +111,11 @@ def lambda_coeff(
         return Fraction(0)
     if h.n != k + len(comps):
         return Fraction(0)
-    wt = cache.host_weights(h, dp)
+    t = dp.delta / dp.box_hi
     total = Fraction(1)
     for comp in comps:
-        sub, old_ids = h.induced_subgraph(comp)
-        local_ranks = h.edges_within(comp)
-        comp_sum = Fraction(0)
-        for tree in spanning_trees(sub):
-            global_ranks = tuple(sorted(local_ranks[r] for r in tree.edge_ranks))
-            comp_sum += wt[global_ranks]
-        total *= comp_sum
+        sub, _ = h.induced_subgraph(comp)
+        total *= cache.class_weight(canonical_form(sub)) * t**sub.n
     return total
 
 
@@ -172,11 +163,7 @@ def pattern_counts(g: Graph, max_size: int) -> dict[bytes, tuple[int, Graph]]:
 
 
 class CoefficientEngine:
-    """Per-delta store of pattern coefficients gamma_{H,k}.
-
-    Safe for concurrent use: entries are value-deterministic, so racing
-    writers insert identical Fractions.
-    """
+    """Per-delta store of pattern coefficients gamma_{H,k}."""
 
     def __init__(self, dp: DeltaParams, cache: WeightCache | None = None):
         self.dp = dp
@@ -273,7 +260,6 @@ def assemble_a(
     dp: DeltaParams,
     K: int,
     cache: WeightCache | None = None,
-    threads: int = 1,
 ) -> TaylorCoeffs:
     """a_k(G) for k <= K from pattern coefficients and induced counts."""
     if K < 1:
@@ -281,12 +267,8 @@ def assemble_a(
     counts = pattern_counts(g, min(2 * K, g.n))
     eng = engine_for(dp, cache)
     items = sorted(counts.items())
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda kv: eng.ensure(kv[0], kv[1][1], K), items))
-    else:
-        for key, (_, rep) in items:
-            eng.ensure(key, rep, K)
+    for key, (_, rep) in items:
+        eng.ensure(key, rep, K)
     a = [Fraction(0)] * (K + 1)
     for key, (cnt, _) in items:
         for k in range(1, K + 1):

@@ -20,8 +20,9 @@ from fractions import Fraction
 import mpmath
 from mpmath import iv
 
+from .canon import MAX_VERTICES
 from .coeffs import TaylorCoeffs, assemble_a
-from .errors import DeltaTooLargeError
+from .errors import DeltaTooLargeError, SizeGuardError
 from .graphs import Graph
 from .treeweight import DeltaParams, WeightCache
 
@@ -182,7 +183,6 @@ def approximate_volume(
     delta: Fraction,
     eps: Fraction,
     max_degree: int | None = None,
-    threads: int = 1,
     cache: WeightCache | None = None,
 ) -> InterpolationResult:
     """Volume of the truncated polytope within a factor (1 +- eps).
@@ -190,7 +190,8 @@ def approximate_volume(
     Exact for edgeless graphs, delta = 0, and graphs of maximum degree <= 1;
     otherwise runs the certificate + truncated-series pipeline.  max_degree,
     when given, requests the certificate of that degree family and rejects
-    denser inputs.
+    denser inputs.  Raises SizeGuardError before any enumeration when the
+    largest pattern, min(2K, n) vertices, exceeds the canonical-form cap.
     """
     t0 = time.monotonic()
     delta = Fraction(delta)
@@ -241,7 +242,13 @@ def approximate_volume(
 
     cert = zero_free_radius(delta, degree)
     K = truncation_order(g.n, eps, cert.radius)
-    coeffs = assemble_a(g, DeltaParams(delta), K, cache=cache, threads=threads)
+    if min(2 * K, g.n) > MAX_VERTICES:
+        raise SizeGuardError(
+            f"truncation order K={K} needs patterns of up to {2 * K} vertices; "
+            f"canonical labelling is capped at {MAX_VERTICES} (K <= "
+            f"{MAX_VERTICES // 2}); raise eps or lower delta"
+        )
+    coeffs = assemble_a(g, DeltaParams(delta), K, cache=cache)
     total = sum(coeffs.a, Fraction(0))
 
     old = iv.prec

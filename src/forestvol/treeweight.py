@@ -16,7 +16,9 @@ rational; values depend only on the isomorphism type of (T, E_T) and are
 memoized by a canonical key of that edge-bicolored graph.
 
 The integrand factors as delta^{|V(T)|} times a delta-free rational, so the
-memo serves every delta at once.
+memo serves every delta at once.  The coefficient pipeline reads W only
+through WeightCache.class_weight, once per spanning tree of each connected
+pattern class; tree_weight is the route for a single tree in a host.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 from . import kernel
-from .canon import colored_canonical_form
-from .graphs import Graph, Tree, bits, broken_edges
+from .canon import colored_canonical_form, graph_from_key
+from .graphs import Graph, Tree, bits, broken_edges, spanning_trees
 from .polynomials import MultiPoly
 
 PLUS = -3  # sentinel value x = 1/2 (top of J)
@@ -214,19 +216,18 @@ def _gcd(a: int, b: int) -> int:
 
 
 class WeightCache:
-    """Process-wide memo of delta-free normalized weights.
+    """Process-wide memo of delta-free weights.
 
     normalized maps the canonical key of the bicolored (tree, broken) graph
-    to W with hat_w = delta^{|V|} * W.  host_weights(g, dp) returns a lazy
-    table mapping sorted edge-rank tuples (trees inside g) to w_T, which is
-    what the forest-sum inner loops consume.
+    to W with hat_w = delta^{|V|} * W.  classes maps the plain canonical key
+    of a connected graph H to its class weight c(H) (see class_weight).
     """
 
     def __init__(self):
         self.normalized: dict[bytes, Fraction] = {}
+        self.classes: dict[bytes, Fraction] = {}
         self.hits = 0
         self.misses = 0
-        self._host_tables: dict[tuple[Graph, Fraction], _HostTable] = {}
 
     def normalized_weight(
         self,
@@ -247,43 +248,36 @@ class WeightCache:
             self.hits += 1
         return key, w
 
-    def host_weights(self, g: Graph, dp: DeltaParams) -> "_HostTable":
-        ck = (g, dp.delta)
-        tbl = self._host_tables.get(ck)
-        if tbl is None:
-            tbl = _HostTable(self, g, dp)
-            self._host_tables[ck] = tbl
-        return tbl
+    def class_weight(self, key: bytes) -> Fraction:
+        """c(H) = sum over spanning trees T of H of (-1)^{|T|} W(T) for the
+        connected graph H with plain canonical key `key`, so that the w_T of
+        the spanning trees of H sum to c(H) t^{|V(H)|}, t = delta/(1/2+delta).
+
+        c is H's Mayer connected function, independent of the edge order
+        that splits off each tree's broken edges.  It is computed on the
+        representative decoded from the key, so the (T, broken) shapes
+        weighed do not depend on which occurrence of H is met first.
+        """
+        c = self.classes.get(key)
+        if c is None:
+            h = graph_from_key(key)
+            c = Fraction(0)
+            for tree in spanning_trees(h):
+                c += self.normalized_weight(
+                    h.n,
+                    tuple(h.edges[r] for r in tree.edge_ranks),
+                    tuple(h.edges[r] for r in broken_edges(h, tree)),
+                )[1]
+            if h.n % 2 == 0:  # a spanning tree has n - 1 edges
+                c = -c
+            self.classes[key] = c
+        return c
 
     def clear(self) -> None:
         self.normalized.clear()
-        self._host_tables.clear()
+        self.classes.clear()
         self.hits = 0
         self.misses = 0
-
-
-class _HostTable(dict):
-    """edge-rank tuple -> w_T for trees inside one host graph at one delta."""
-
-    __slots__ = ("cache", "g", "dp")
-
-    def __init__(self, cache: WeightCache, g: Graph, dp: DeltaParams):
-        super().__init__()
-        self.cache = cache
-        self.g = g
-        self.dp = dp
-
-    def __missing__(self, ranks: tuple[int, ...]) -> Fraction:
-        vset = 0
-        for r in ranks:
-            u, v = self.g.edges[r]
-            vset |= (1 << u) | (1 << v)
-        rec = tree_weight(
-            self.g, Tree(vset, ranks), self.dp, cache=self.cache, with_host=False
-        )
-        w = rec.w
-        self[ranks] = w
-        return w
 
 
 _default_cache = WeightCache()

@@ -5,6 +5,7 @@ dumb so the package's cleverness is checked against something obvious.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,31 @@ def forest_component_ranks(g: Graph, ranks: tuple[int, ...]) -> list[tuple[int, 
     for r in ranks:
         groups.setdefault(find(g.edges[r][0]), []).append(r)
     return [tuple(sorted(rs)) for _, rs in sorted(groups.items())]
+
+
+def clear_caches() -> None:
+    """Empty every process-global memo, so the next query runs cold."""
+    from forestvol.canon import clear_cache
+    from forestvol.coeffs import clear_engines
+    from forestvol.treeweight import default_cache
+
+    clear_engines()
+    clear_cache()
+    default_cache().clear()
+
+
+def shuffled_edges(g: Graph, seed: int) -> Graph:
+    """g with its edge list (hence its edge ranks) in a seeded random order."""
+    edges = list(g.edges)
+    random.Random(seed).shuffle(edges)
+    return Graph(g.n, edges)
+
+
+def relabelled(g: Graph, seed: int) -> Graph:
+    """g under a seeded vertex permutation, edges re-sorted by new label."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, sorted(tuple(sorted((perm[u], perm[v]))) for u, v in g.edges))
 
 
 def p3_volume(delta: Fraction) -> Fraction:

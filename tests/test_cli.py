@@ -159,6 +159,27 @@ def test_size_guard_exit_5(capsys, graphs):
     assert "volume" in err
 
 
+def test_volume_size_guard_exit_5(capsys, tmp_path):
+    # 4-regular circulant on 1000 vertices: K = 17 needs 34-vertex patterns
+    n = 1000
+    edges = sorted({tuple(sorted((i, (i + s) % n))) for i in range(n) for s in (1, 2)})
+    path = tmp_path / "circ.txt"
+    path.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    rc, out, err = run_cli(
+        capsys, ["volume", "--graph", str(path), "--delta", "1/100", "--eps", "1/100"]
+    )
+    assert rc == 5
+    assert out == ""
+    assert "K=17" in err and "32" in err
+
+
+def test_volume_rejects_threads_flag(graphs):
+    with pytest.raises(SystemExit) as exc:
+        main(["volume", "--graph", graphs["k2"], "--delta", "1/100", "--eps", "1/100",
+              "--threads", "2"])
+    assert exc.value.code == 2
+
+
 def test_bad_flags_exit_2(graphs):
     with pytest.raises(SystemExit) as exc:
         main(["volume", "--graph", graphs["k2"]])

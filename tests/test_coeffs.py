@@ -7,7 +7,6 @@ from forestvol.canon import canonical_form
 from forestvol.coeffs import (
     CoefficientEngine,
     assemble_a,
-    clear_engines,
     engine_for,
     gamma_table,
     lambda_coeff,
@@ -25,9 +24,16 @@ from forestvol.families import (
     random_connected_graph,
     random_graph,
 )
-from forestvol.treeweight import DeltaParams, tree_weight
+from forestvol.interpolate import approximate_volume
+from forestvol.treeweight import DeltaParams, default_cache, tree_weight
 
-from conftest import forest_component_ranks, is_forest
+from conftest import (
+    clear_caches,
+    forest_component_ranks,
+    is_forest,
+    relabelled,
+    shuffled_edges,
+)
 
 try:
     from hypothesis import given, strategies as st
@@ -58,8 +64,10 @@ def brute_small_e(g: Graph, dp: DeltaParams, K: int) -> list[Fraction]:
 def test_small_e_matches_brute_force(seed, delta):
     g = random_graph(6, 0.5, seed=40 + seed)
     dp = DeltaParams(delta)
-    got = small_e(g, dp, 4).e
-    assert list(got) == brute_small_e(g, dp, 4)
+    # the broken-edge split of each tree follows the edge ranks; e_k must not
+    for h in (g, shuffled_edges(g, seed)):
+        got = small_e(h, dp, 4).e
+        assert list(got) == brute_small_e(h, dp, 4)
 
 
 def test_small_e_p3_closed_form(delta_quarter):
@@ -244,14 +252,30 @@ def test_assembly_additive_over_disjoint_union():
         assert au[k] == a1[k] + a2[k]
 
 
-def test_assemble_threads_deterministic():
+def test_assemble_repeat_cold_deterministic():
     g = random_connected_graph(8, 3, seed=99, max_degree=3)
     dp = DeltaParams(Fraction(1, 100))
-    clear_engines()
-    one = assemble_a(g, dp, 3, threads=1)
-    clear_engines()
-    four = assemble_a(g, dp, 3, threads=4)
-    assert one.a == four.a
+    runs = []
+    for _ in range(3):
+        clear_caches()
+        runs.append(assemble_a(g, dp, 3).a)
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_relabelled_cold_runs_same_answer_and_misses():
+    """Class weights are computed on the representative decoded from the
+    key, so a relabelling (which also reorders the edge ranks) changes
+    neither the answer nor the set of tree shapes weighed."""
+    # weighing trees in the relabelled edge orders gives 16 and 14 misses
+    g = random_connected_graph(8, 3, seed=1, max_degree=3)
+    delta, eps = Fraction(1, 100), Fraction(1, 10)
+    seen = []
+    for seed in (1, 3):
+        clear_caches()
+        res = approximate_volume(relabelled(g, seed), delta, eps)
+        assert res.K >= 3
+        seen.append((res.a, res.lower, res.upper, default_cache().misses))
+    assert seen[0] == seen[1]
 
 
 def test_engine_order_independence():

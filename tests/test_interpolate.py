@@ -22,7 +22,7 @@ from forestvol.interpolate import (
 from forestvol.oracles import exact_volume
 from forestvol.treeweight import DeltaParams
 
-from conftest import k2_volume, p3_volume
+from conftest import clear_caches, k2_volume, p3_volume
 
 
 # --- radius certificate -------------------------------------------------------
@@ -166,15 +166,13 @@ def test_delta_too_large_via_volume():
         approximate_volume(cycle_graph(5), Fraction(1, 10), Fraction(1, 100), max_degree=3)
 
 
-def test_thread_count_does_not_change_bits():
+def test_repeat_cold_runs_same_bits():
     g = cycle_graph(20)
     delta, eps = Fraction(1, 1000), Fraction(1, 100)
-    from forestvol.coeffs import clear_engines
-
-    clear_engines()
-    r1 = approximate_volume(g, delta, eps, threads=1)
-    clear_engines()
-    r2 = approximate_volume(g, delta, eps, threads=3)
+    clear_caches()
+    r1 = approximate_volume(g, delta, eps)
+    clear_caches()
+    r2 = approximate_volume(g, delta, eps)
     assert r1.a == r2.a
     assert r1.lower == r2.lower and r1.upper == r2.upper
     assert r1.xi == r2.xi
