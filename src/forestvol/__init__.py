@@ -5,7 +5,8 @@ The certified path is exact rational arithmetic end to end: tree weights
 by poset integration, Taylor coefficients of log p via pattern counts,
 and a zero-free disk that turns a truncated series into a (1 +- eps)
 enclosure. Randomized and brute-force oracles live in
-:mod:`forestvol.oracles` and deliberately share no code with it.
+:mod:`forestvol.oracles`; Monte Carlo shares no code with the pipeline, but
+the exact oracles reuse its tree weights through small_e.
 """
 
 from .errors import DeltaTooLargeError, GraphParseError, SizeGuardError

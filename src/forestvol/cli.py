@@ -16,7 +16,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .coeffs import assemble_a, engine_for, pattern_counts
+from .coeffs import assemble_a, pattern_counts, pattern_gamma
 from .errors import DeltaTooLargeError, GraphParseError, SizeGuardError
 from .graphs import Graph, parse_graph, tree_from_edges
 from .interpolate import approximate_volume, truncation_order, zero_free_radius
@@ -192,15 +192,16 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
         radius = cert.radius
         K = truncation_order(g.n, eps, cert.radius)
     a = assemble_a(g, dp, K)
-    eng = engine_for(dp)
+    memo: dict = {}
     patterns = []
     for key, (count, rep) in sorted(pattern_counts(g, min(2 * K, g.n)).items()):
+        gamma = pattern_gamma(rep, dp, K, memo=memo)
         patterns.append(
             {
                 "key": key.hex(),
                 "n": rep.n,
                 "count": count,
-                "gamma": {str(k): str(eng.gamma_at(key, k)) for k in range(1, K + 1)},
+                "gamma": {str(k): str(gamma[k]) for k in range(1, K + 1)},
             }
         )
     payload = {

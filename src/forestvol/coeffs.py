@@ -5,21 +5,38 @@ of log p at 0, obtained by Newton's identity.  Grouping forests by the
 vertex sets of their trees makes p a hard-core polymer gas: a polymer is a
 connected set S with weight c(G[S]) t^{|S|} z^{|S|-1}, t = delta/(1/2+delta),
 where the delta-free class weight c lives in the WeightCache (small_e).
-For graphs too large to enumerate, a_k is assembled from connected induced
-patterns:
-a_k(G) = sum over connected H with 2 <= |V(H)| <= 2k of gamma_{H,k} ind(H,G),
-where gamma is defined by Moebius-style inversion over the pattern order and
-additivity of a_k across disjoint unions makes the expansion exact.
+
+For graphs too large to expand whole, a_k is assembled from connected
+induced subgraphs (Patel-Regts).  a_k is additive over disjoint unions, so
+the Moebius inversion over vertex sets
+    gamma_k(U) = sum over D in U of (-1)^{|U-D|} a_k(G[D])
+vanishes unless G[U] is connected, and also when |U| > 2k (a cluster of
+polymers of total degree k covers at most 2k vertices, as a polymer S has
+degree |S|-1 >= |S|/2).  Hence, for every k <= K,
+    a_k(G) = sum over connected U with 2 <= |U| <= 2K of gamma_k(U).
+Split each a_k(G[D]) over the components C of G[D]: the D having C as a
+component are C plus any subset of U - N[C], whose signs cancel unless
+N[C] covers U, so (pattern_gamma)
+    gamma_k(U) = sum over connected C in U with N[C] = U of
+                 (-1)^{|U|-|C|} a_k(G[C]).
+Sum this over U.  The U with N[C] = U are the sets C + X for X a subset
+of the outer boundary dC of C in G, all of them connected, so (assemble_a)
+    a_k(G) = sum over connected C with 2 <= |C| <= 2K of w(C) a_k(G[C]),
+    w(C) = sum over X in dC, |X| <= 2K-|C|, of (-1)^{|X|}.
+With b = |dC| and m = min(b, 2K-|C|), w(C) = sum_{j<=m} (-1)^j binom(b, j),
+which is 1 when b = 0 and (-1)^m binom(b-1, m) otherwise; it is 0 when
+m = b, i.e. when the whole boundary fits under the size cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import comb
+from typing import Sequence
 
-from .canon import canonical_form
-from .graphs import Graph, enumerate_connected_sets
+from .canon import canonical_form, graph_from_key
+from .graphs import Graph, bits, enumerate_connected_sets
 from .treeweight import DeltaParams, WeightCache, default_cache
 
 
@@ -39,12 +56,6 @@ class TaylorCoeffs:
     @property
     def order(self) -> int:
         return len(self.a) - 1
-
-
-@dataclass
-class GammaTable:
-    gamma: dict[tuple[bytes, int], Fraction]
-    representatives: dict[bytes, Graph]
 
 
 def small_e(
@@ -162,97 +173,41 @@ def pattern_counts(g: Graph, max_size: int) -> dict[bytes, tuple[int, Graph]]:
     return out
 
 
-class CoefficientEngine:
-    """Per-delta store of pattern coefficients gamma_{H,k}."""
-
-    def __init__(self, dp: DeltaParams, cache: WeightCache | None = None):
-        self.dp = dp
-        self.cache = cache or default_cache()
-        self.gamma: dict[tuple[bytes, int], Fraction] = {}
-        self.representatives: dict[bytes, Graph] = {}
-        self._done_upto: dict[bytes, int] = {}
-        self._subpatterns: dict[bytes, dict[bytes, int]] = {}
-
-    def ensure(self, key: bytes, rep: Graph, K: int) -> None:
-        if self._done_upto.get(key, 0) >= K:
-            return
-        self.representatives.setdefault(key, rep)
-        rep = self.representatives[key]
-        subs = self._subpatterns.get(key)
-        if subs is None:
-            counts = pattern_counts(rep, rep.n)
-            for sk, (cnt, srep) in counts.items():
-                if sk != key:
-                    self.representatives.setdefault(sk, srep)
-            subs = {sk: cnt for sk, (cnt, _) in counts.items() if sk != key}
-            self._subpatterns[key] = subs
-        for sk in subs:
-            self.ensure(sk, self.representatives[sk], K)
-        a = newton_log(small_e(rep, self.dp, K, self.cache), K)
-        for k in range(1, K + 1):
-            val = a[k]
-            for sk, cnt in subs.items():
-                gs = self.gamma.get((sk, k))
-                if gs is not None:
-                    val -= gs * cnt
-            self.gamma[(key, k)] = val
-        self._done_upto[key] = K
-
-    def gamma_at(self, key: bytes, k: int) -> Fraction:
-        return self.gamma.get((key, k), Fraction(0))
+def _class_a(
+    key: bytes, dp: DeltaParams, K: int, cache: WeightCache | None = None
+) -> TaylorCoeffs:
+    """a_1..a_K of the graph class a plain canonical key names."""
+    return newton_log(small_e(graph_from_key(key), dp, K, cache), K)
 
 
-_engines: dict[tuple[Fraction, int], CoefficientEngine] = {}
-
-
-def engine_for(dp: DeltaParams, cache: WeightCache | None = None) -> CoefficientEngine:
-    ck = (dp.delta, id(cache) if cache is not None else 0)
-    eng = _engines.get(ck)
-    if eng is None:
-        eng = CoefficientEngine(dp, cache)
-        _engines[ck] = eng
-    return eng
-
-
-def clear_engines() -> None:
-    _engines.clear()
-
-
-def gamma_table(
-    patterns: Iterable[Graph],
+def pattern_gamma(
+    h: Graph,
     dp: DeltaParams,
     K: int,
-    cache: WeightCache | None = None,
-) -> GammaTable:
-    """Gamma coefficients for an explicit pattern family.
-
-    The family must be closed under connected induced subpatterns with >= 2
-    vertices (up to isomorphism); otherwise the expansion would silently
-    misattribute weight, so closure violations raise.
-    """
-    pats = list(patterns)
-    keyed: dict[bytes, Graph] = {}
-    for h in pats:
-        if not h.is_connected() or h.n < 2:
-            raise ValueError("patterns must be connected with >= 2 vertices")
-        if h.n > 2 * K:
-            raise ValueError(f"pattern on {h.n} vertices exceeds the 2K = {2*K} bound")
-        keyed.setdefault(canonical_form(h), h)
-    for key, rep in keyed.items():
-        for sk in pattern_counts(rep, rep.n):
-            if sk not in keyed:
-                raise ValueError(
-                    "pattern family is not closed under connected induced subpatterns"
-                )
-    eng = engine_for(dp, cache)
-    for key, rep in sorted(keyed.items()):
-        eng.ensure(key, rep, K)
-    table = GammaTable(gamma={}, representatives={})
-    for key, rep in keyed.items():
-        table.representatives[key] = eng.representatives[key]
+    memo: dict[bytes, TaylorCoeffs] | None = None,
+) -> tuple[Fraction, ...]:
+    """gamma_1..gamma_K of the pattern h, indexed 1..K (index 0 holds 0):
+    the sum over connected C in V(h) with N[C] = V(h) of
+    (-1)^{|h|-|C|} a(h[C]), which is 0 when h is disconnected.  memo maps
+    class keys to their a vectors at this (delta, K) and may be shared
+    across calls with the same (delta, K)."""
+    memo = {} if memo is None else memo
+    full = h.vertex_mask()
+    gamma = [Fraction(0)] * (K + 1)
+    for mask in enumerate_connected_sets(h, h.n, min_size=2):
+        closed = mask
+        for v in bits(mask):
+            closed |= h.adj_mask[v]
+        if closed != full:
+            continue
+        key = canonical_form(h.induced_subgraph(mask)[0])
+        a = memo.get(key)
+        if a is None:
+            a = memo[key] = _class_a(key, dp, K)
+        sign = -1 if (h.n - mask.bit_count()) & 1 else 1
         for k in range(1, K + 1):
-            table.gamma[(key, k)] = eng.gamma_at(key, k)
-    return table
+            gamma[k] += sign * a[k]
+    return tuple(gamma)
 
 
 def assemble_a(
@@ -261,18 +216,32 @@ def assemble_a(
     K: int,
     cache: WeightCache | None = None,
 ) -> TaylorCoeffs:
-    """a_k(G) for k <= K from pattern coefficients and induced counts."""
+    """a_k(G) for k <= K as the sum of w(C) a_k(G[C]) over connected sets C
+    (module docstring): one pass over the connected sets of G, one small_e
+    per isomorphism class whose summed weight is nonzero."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    counts = pattern_counts(g, min(2 * K, g.n))
-    eng = engine_for(dp, cache)
-    items = sorted(counts.items())
-    for key, (_, rep) in items:
-        eng.ensure(key, rep, K)
+    cap = 2 * K
+    adj = g.adj_mask
+    weights: dict[bytes, int] = {}
+    for mask in enumerate_connected_sets(g, min(cap, g.n), min_size=2):
+        nbr = 0
+        for v in bits(mask):
+            nbr |= adj[v]
+        b = (nbr & ~mask).bit_count()
+        m = min(b, cap - mask.bit_count())
+        if b == 0:
+            w = 1
+        elif m < b:
+            w = (-1) ** m * comb(b - 1, m)
+        else:
+            continue
+        key = canonical_form(g.induced_subgraph(mask)[0])
+        weights[key] = weights.get(key, 0) + w
     a = [Fraction(0)] * (K + 1)
-    for key, (cnt, _) in items:
-        for k in range(1, K + 1):
-            gk = eng.gamma.get((key, k))
-            if gk is not None and gk:
-                a[k] += gk * cnt
+    for key, w in weights.items():
+        if w:
+            ak = _class_a(key, dp, K, cache)
+            for k in range(1, K + 1):
+                a[k] += w * ak[k]
     return TaylorCoeffs(a=tuple(a))

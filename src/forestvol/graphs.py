@@ -103,12 +103,13 @@ class Graph:
         """
         old_ids = tuple(bits(vset))
         new_id = {v: i for i, v in enumerate(old_ids)}
-        sub_edges = [
-            (new_id[u], new_id[v])
-            for u, v in self.edges
-            if (vset >> u) & 1 and (vset >> v) & 1
+        ranked = [
+            (self.edge_index[(u, v)], new_id[u], new_id[v])
+            for u in old_ids
+            for v in bits(self.adj_mask[u] & vset & -(2 << u))
         ]
-        return Graph(len(old_ids), sub_edges), old_ids
+        ranked.sort()
+        return Graph(len(old_ids), [(u, v) for _, u, v in ranked]), old_ids
 
     def is_connected(self) -> bool:
         if self.n <= 1:

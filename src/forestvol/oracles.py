@@ -1,8 +1,12 @@
-"""Independent checks: Monte Carlo volume, exact enumeration, the
-interval-partition property of broken-edge sets, and root location.
+"""Checks on the certified pipeline: Monte Carlo volume, exact enumeration,
+the interval-partition property of broken-edge sets, and root location.
 
-These deliberately avoid the interpolation pipeline's code paths so that
-agreement between the two is meaningful.
+Only Monte Carlo shares no code with the interpolation pipeline.
+exact_volume, exact_p1 and root_check expand p with small_e, the same tree
+weights and polymer DP the pipeline uses, so they check the interpolation
+and the certificate but not the weights themselves; ROADMAP item 4 plans an
+exact oracle that needs no tree weights.  penrose_check uses the graph
+module's spanning-tree and broken-edge routines.
 """
 
 from __future__ import annotations

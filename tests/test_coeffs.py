@@ -5,17 +5,20 @@ import pytest
 
 from forestvol.canon import canonical_form
 from forestvol.coeffs import (
-    CoefficientEngine,
     assemble_a,
-    engine_for,
-    gamma_table,
     lambda_coeff,
     newton_exp,
     newton_log,
     pattern_counts,
+    pattern_gamma,
     small_e,
 )
-from forestvol.graphs import Graph, spanning_trees, tree_from_edges
+from forestvol.graphs import (
+    Graph,
+    enumerate_connected_sets,
+    spanning_trees,
+    tree_from_edges,
+)
 from forestvol.families import (
     complete_graph,
     cycle_graph,
@@ -162,27 +165,18 @@ def test_lambda_equals_component_product():
 def test_gamma_base_values():
     delta = Fraction(1, 4)
     dp = DeltaParams(delta)
-    eng = CoefficientEngine(dp)
-    k2 = Graph(2, [(0, 1)])
-    key = canonical_form(k2)
-    eng.ensure(key, k2, 2)
     box = Fraction(1, 2) + delta
-    assert eng.gamma_at(key, 1) == -2 * delta**2 / box**2
-    p3 = path_graph(3)
-    key3 = canonical_form(p3)
-    eng.ensure(key3, p3, 2)
-    assert eng.gamma_at(key3, 1) == 0
+    assert pattern_gamma(Graph(2, [(0, 1)]), dp, 2)[1] == -2 * delta**2 / box**2
+    assert pattern_gamma(path_graph(3), dp, 2)[1] == 0
 
 
 def test_gamma_vanishes_beyond_two_k():
     dp = DeltaParams(Fraction(1, 10))
-    eng = CoefficientEngine(dp)
     for h in (path_graph(3), path_graph(4), cycle_graph(4), path_graph(5)):
-        key = canonical_form(h)
-        eng.ensure(key, h, 2)
+        gamma = pattern_gamma(h, dp, 2)
         for k in range(1, 3):
             if h.n > 2 * k:
-                assert eng.gamma_at(key, k) == 0, (h.edges, k)
+                assert gamma[k] == 0, (h.edges, k)
 
 
 def _ind_counts(h: Graph) -> dict[bytes, int]:
@@ -208,7 +202,6 @@ def test_disconnected_patterns_carry_no_weight():
     pats.sort(key=lambda g: (g.n, canonical_form(g)))
     keys = [canonical_form(g) for g in pats]
     inds = {k: _ind_counts(g) for k, g in zip(keys, pats)}
-    eng = engine_for(dp)
     gamma_full: dict[tuple[bytes, int], Fraction] = {}
     for key, h in zip(keys, pats):
         a = newton_log(small_e(h, dp, K).e, K)
@@ -219,12 +212,30 @@ def test_disconnected_patterns_carry_no_weight():
                     val -= gamma_full.get((other, k), Fraction(0)) * cnt
             gamma_full[(key, k)] = val
     for key, h in zip(keys, pats):
+        gamma = pattern_gamma(h, dp, K)
         for k in range(1, K + 1):
-            if h.is_connected():
-                eng.ensure(key, h, k)
-                assert gamma_full[(key, k)] == eng.gamma_at(key, k), (h.edges, k)
-            else:
-                assert gamma_full[(key, k)] == 0, (h.edges, k)
+            assert gamma_full[(key, k)] == gamma[k], (h.edges, k)
+            if not h.is_connected():
+                assert gamma[k] == 0, (h.edges, k)
+
+
+def _weight_cases(g: Graph, K: int) -> set[str]:
+    """Which boundary cases of w(C) occur among the connected sets C of g
+    with 2 <= |C| <= 2K: b = |outer boundary of C|, m = min(b, 2K - |C|)."""
+    cases = set()
+    for mask in enumerate_connected_sets(g, 2 * K, min_size=2):
+        inside = [v for v in range(g.n) if mask >> v & 1]
+        boundary = {u for v in inside for u in g.adj[v] if not mask >> u & 1}
+        b = len(boundary)
+        m = min(b, 2 * K - len(inside))
+        cases.add("b=0" if b == 0 else "m<b" if m < b else "m=b")
+    return cases
+
+
+def _with_path(g: Graph, length: int) -> Graph:
+    """Disjoint union of g and a path on `length` vertices."""
+    tail = [(g.n + i, g.n + i + 1) for i in range(length - 1)]
+    return Graph(g.n + length, list(g.edges) + tail)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -235,6 +246,22 @@ def test_assembled_matches_direct(seed):
     assembled = assemble_a(g, dp, K)
     direct = newton_log(small_e(g, dp, K).e, K)
     assert assembled.a == direct.a
+    # n > 2K: sets below the size cap carry the boundary weight w(C); a
+    # path component gives sets with an empty boundary.  The pattern table
+    # the CLI prints, sum of gamma_k(H) ind(H, G), must give the same a_k.
+    for n, K in ((11, 2), (9, 3)):
+        h = _with_path(random_connected_graph(n, 3, seed=80 + seed, max_degree=3), 3)
+        assert h.n > 2 * K
+        assert _weight_cases(h, K) == {"b=0", "m<b", "m=b"}
+        assembled = assemble_a(h, dp, K)
+        assert assembled.a == newton_log(small_e(h, dp, K).e, K).a, (n, K)
+        memo: dict = {}
+        expanded = [Fraction(0)] * (K + 1)
+        for count, rep in pattern_counts(h, 2 * K).values():
+            gamma = pattern_gamma(rep, dp, K, memo=memo)
+            for k in range(1, K + 1):
+                expanded[k] += count * gamma[k]
+        assert tuple(expanded) == assembled.a, (n, K)
 
 
 def test_assembly_additive_over_disjoint_union():
@@ -276,35 +303,6 @@ def test_relabelled_cold_runs_same_answer_and_misses():
         assert res.K >= 3
         seen.append((res.a, res.lower, res.upper, default_cache().misses))
     assert seen[0] == seen[1]
-
-
-def test_engine_order_independence():
-    dp = DeltaParams(Fraction(1, 10))
-    pats = [g for g in graphs_upto(4) if g.n >= 2 and g.is_connected()]
-    fwd = CoefficientEngine(dp)
-    rev = CoefficientEngine(dp)
-    for h in pats:
-        fwd.ensure(canonical_form(h), h, 2)
-    for h in reversed(pats):
-        rev.ensure(canonical_form(h), h, 2)
-    assert fwd.gamma == rev.gamma
-
-
-def test_gamma_table_validation():
-    dp = DeltaParams(Fraction(1, 10))
-    with pytest.raises(ValueError):
-        gamma_table([Graph(3, [(0, 1)])], dp, 2)  # disconnected
-    with pytest.raises(ValueError):
-        gamma_table([path_graph(3)], dp, 2)  # missing K2 closure
-    with pytest.raises(ValueError):
-        gamma_table([path_graph(5)], dp, 1)  # beyond the 2K bound
-    table = gamma_table([Graph(2, [(0, 1)]), path_graph(3)], dp, 2)
-    assert set(table.gamma) == {
-        (canonical_form(Graph(2, [(0, 1)])), 1),
-        (canonical_form(Graph(2, [(0, 1)])), 2),
-        (canonical_form(path_graph(3)), 1),
-        (canonical_form(path_graph(3)), 2),
-    }
 
 
 def test_pattern_counts_p3():

@@ -23,7 +23,7 @@ from forestvol.families import (
     random_graph,
 )
 
-from conftest import brute_connected_sets, brute_forests, is_forest
+from conftest import brute_connected_sets, brute_forests, is_forest, shuffled_edges
 
 
 def test_parse_basic():
@@ -80,6 +80,18 @@ def test_induced_subgraph_preserves_edge_order():
     # ranks keep the host order: (2,3) then (1,2), relabeled
     assert ids == (1, 2, 3)
     assert sub.edges == ((1, 2), (0, 1))
+    # edge lists in random rank order: the subgraph lists the host edges
+    # inside the mask in host rank order, relabelled
+    rng = random.Random(5)
+    for seed in range(6):
+        h = shuffled_edges(random_graph(9, 0.5, seed=seed), seed)
+        for _ in range(40):
+            mask = rng.getrandbits(9)
+            sub, ids = h.induced_subgraph(mask)
+            new_id = {v: i for i, v in enumerate(ids)}
+            inside = [(u, v) for u, v in h.edges if mask >> u & 1 and mask >> v & 1]
+            assert ids == tuple(v for v in range(9) if mask >> v & 1)
+            assert sub.edges == tuple((new_id[u], new_id[v]) for u, v in inside)
 
 
 @pytest.mark.parametrize("seed", range(6))
