@@ -192,10 +192,9 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
         radius = cert.radius
         K = truncation_order(g.n, eps, cert.radius)
     a = assemble_a(g, dp, K)
-    memo: dict = {}
     patterns = []
     for key, (count, rep) in sorted(pattern_counts(g, min(2 * K, g.n)).items()):
-        gamma = pattern_gamma(rep, dp, K, memo=memo)
+        gamma = pattern_gamma(rep, dp, K)
         patterns.append(
             {
                 "key": key.hex(),

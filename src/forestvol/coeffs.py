@@ -26,13 +26,30 @@ of the outer boundary dC of C in G, all of them connected, so (assemble_a)
 With b = |dC| and m = min(b, 2K-|C|), w(C) = sum_{j<=m} (-1)^j binom(b, j),
 which is 1 when b = 0 and (-1)^m binom(b-1, m) otherwise; it is 0 when
 m = b, i.e. when the whole boundary fits under the size cap.
+
+All delta-dependence enters through t.  A family of r disjoint polymers of
+total degree j covers j + r vertices, so (polymer_series)
+    e_j(t) = sum_r E[j][r] D^{-r} t^{j+r},
+with D the lcm of the denominators of the class weights c of g's polymers
+and E[j][r] = D^r times the sum of prod c(S) over such families, an integer
+table the subset DP fills over the index pair (degree j, polymer count r).
+Newton's identity for b_k = k a_k, b_k = k e_k - sum_{j<k} b_j e_{k-j},
+multiplies t^j by t^{k-j} and convolves the (t/D)^r series, so
+    B[k] = k E[k] - sum_{j<k} B[j] * E[k-j]   (convolution over r)
+stays integer, with no division, and a_k(t) = sum_r B[k][r] t^{k+r} / (k D^r).
+Each class's (K, B, D) is computed once, on the representative decoded
+from its key, and kept in WeightCache.series; a query at another delta only
+evaluates it at the new t.  An entry built at K' >= K also serves K: e_j
+and hence b_j for j <= K only involve polymers of degree at most j, i.e.
+with at most j+1 vertices, and the larger polymers seen at K' only make D a
+multiple of what K alone needs, which leaves the rational values unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Sequence
 
 from .canon import canonical_form, graph_from_key
@@ -58,26 +75,32 @@ class TaylorCoeffs:
         return len(self.a) - 1
 
 
-def small_e(
-    g: Graph, dp: DeltaParams, K: int, cache: WeightCache | None = None
-) -> CoeffVector:
-    """e_j for j <= K, with p(z) summed as a hard-core polymer gas on g.
+def polymer_series(
+    g: Graph, K: int, cache: WeightCache | None = None
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The delta-free table (E, D) with e_j(t) = sum_r E[j][r] D^{-r} t^{j+r}
+    for j <= K, where t = delta/(1/2+delta) and E is integer.
 
-    Polymers are connected sets S with 2 <= |S| <= K+1 and weight
-    phi(S) z^{|S|-1}, phi(S) = c(g[S]) t^{|S|}; e_j collects the families
-    of pairwise disjoint polymers of total degree j.  The subset DP
+    Polymers are connected sets S with 2 <= |S| <= K+1; a family of r
+    disjoint polymers of total degree j covers j + r vertices, so it carries
+    t^{j+r} and E[j][r] sums D^r prod c(g[S]) over such families, D the lcm
+    of the denominators of the c(g[S]).  The subset DP
     P[W] = P[W - v] + sum over polymers S with v in S, S in W, of
-    phi(S) z^{|S|-1} P[W - S], v = min W, runs over the sets W reachable from V(g).
+    c(S) D z^{|S|-1} y P[W - S], v = min W, runs over the sets W reachable
+    from V(g), with y counting polymers.
     """
     cache = cache or default_cache()
-    t = dp.delta / dp.box_hi
+    found = []
+    for mask in enumerate_connected_sets(g, K + 1, min_size=2):
+        sub, _ = g.induced_subgraph(mask)
+        found.append((mask, sub.n - 1, cache.class_weight(canonical_form(sub))))
+    D = lcm(*(c.denominator for _, _, c in found))
     # polymers by their lowest vertex bit, which is where the DP meets them
-    polymers: dict[int, list[tuple[int, int, Fraction]]] = {}
-    if t:
-        for mask in enumerate_connected_sets(g, K + 1, min_size=2):
-            sub, _ = g.induced_subgraph(mask)
-            phi = cache.class_weight(canonical_form(sub)) * t**sub.n
-            polymers.setdefault(mask & -mask, []).append((mask, sub.n - 1, phi))
+    polymers: dict[int, list[tuple[int, int, int]]] = {}
+    for mask, deg, c in found:
+        polymers.setdefault(mask & -mask, []).append(
+            (mask, deg, c.numerator * (D // c.denominator))
+        )
     # every set the recursion reaches; a state's successors have a higher
     # lowest vertex, so evaluating by descending lowest bit is bottom-up
     todo = [g.vertex_mask()]
@@ -90,20 +113,47 @@ def small_e(
         low = w & -w
         todo.append(w ^ low)
         todo.extend(w ^ s for s, _, _ in polymers.get(low, ()) if s & w == s)
-    poly: dict[int, list[Fraction]] = {0: [Fraction(1)] + [Fraction(0)] * K}
+    # a state's table is flat, entry (j, r) at j*R + r; r <= j < K when a
+    # polymer is added, so (j + deg, r + 1) stays in range
+    R = K + 1
+    poly: dict[int, list[int]] = {0: [1] + [0] * (R * R - 1)}
     for w in sorted(reached, key=lambda w: w & -w, reverse=True):
         if not w:
             continue
         low = w & -w
         out = list(poly[w ^ low])
-        for s, deg, phi in polymers.get(low, ()):
+        for s, deg, c in polymers.get(low, ()):
             if s & w == s:
                 rest = poly[w ^ s]
-                for j in range(K + 1 - deg):
-                    if rest[j]:
-                        out[j + deg] += phi * rest[j]
+                shift = deg * R + 1
+                for i in range((R - deg) * R):
+                    if rest[i]:
+                        out[i + shift] += c * rest[i]
         poly[w] = out
-    return CoeffVector(graph=g, e=tuple(poly[g.vertex_mask()]))
+    flat = poly[g.vertex_mask()]
+    return tuple(tuple(flat[j * R : (j + 1) * R]) for j in range(R)), D
+
+
+def _at(row: Sequence[int], D: int, t: Fraction, k: int) -> Fraction:
+    """sum_r row[r] D^{-r} t^{k+r}, reduced once."""
+    p, q = t.numerator, t.denominator
+    dq = D * q
+    top = len(row) - 1
+    num = sum(v * p ** (k + r) * dq ** (top - r) for r, v in enumerate(row) if v)
+    return Fraction(num, q**k * dq**top)
+
+
+def small_e(
+    g: Graph, dp: DeltaParams, K: int, cache: WeightCache | None = None
+) -> CoeffVector:
+    """e_j for j <= K, with p(z) summed as a hard-core polymer gas on g:
+    the polymer_series table evaluated at t.  At t = 0 every polymer weighs
+    0, so e = (1, 0, ..., 0) without enumerating (or weighing) any."""
+    t = dp.delta / dp.box_hi
+    if not t:
+        return CoeffVector(graph=g, e=(Fraction(1),) + (Fraction(0),) * K)
+    E, D = polymer_series(g, K, cache)
+    return CoeffVector(graph=g, e=tuple(_at(E[j], D, t, j) for j in range(K + 1)))
 
 
 def lambda_coeff(
@@ -173,25 +223,55 @@ def pattern_counts(g: Graph, max_size: int) -> dict[bytes, tuple[int, Graph]]:
     return out
 
 
+def _log_series(E: Sequence[Sequence[int]], K: int) -> tuple[tuple[int, ...], ...]:
+    """B with b_k = k a_k = t^k sum_r B[k][r] (t/D)^r, from Newton's identity
+    b_k = k e_k - sum_{j<k} b_j e_{k-j}: the t^k factors multiply out and
+    the (t/D)^r series convolve, so B stays integer."""
+    B = [(0,) * (K + 1)]
+    for k in range(1, K + 1):
+        row = [k * v for v in E[k]]
+        for j in range(1, k):
+            ekj = E[k - j]
+            for r1, x in enumerate(B[j]):
+                if x:
+                    for r2, y in enumerate(ekj[: k + 1 - r1]):
+                        if y:
+                            row[r1 + r2] -= x * y
+        B.append(tuple(row))
+    return tuple(B)
+
+
+def _class_series(
+    key: bytes, K: int, cache: WeightCache
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(B, D) of the class a plain canonical key names, rows 0..K' for some
+    K' >= K, from cache.series or expanded once on the decoded
+    representative."""
+    hit = cache.series.get(key)
+    if hit is None or hit[0] < K:
+        E, D = polymer_series(graph_from_key(key), K, cache)
+        hit = cache.series[key] = (K, _log_series(E, K), D)
+    return hit[1], hit[2]
+
+
 def _class_a(
     key: bytes, dp: DeltaParams, K: int, cache: WeightCache | None = None
 ) -> TaylorCoeffs:
     """a_1..a_K of the graph class a plain canonical key names."""
-    return newton_log(small_e(graph_from_key(key), dp, K, cache), K)
+    t = dp.delta / dp.box_hi
+    if not t:
+        return TaylorCoeffs(a=(Fraction(0),) * (K + 1))
+    B, D = _class_series(key, K, cache or default_cache())
+    return TaylorCoeffs(
+        a=(Fraction(0),) + tuple(_at(B[k], D, t, k) / k for k in range(1, K + 1))
+    )
 
 
-def pattern_gamma(
-    h: Graph,
-    dp: DeltaParams,
-    K: int,
-    memo: dict[bytes, TaylorCoeffs] | None = None,
-) -> tuple[Fraction, ...]:
+def pattern_gamma(h: Graph, dp: DeltaParams, K: int) -> tuple[Fraction, ...]:
     """gamma_1..gamma_K of the pattern h, indexed 1..K (index 0 holds 0):
     the sum over connected C in V(h) with N[C] = V(h) of
-    (-1)^{|h|-|C|} a(h[C]), which is 0 when h is disconnected.  memo maps
-    class keys to their a vectors at this (delta, K) and may be shared
-    across calls with the same (delta, K)."""
-    memo = {} if memo is None else memo
+    (-1)^{|h|-|C|} a(h[C]), which is 0 when h is disconnected.  The class
+    a-vectors come from the series in the default WeightCache."""
     full = h.vertex_mask()
     gamma = [Fraction(0)] * (K + 1)
     for mask in enumerate_connected_sets(h, h.n, min_size=2):
@@ -200,10 +280,7 @@ def pattern_gamma(
             closed |= h.adj_mask[v]
         if closed != full:
             continue
-        key = canonical_form(h.induced_subgraph(mask)[0])
-        a = memo.get(key)
-        if a is None:
-            a = memo[key] = _class_a(key, dp, K)
+        a = _class_a(canonical_form(h.induced_subgraph(mask)[0]), dp, K)
         sign = -1 if (h.n - mask.bit_count()) & 1 else 1
         for k in range(1, K + 1):
             gamma[k] += sign * a[k]
@@ -217,10 +294,15 @@ def assemble_a(
     cache: WeightCache | None = None,
 ) -> TaylorCoeffs:
     """a_k(G) for k <= K as the sum of w(C) a_k(G[C]) over connected sets C
-    (module docstring): one pass over the connected sets of G, one small_e
-    per isomorphism class whose summed weight is nonzero."""
+    (module docstring): one pass over the connected sets of G, then the
+    delta-free series of each class whose summed weight is nonzero, summed
+    over the classes and evaluated at t once."""
     if K < 1:
         raise ValueError("K must be >= 1")
+    t = dp.delta / dp.box_hi
+    if not t:
+        return TaylorCoeffs(a=(Fraction(0),) * (K + 1))
+    cache = cache or default_cache()
     cap = 2 * K
     adj = g.adj_mask
     weights: dict[bytes, int] = {}
@@ -238,10 +320,16 @@ def assemble_a(
             continue
         key = canonical_form(g.induced_subgraph(mask)[0])
         weights[key] = weights.get(key, 0) + w
-    a = [Fraction(0)] * (K + 1)
-    for key, w in weights.items():
-        if w:
-            ak = _class_a(key, dp, K, cache)
-            for k in range(1, K + 1):
-                a[k] += w * ak[k]
-    return TaylorCoeffs(a=tuple(a))
+    # A[k][r] = sum over classes of w B[k][r] / (k D^r), kept as the
+    # integer N[k][r] = k L^r A[k][r] over the common denominator L
+    series = [(w, *_class_series(key, K, cache)) for key, w in weights.items() if w]
+    L = lcm(*(D for _, _, D in series))
+    N = [[0] * (K + 1) for _ in range(K + 1)]
+    for w, B, D in series:
+        for k in range(1, K + 1):
+            for r, v in enumerate(B[k]):
+                if v:
+                    N[k][r] += w * v * (L // D) ** r
+    return TaylorCoeffs(
+        a=(Fraction(0),) + tuple(_at(N[k], L, t, k) / k for k in range(1, K + 1))
+    )

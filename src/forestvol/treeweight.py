@@ -221,11 +221,15 @@ class WeightCache:
     normalized maps the canonical key of the bicolored (tree, broken) graph
     to W with hat_w = delta^{|V|} * W.  classes maps the plain canonical key
     of a connected graph H to its class weight c(H) (see class_weight).
+    series maps the same key to (K, B, D), the integer log-series of H that
+    coeffs expands once and evaluates at each delta: a_k(H) =
+    sum_r B[k][r] t^{k+r} / (k D^r) for k <= K, t = delta/(1/2+delta).
     """
 
     def __init__(self):
         self.normalized: dict[bytes, Fraction] = {}
         self.classes: dict[bytes, Fraction] = {}
+        self.series: dict[bytes, tuple[int, tuple[tuple[int, ...], ...], int]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -276,6 +280,7 @@ class WeightCache:
     def clear(self) -> None:
         self.normalized.clear()
         self.classes.clear()
+        self.series.clear()
         self.hits = 0
         self.misses = 0
 

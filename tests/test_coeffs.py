@@ -255,10 +255,9 @@ def test_assembled_matches_direct(seed):
         assert _weight_cases(h, K) == {"b=0", "m<b", "m=b"}
         assembled = assemble_a(h, dp, K)
         assert assembled.a == newton_log(small_e(h, dp, K).e, K).a, (n, K)
-        memo: dict = {}
         expanded = [Fraction(0)] * (K + 1)
         for count, rep in pattern_counts(h, 2 * K).values():
-            gamma = pattern_gamma(rep, dp, K, memo=memo)
+            gamma = pattern_gamma(rep, dp, K)
             for k in range(1, K + 1):
                 expanded[k] += count * gamma[k]
         assert tuple(expanded) == assembled.a, (n, K)
@@ -280,13 +279,39 @@ def test_assembly_additive_over_disjoint_union():
 
 
 def test_assemble_repeat_cold_deterministic():
-    g = random_connected_graph(8, 3, seed=99, max_degree=3)
+    """Repeated cold runs agree.  So does a run that finds the class series
+    a query at delta' and order K' left in the cache, and it weighs and
+    expands nothing new.  The series carry no delta; with n <= 2K the only
+    class is G itself, so the 6-vertex case reads an entry built at K' = 4
+    for K = 3."""
     dp = DeltaParams(Fraction(1, 100))
-    runs = []
-    for _ in range(3):
+    cache = default_cache()
+    for n, warm in ((8, (Fraction(1, 10), 3)), (6, (Fraction(1, 10), 4))):
+        g = random_connected_graph(n, 3, seed=99, max_degree=3)
+        runs = []
+        for _ in range(3):
+            clear_caches()
+            runs.append(assemble_a(g, dp, 3).a)
+        assert runs[0] == runs[1] == runs[2]
         clear_caches()
-        runs.append(assemble_a(g, dp, 3).a)
-    assert runs[0] == runs[1] == runs[2]
+        assert not cache.series
+        assemble_a(g, DeltaParams(warm[0]), warm[1])
+        before = (cache.misses, dict(cache.series))
+        assert before[1]
+        assert assemble_a(g, dp, 3).a == runs[0], (n, warm)
+        assert (cache.misses, cache.series) == before, (n, warm)
+
+
+def test_small_e_delta_zero_weighs_nothing():
+    """At delta = 0 every polymer weighs t^{|S|} = 0, so small_e returns
+    (1, 0, ..., 0) without weighing a class or expanding a series."""
+    clear_caches()
+    g = random_connected_graph(10, 3, seed=2, max_degree=3)
+    cache = default_cache()
+    before = (cache.misses, dict(cache.classes), dict(cache.series))
+    e = small_e(g, DeltaParams(Fraction(0)), g.n - 1).e
+    assert e == (1,) + (0,) * (g.n - 1)
+    assert (cache.misses, cache.classes, cache.series) == before
 
 
 def test_relabelled_cold_runs_same_answer_and_misses():
