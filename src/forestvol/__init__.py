@@ -2,14 +2,19 @@
 {x in [0, 1/2+delta]^V : x_u + x_v <= 1 for uv in E}.
 
 The certified path is exact rational arithmetic end to end: tree weights
-by poset integration, Taylor coefficients of log p via pattern counts,
-and a zero-free disk that turns a truncated series into a (1 +- eps)
-enclosure. Randomized and brute-force oracles live in
+by a subset DP over the |z| order, Taylor coefficients of log p via
+pattern counts, and a zero-free disk that turns a truncated series into a
+(1 +- eps) enclosure. Randomized and brute-force oracles live in
 :mod:`forestvol.oracles`; Monte Carlo shares no code with the pipeline, but
 the exact oracles reuse its tree weights through small_e.
 """
 
-from .errors import DeltaTooLargeError, GraphParseError, SizeGuardError
+from .errors import (
+    CertificateError,
+    DeltaTooLargeError,
+    GraphParseError,
+    SizeGuardError,
+)
 from .graphs import Graph, Tree, parse_graph, format_graph, tree_from_edges
 from .treeweight import DeltaParams, TreeWeightRecord, tree_weight, hat_w
 from .coeffs import TaylorCoeffs, assemble_a, small_e, newton_exp, newton_log
@@ -36,6 +41,7 @@ from .kernel import BACKEND as KERNEL_BACKEND
 __version__ = "0.1.0"
 
 __all__ = [
+    "CertificateError",
     "DeltaParams",
     "DeltaTooLargeError",
     "Graph",

@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 selftest failure, 2 bad flags or invalid
 parameter values, 3 graph file problems, 4 delta too large for the
 requested degree bound, 5 size guard (exact enumeration too large, or a
-truncation order whose patterns exceed the canonical-form cap).
+truncation order whose patterns exceed the canonical-form cap), 6 the
+certificate failed (the interval re-check of the radius, or the search for
+a truncation order).
 """
 
 from __future__ import annotations
@@ -17,7 +19,12 @@ import time
 from fractions import Fraction
 
 from .coeffs import assemble_a, pattern_counts, pattern_gamma
-from .errors import DeltaTooLargeError, GraphParseError, SizeGuardError
+from .errors import (
+    CertificateError,
+    DeltaTooLargeError,
+    GraphParseError,
+    SizeGuardError,
+)
 from .graphs import Graph, parse_graph, tree_from_edges
 from .interpolate import approximate_volume, truncation_order, zero_free_radius
 from .oracles import exact_volume, mc_volume, penrose_check, root_check
@@ -372,6 +379,9 @@ def main(argv: list[str] | None = None) -> int:
     except SizeGuardError as e:
         print(f"error: {e}", file=sys.stderr)
         return 5
+    except CertificateError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 6
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

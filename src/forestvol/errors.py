@@ -33,3 +33,11 @@ class DeltaTooLargeError(ValueError):
 
 class SizeGuardError(ValueError):
     """An exact/enumerative routine was asked to exceed its size cap."""
+
+
+class CertificateError(Exception):
+    """A step of the certificate could not be verified or did not terminate:
+    the interval re-check of the zero-free radius failed, or no truncation
+    order met the accuracy budget.  Not a ValueError: the inputs were
+    accepted, and the certificate machinery is what fell short.
+    """

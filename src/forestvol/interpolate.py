@@ -22,12 +22,13 @@ from mpmath import iv
 
 from .canon import MAX_VERTICES
 from .coeffs import TaylorCoeffs, assemble_a
-from .errors import DeltaTooLargeError, SizeGuardError
+from .errors import CertificateError, DeltaTooLargeError, SizeGuardError
 from .graphs import Graph
 from .treeweight import DeltaParams, WeightCache
 
 _SAFETY = Fraction((1 << 20) - 1, 1 << 20)
 _E_BITS = 48
+_MAX_ORDER = 1_000_000  # truncation_order gives up beyond this K
 
 
 def _e_bounds() -> tuple[Fraction, Fraction]:
@@ -67,7 +68,8 @@ def zero_free_radius(delta: Fraction, max_degree: int) -> RadiusCertificate:
     arithmetic against the sufficient condition
         4 * delta * R <= log(a) * (1 - 1/Delta) / (a * Delta)
     with a rational witness a < e.  Raises DeltaTooLargeError when no radius
-    above 1 is certifiable.
+    above 1 is certifiable, and CertificateError when the interval re-check
+    fails.
     """
     delta = Fraction(delta)
     if max_degree < 2:
@@ -87,7 +89,7 @@ def zero_free_radius(delta: Fraction, max_degree: int) -> RadiusCertificate:
         av = _iv_frac(witness)
         rhs = iv.log(av) * _iv_frac(frac) / (av * max_degree)
         if not lhs.b <= rhs.a:
-            raise AssertionError("interval verification of the radius failed")
+            raise CertificateError("interval verification of the radius failed")
     finally:
         iv.prec = old
     return RadiusCertificate(
@@ -132,7 +134,10 @@ def tail_bound(n: int, radius: Fraction, K: int) -> Fraction:
 
 
 def truncation_order(n: int, eps: Fraction, radius: Fraction) -> int:
-    """Minimal K >= 1 with (n-1) * sum_{k>K} R^-k / k <= ln(1+eps)."""
+    """Minimal K >= 1 with (n-1) * sum_{k>K} R^-k / k <= ln(1+eps).
+
+    Raises CertificateError when no K up to _MAX_ORDER meets the budget.
+    """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -155,8 +160,8 @@ def truncation_order(n: int, eps: Fraction, radius: Fraction) -> int:
             tail = tail - term / K
             if K >= 1 and tail.b <= budget.a:
                 return K
-            if K > 1_000_000:
-                raise RuntimeError("truncation order did not converge")
+            if K > _MAX_ORDER:
+                raise CertificateError("truncation order did not converge")
     finally:
         iv.prec = old
 

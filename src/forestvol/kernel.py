@@ -1,5 +1,8 @@
-"""The two hot kernels, in pure Python: edge-colored canonical labeling and
-the exact chain-order integration DP.  BACKEND names the implementation
+"""Two integer kernels, in pure Python: edge-colored canonical labeling, hot
+on the certified path, and the exact chain-order integration DP, which
+serves only the cellwise cross-check (treeweight.hat_w_cellwise) and
+`forestvol weights --trace`; the certified path weighs trees by the |z|
+order DP in treeweight instead.  BACKEND names the implementation
 (forestvol.KERNEL_BACKEND).
 
 Data conventions:

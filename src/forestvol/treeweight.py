@@ -8,17 +8,25 @@ cell measure is
 
 and the signed weight is w_T = (-1)^{#edges(T)} hat_w / (1/2+delta)^{|V(T)|}.
 
-hat_w is computed exactly by splitting the box into cells P_S over "nice"
-vertex sets S, enumerating the admissible (s, t) maps on the complement,
-and integrating the resulting polynomial over the order polytope of the
-comparability digraph D_(s,t) via the F_U subset recursion.  Everything is
-rational; values depend only on the isomorphism type of (T, E_T) and are
-memoized by a canonical key of that edge-bicolored graph.
+Substituting x = 1/2 + delta*z gives hat_w = delta^{|V(T)|} * W with W
+delta-free.  Every vertex of T has a tree edge, so every z lies in (-1, 1],
+and z_u + z_v has the sign of the endpoint of larger |z|: a tree edge holds
+iff its later endpoint in |z| order is positive, a broken edge iff that
+endpoint is non-positive.  Each (|z| order, signs) region has volume 1/n!,
+so W is an integer count over n!, taken by a subset DP over the |z| order
+(_normalized_weight_dp).  W depends only on the isomorphism type of
+(T, E_T) and is memoized by a canonical key of that edge-bicolored graph,
+so the memo serves every delta at once.  The coefficient pipeline reads W
+only through WeightCache.class_weight, once per spanning tree of each
+connected pattern class; tree_weight is the route for a single tree in a
+host.
 
-The integrand factors as delta^{|V(T)|} times a delta-free rational, so the
-memo serves every delta at once.  The coefficient pipeline reads W only
-through WeightCache.class_weight, once per spanning tree of each connected
-pattern class; tree_weight is the route for a single tree in a host.
+hat_w_cellwise is an independent cross-check in the original coordinates:
+it splits the box into cells P_S over "nice" vertex sets S, enumerates the
+admissible (s, t) maps on the complement, and integrates the resulting
+polynomial over the order polytope of the comparability digraph D_(s,t)
+via the F_U subset recursion (kernel.poset_integral_packed).  It shares no
+code with the DP and drives `forestvol weights --trace`.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 from typing import Iterator, Mapping
 
 from . import kernel
@@ -436,9 +445,16 @@ def _normalized_weight_dp(
     tedges: tuple[tuple[int, int], ...],
     bedges: tuple[tuple[int, int], ...],
 ) -> Fraction:
-    """W with hat_w = delta^nv * W, via the substitution x = 1/2 + delta*z.
+    """W with hat_w = delta^nv * W, by a subset DP over the order of |z|.
 
-    Works on local labels 0..nv-1 over z in [-1, 0], z_PLUS = 0, z_MINUS = -1.
+    With x = 1/2 + delta*z, every vertex has a tree edge, so every z lies in
+    (-1, 1]; z_u + z_v then has the sign of the endpoint of larger |z|.  A
+    tree edge holds iff that later endpoint is positive and a broken edge
+    iff it is non-positive.  Each (|z| order, signs) region has volume 1/nv!
+    in z, so W = N / nv!, where N counts the admissible pairs: N[{}] = 1 and
+    N[U + v] += N[U] * f(v, U), with f = 2 when v has no tree or broken
+    neighbour in U, 1 when its neighbours in U are all of one kind (the
+    sign of v is forced), and 0 when they are of both kinds.
     """
     tadj = [0] * nv
     badj = [0] * nv
@@ -449,93 +465,22 @@ def _normalized_weight_dp(
         badj[u] |= 1 << v
         badj[v] |= 1 << u
     full = (1 << nv) - 1
-    total = Fraction(0)
-    for s_mask in _independent_subsets(full, {v: tadj[v] for v in range(nv)}):
-        comp_mask = full & ~s_mask
-        if not _is_independent(comp_mask, {v: badj[v] for v in range(nv)}):
+    count = [0] * (full + 1)
+    count[0] = 1
+    # ascending masks: U is final before any U + v is reached from it
+    for umask in range(full):
+        c = count[umask]
+        if not c:
             continue
-        slist = list(bits(s_mask))
-        k = len(slist)
-        sidx = {v: i for i, v in enumerate(slist)}
-        comp = list(bits(comp_mask))
-        s_choices = [list(bits(tadj[v] & s_mask)) or [PLUS] for v in comp]
-        t_choices = [list(bits(badj[v] & s_mask)) or [MINUS] for v in comp]
-        pairs = [
-            [(s, t) for s in sc for t in tc]
-            for sc, tc in zip(s_choices, t_choices)
-        ]
-        for assignment in itertools.product(*pairs):
-            preds = [0] * k
-            ok = True
-            for v, (sv, tv) in zip(comp, assignment):
-                if sv != PLUS and tv != MINUS:
-                    preds[sidx[sv]] |= 1 << sidx[tv]
-                if sv != PLUS:
-                    si = sidx[sv]
-                    for w in bits(tadj[v] & s_mask):
-                        wi = sidx[w]
-                        if wi != si:
-                            preds[wi] |= 1 << si
-                if tv != MINUS:
-                    ti = sidx[tv]
-                    for w in bits(badj[v] & s_mask):
-                        wi = sidx[w]
-                        if wi != ti:
-                            preds[ti] |= 1 << wi
-            if not _acyclic_masks(k, preds):
-                continue
-            terms = {0: 1}
-            for v, (sv, tv) in zip(comp, assignment):
-                factor = _factor_terms(sv, tv, sidx)
-                if factor is None:
-                    continue
-                terms = _packed_mul(terms, factor)
-            num, den = kernel.poset_integral_packed(
-                k, tuple(preds), terms, 1, -1, 1, 0, 1
-            )
-            total += Fraction(num, den)
-    return total
-
-
-def _factor_terms(
-    sv: int, tv: int, sidx: Mapping[int, int]
-) -> list[tuple[int, int]] | None:
-    """Packed terms of (z_s - z_t) with z_PLUS = 0, z_MINUS = -1."""
-    if sv == PLUS and tv == MINUS:
-        return None  # factor 1
-    if sv == PLUS:
-        return [(1 << (_SHIFT * sidx[tv]), -1)]
-    if tv == MINUS:
-        return [(1 << (_SHIFT * sidx[sv]), 1), (0, 1)]
-    return [(1 << (_SHIFT * sidx[sv]), 1), (1 << (_SHIFT * sidx[tv]), -1)]
-
-
-def _packed_mul(
-    terms: dict[int, int], factor: list[tuple[int, int]]
-) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for key, num in terms.items():
-        for fk, fn in factor:
-            nk = key + fk
-            val = out.get(nk, 0) + num * fn
-            if val:
-                out[nk] = val
-            elif nk in out:
-                del out[nk]
-    return out
-
-
-def _acyclic_masks(k: int, preds: list[int]) -> bool:
-    remaining = (1 << k) - 1
-    while remaining:
-        free = 0
-        rest = remaining
+        rest = full & ~umask
         while rest:
             low = rest & -rest
             rest ^= low
-            if not (preds[low.bit_length() - 1] & remaining):
-                free |= low
-        if not free:
-            return False
-        remaining &= ~free
-    return True
+            v = low.bit_length() - 1
+            t = tadj[v] & umask
+            b = badj[v] & umask
+            if not t and not b:
+                count[umask | low] += 2 * c
+            elif not (t and b):
+                count[umask | low] += c
+    return Fraction(count[full], factorial(nv))

@@ -173,6 +173,29 @@ def test_volume_size_guard_exit_5(capsys, tmp_path):
     assert "K=17" in err and "32" in err
 
 
+def test_certificate_failures_exit_6(capsys, monkeypatch, graphs):
+    from forestvol import interpolate
+
+    argv = ["volume", "--graph", graphs["p3"], "--delta", "1/100", "--eps", "1/100"]
+    with monkeypatch.context() as mp:
+        # a witness a just above 1 makes log(a) too small for the re-check
+        _, e_hi = interpolate._e_bounds()
+        witness = Fraction(1) + Fraction(1, 10**6)
+        mp.setattr(interpolate, "_e_bounds", lambda: (witness, e_hi))
+        rc, out, err = run_cli(capsys, argv)
+    assert rc == 6 and out == ""
+    assert err.startswith("error: ") and "radius" in err
+    assert "Traceback" not in err
+    with monkeypatch.context() as mp:
+        mp.setattr(interpolate, "_MAX_ORDER", 2)  # P3 at eps=1/100 needs K > 2
+        rc, out, err = run_cli(capsys, argv)
+    assert rc == 6 and out == ""
+    assert err.startswith("error: ") and "truncation order" in err
+    assert "Traceback" not in err
+    rc, _, _ = run_cli(capsys, argv)
+    assert rc == 0
+
+
 def test_volume_rejects_threads_flag(graphs):
     with pytest.raises(SystemExit) as exc:
         main(["volume", "--graph", graphs["k2"], "--delta", "1/100", "--eps", "1/100",

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from forestvol.graphs import Graph, broken_edges, spanning_trees, tree_from_edges
-from forestvol.families import complete_graph, path_graph, random_connected_graph
+from forestvol.families import (
+    complete_graph,
+    path_graph,
+    random_connected_graph,
+    star_graph,
+)
 from forestvol.polynomials import MultiPoly
 from forestvol.treeweight import (
     DeltaParams,
@@ -25,16 +30,19 @@ P3 = path_graph(3)
 TRI = complete_graph(3)
 
 
-def _pairs(max_n=5, max_degree=4, count=24, seed=0):
+def _pairs(max_n=5, max_degree=4, count=24, seed=0, min_n=2, max_extra=3):
     """Random (host, spanning tree) pairs for property checks."""
     rng = random.Random(seed)
     out = []
     attempt = 0
     while len(out) < count:
         attempt += 1
-        n = rng.randint(2, max_n)
+        n = rng.randint(min_n, max_n)
         g = random_connected_graph(
-            n, rng.randint(0, 3), seed=seed * 1000 + attempt, max_degree=max_degree
+            n,
+            rng.randint(0, max_extra),
+            seed=seed * 1000 + attempt,
+            max_degree=max_degree,
         )
         trees = list(spanning_trees(g))
         out.append((g, trees[rng.randrange(len(trees))]))
@@ -154,6 +162,12 @@ def test_hat_w_closed_forms(delta):
     assert hat_w(K2, tree, dp) == 2 * delta**2
     tree = tree_from_edges(P3, (0, 1))
     assert hat_w(P3, tree, dp) == Fraction(8, 3) * delta**3
+    # the star K_{1,m} (m = 1 is K2, m = 2 is P3) has no broken edges
+    for m in range(1, 7):
+        g = star_graph(m)
+        tree = tree_from_edges(g, tuple(range(g.m)))
+        want = Fraction(2 ** (m + 1), m + 1) * delta ** (m + 1)
+        assert hat_w(g, tree, dp, cache=WeightCache()) == want
 
 
 def test_weight_signs_and_normalization(delta_quarter):
@@ -188,6 +202,23 @@ def test_cellwise_matches_memoized_route():
     for i, (g, tree) in enumerate(_pairs(count=16, seed=7)):
         dp = DeltaParams(deltas[i % 2])
         assert hat_w_cellwise(g, tree, dp) == hat_w(g, tree, dp)
+
+
+def test_cellwise_matches_dp_with_broken_edges():
+    """The |z|-order DP behind WeightCache.normalized_weight against the
+    cell-by-cell poset integrals, which share no code with it, on 6-8 vertex
+    hosts with chords so that broken edges occur."""
+    deltas = [Fraction(1, 10), Fraction(1, 4), Fraction(2, 5)]
+    pairs = _pairs(min_n=6, max_n=8, max_degree=4, count=100, seed=31, max_extra=8)
+    with_broken = 0
+    for i, (g, tree) in enumerate(pairs):
+        dp = DeltaParams(deltas[i % 3])
+        with_broken += bool(broken_edges(g, tree))
+        cache = WeightCache()
+        rec = tree_weight(g, tree, dp, cache=cache)
+        assert cache.misses == 1
+        assert rec.hat_w == hat_w_cellwise(g, tree, dp), (g.edges, tree)
+    assert with_broken >= 50
 
 
 def test_automorphic_pairs_share_weight():
