@@ -4,9 +4,9 @@
 The certified path is exact rational arithmetic end to end: tree weights
 by a subset DP over the |z| order, Taylor coefficients of log p via
 pattern counts, and a zero-free disk that turns a truncated series into a
-(1 +- eps) enclosure. Randomized and brute-force oracles live in
-:mod:`forestvol.oracles`; Monte Carlo shares no code with the pipeline, but
-the exact oracles reuse its tree weights through small_e.
+(1 +- eps) enclosure. Randomized and exact oracles live in
+:mod:`forestvol.oracles`; Monte Carlo and exact_volume, a DP over the
+independent sets of the graph, share no code with the pipeline.
 """
 
 from .errors import (

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 selftest failure, 2 bad flags or invalid
 parameter values, 3 graph file problems, 4 delta too large for the
-requested degree bound, 5 size guard (exact enumeration too large, or a
+requested degree bound, 5 size guard (graph too large for the exact DP, or a
 truncation order whose patterns exceed the canonical-form cap), 6 the
 certificate failed (the interval re-check of the radius, or the search for
 a truncation order).
@@ -28,7 +28,7 @@ from .errors import (
 from .graphs import Graph, parse_graph, tree_from_edges
 from .interpolate import approximate_volume, truncation_order, zero_free_radius
 from .oracles import exact_volume, mc_volume, penrose_check, root_check
-from .treeweight import DeltaParams, hat_w_cellwise, tree_weight
+from .treeweight import DeltaParams, tree_weight
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", required=True, help="relative accuracy, rational p/q")
     p.add_argument("--max-degree", type=int, default=None, help="certify for this degree bound (rejects denser graphs)")
 
-    p = sub.add_parser("exact", help="exact volume by full forest enumeration")
+    p = sub.add_parser("exact", help="exact volume by a DP over independent sets (small graphs)")
     _add_common(p)
     p.add_argument("--delta", required=True)
 
@@ -97,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--delta", required=True)
     p.add_argument("--tree", required=True, help="comma-separated edge ranks, e.g. 0,2,5")
-    p.add_argument("--trace", action="store_true", help="print per-cell integrals to stderr")
 
     p = sub.add_parser("radius", help="zero-free radius certificate")
     _add_common(p, graph=False)
@@ -236,13 +235,6 @@ def cmd_weights(args: argparse.Namespace) -> int:
         raise ValueError(f"edge ranks out of range: {bad}")
     tree = tree_from_edges(g, ranks)
     rec = tree_weight(g, tree, dp)
-    if args.trace:
-        traced = hat_w_cellwise(
-            g, tree, dp, broken=rec.broken, trace=lambda line: print(line, file=sys.stderr)
-        )
-        print(f"trace total hat_w = {traced}", file=sys.stderr)
-        if traced != rec.hat_w:
-            print("trace total DISAGREES with the cached route", file=sys.stderr)
     payload = {
         "tree_edges": [list(g.edges[r]) for r in rec.tree.edge_ranks],
         "broken_edges": [list(g.edges[r]) for r in rec.broken],

@@ -1,6 +1,6 @@
 """Undirected simple graphs with ranked edges, plus the enumerations the
-volume engine is built on: connected vertex sets, forests, spanning trees,
-and fundamental-cycle bookkeeping.
+volume engine is built on: connected vertex sets, spanning trees, and
+fundamental-cycle bookkeeping.
 
 Vertex sets are plain int bitmasks throughout.  Edges carry a rank (their
 position in the input edge list); several routines depend on that order, so
@@ -306,75 +306,6 @@ class _UnionFind:
     def undo(self, winner: int, loser: int) -> None:
         self.size[winner] -= self.size[loser]
         self.parent[loser] = loser
-
-
-def enumerate_forests(g: Graph, k: int) -> Iterator[tuple[Tree, ...]]:
-    """All forests of g with at most k edges, decomposed into component Trees.
-
-    The empty forest comes first; otherwise order is lexicographic in the
-    rank sequence.  Isolated vertices are not part of the decomposition:
-    only components with >= 1 edge appear.
-    """
-    for ranks in forest_edge_sets(g, k):
-        yield forest_components(g, ranks)
-
-
-def forest_edge_sets(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
-    """Rank tuples of all forests with at most k edges, empty first."""
-    m = g.m
-    k = min(k, max(g.n - 1, 0))
-    uf = _UnionFind(g.n)
-    chosen: list[int] = []
-    ends = g.edges
-
-    def rec(start: int) -> Iterator[tuple[int, ...]]:
-        yield tuple(chosen)
-        if len(chosen) == k:
-            return
-        for i in range(start, m):
-            u, v = ends[i]
-            ru = uf.find(u)
-            rv = uf.find(v)
-            if ru == rv:
-                continue
-            undo = uf.union(ru, rv)
-            chosen.append(i)
-            yield from rec(i + 1)
-            chosen.pop()
-            uf.undo(*undo)
-
-    yield from rec(0)
-
-
-def forest_components(g: Graph, ranks: Sequence[int]) -> tuple[Tree, ...]:
-    """Split a forest's edge ranks into component Trees (smallest vertex first)."""
-    if not ranks:
-        return ()
-    root: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    for r in ranks:
-        u, v = g.edges[r]
-        root.setdefault(u, u)
-        root.setdefault(v, v)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            root[max(ru, rv)] = min(ru, rv)
-    comp_edges: dict[int, list[int]] = {}
-    comp_vset: dict[int, int] = {}
-    for r in sorted(ranks):
-        u, v = g.edges[r]
-        c = find(u)
-        comp_edges.setdefault(c, []).append(r)
-        comp_vset[c] = comp_vset.get(c, 0) | (1 << u) | (1 << v)
-    return tuple(
-        Tree(comp_vset[c], tuple(comp_edges[c])) for c in sorted(comp_edges)
-    )
 
 
 def spanning_trees(g: Graph) -> Iterator[Tree]:

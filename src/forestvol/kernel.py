@@ -1,9 +1,13 @@
 """Two integer kernels, in pure Python: edge-colored canonical labeling, hot
-on the certified path, and the exact chain-order integration DP, which
-serves only the cellwise cross-check (treeweight.hat_w_cellwise) and
-`forestvol weights --trace`; the certified path weighs trees by the |z|
-order DP in treeweight instead.  BACKEND names the implementation
-(forestvol.KERNEL_BACKEND).
+on the certified path, and an exact chain-order integration DP.  BACKEND
+names the implementation (forestvol.KERNEL_BACKEND).
+
+Nothing in the package calls poset_integral_packed any more: the certified
+path weighs trees by the |z|-order DP in treeweight, and oracles.exact_volume
+integrates over independent sets.  It stays only because perfbench/tracer.py
+traces it by name and raises on a missing target; it goes together with
+that entry in the next change to perfbench/.  tests/test_treeweight.py
+checks it against linear-extension counts.
 
 Data conventions:
 
@@ -13,7 +17,8 @@ Data conventions:
 
 * poset_integral_packed computes F_S(a, b) for the recursion
       F_empty = p,   F_U = sum over minimal u of Int_m^b F_(U-u)[m := x_u] dx_u
-  evaluated at m = a.  Polynomials are dicts mapping packed exponent keys to
+  evaluated at m = a, over the elements 0..k-1 with x_j < x_i for every
+  bit j of preds[i].  Polynomials are dicts mapping packed exponent keys to
   integer numerators over one shared denominator; variable i occupies bits
   [6i, 6i+6), slot k is the symbolic lower bound m.
 """

@@ -1,12 +1,14 @@
-"""Checks on the certified pipeline: Monte Carlo volume, exact enumeration,
+"""Checks on the certified pipeline: Monte Carlo volume, the exact volume,
 the interval-partition property of broken-edge sets, and root location.
 
-Only Monte Carlo shares no code with the interpolation pipeline.
-exact_volume, exact_p1 and root_check expand p with small_e, the same tree
-weights and polymer DP the pipeline uses, so they check the interpolation
-and the certificate but not the weights themselves; ROADMAP item 4 plans an
-exact oracle that needs no tree weights.  penrose_check uses the graph
-module's spanning-tree and broken-edge routines.
+mc_volume and exact_volume share no code with the interpolation pipeline:
+exact_volume integrates over the independent set of coordinates above 1/2
+and needs no trees, canonical forms or poset integrals, so it checks the
+tree weights and class weights as well as the interpolation.  exact_p1 is
+exact_volume over the box volume.  root_check needs every coefficient e_k
+of p, so it expands p with small_e, the pipeline's own polymer DP.
+penrose_check uses the graph module's spanning-tree and broken-edge
+routines.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ def mc_volume(
 def _guard_exact(g: Graph, max_vertices: int, max_edges: int) -> None:
     if g.n > max_vertices or g.m > max_edges:
         raise SizeGuardError(
-            f"full forest enumeration is capped at {max_vertices} vertices / "
+            f"the exact independent-set DP is capped at {max_vertices} vertices / "
             f"{max_edges} edges (got n={g.n}, m={g.m}); use `volume` instead"
         )
 
@@ -104,26 +106,82 @@ def _guard_exact(g: Graph, max_vertices: int, max_edges: int) -> None:
 def exact_p1(
     g: Graph,
     dp: DeltaParams,
-    cache: WeightCache | None = None,
     max_vertices: int = EXACT_VERTEX_LIMIT,
     max_edges: int = EXACT_EDGE_LIMIT,
 ) -> Fraction:
-    """p(1) = sum_k e_k by full forest enumeration; exponential in g."""
-    _guard_exact(g, max_vertices, max_edges)
-    e = small_e(g, dp, max(g.n - 1, 0), cache=cache).e
-    return sum(e, Fraction(0))
+    """p(1) = Vol(P) / (1/2+delta)^n, by the independent-set DP of
+    exact_volume; exponential in g."""
+    vol = exact_volume(g, dp, max_vertices=max_vertices, max_edges=max_edges)
+    return vol / dp.box_hi**g.n
 
 
 def exact_volume(
     g: Graph,
     dp: DeltaParams,
-    cache: WeightCache | None = None,
     max_vertices: int = EXACT_VERTEX_LIMIT,
     max_edges: int = EXACT_EDGE_LIMIT,
 ) -> Fraction:
-    return dp.box_hi**g.n * exact_p1(
-        g, dp, cache=cache, max_vertices=max_vertices, max_edges=max_edges
-    )
+    """Vol(P) exactly, by a subset DP over the independent sets of g.
+
+    The vertices with x_v > 1/2 form an independent set I.  With
+    u_w = 1 - x_w in [1/2-delta, 1/2) for w in I, a vertex v outside I
+    ranges over [0, min(1/2, u_w for w in N(v) & I)], and every edge
+    between two vertices outside I holds.  So Vol(P) is the sum over I of
+    F[I](1/2) * (1/2)^{n-|I|-|N(I)|}, where F[U](w) integrates, over
+    1/2-delta < u_j < w for j in U, the product over v in N(U) of the
+    smallest u of v's neighbours in U.  Splitting off the j in U with the
+    largest u gives F[{}] = 1 and
+
+        F[U](w) = sum over j in U of Int_{1/2-delta}^w u^c F[U-j](u) du,
+
+    with c = |N(j) - N(U-j)| the neighbours whose smallest u is u_j.  Each
+    F[U] is an exact univariate polynomial in w (coefficient lists of
+    Fractions).  Nothing here touches tree weights, canonical forms or
+    poset integrals, so it checks the pipeline from outside.
+    """
+    _guard_exact(g, max_vertices, max_edges)
+    n = g.n
+    half = Fraction(1, 2)
+    lo = half - dp.delta
+    nbr = [0] * n
+    for u, v in g.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    # ascending masks, so each U - j is listed before U
+    sets = [0]
+    for v in range(n):
+        sets += [s | (1 << v) for s in sets if not nbr[v] & s]
+    lo_pow = [lo**e for e in range(n + 2)]
+    half_pow = [half**e for e in range(n + 2)]
+    poly: dict[int, list[Fraction]] = {0: [Fraction(1)]}
+    cover = {0: 0}
+    total = Fraction(0)
+    for umask in sets:
+        if umask:
+            acc: list[Fraction] = []
+            cov = 0
+            rest = umask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                j = low.bit_length() - 1
+                prev = poly[umask ^ low]
+                c = (nbr[j] & ~cover[umask ^ low]).bit_count()
+                cov |= nbr[j]
+                # u^c * prev(u) integrated from lo to w
+                step = [Fraction(0)] * (c + 1)
+                step += [f / (i + c + 1) for i, f in enumerate(prev)]
+                step[0] = -sum(q * lo_pow[e] for e, q in enumerate(step))
+                if len(step) > len(acc):
+                    acc += [Fraction(0)] * (len(step) - len(acc))
+                for e, q in enumerate(step):
+                    acc[e] += q
+            poly[umask] = acc
+            cover[umask] = cov
+        at_half = sum(q * half_pow[e] for e, q in enumerate(poly[umask]))
+        free = n - umask.bit_count() - cover[umask].bit_count()
+        total += at_half * half_pow[free]
+    return total
 
 
 @dataclass(frozen=True)

@@ -21,31 +21,20 @@ only through WeightCache.class_weight, once per spanning tree of each
 connected pattern class; tree_weight is the route for a single tree in a
 host.
 
-hat_w_cellwise is an independent cross-check in the original coordinates:
-it splits the box into cells P_S over "nice" vertex sets S, enumerates the
-admissible (s, t) maps on the complement, and integrates the resulting
-polynomial over the order polytope of the comparability digraph D_(s,t)
-via the F_U subset recursion (kernel.poset_integral_packed).  It shares no
-code with the DP and drives `forestvol weights --trace`.
+The tests check the DP against a brute-force count of the (|z| order,
+sign) regions and against Monte Carlo samples of the box, and every class
+weight c(H) through oracles.exact_volume, which needs no tree weights.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterator, Mapping
+from typing import Mapping
 
-from . import kernel
 from .canon import colored_canonical_form, graph_from_key
-from .graphs import Graph, Tree, bits, broken_edges, spanning_trees
-from .polynomials import MultiPoly
-
-PLUS = -3  # sentinel value x = 1/2 (top of J)
-MINUS = -4  # sentinel value x = 1/2 - delta (bottom of J)
-
-_SHIFT = 6
+from .graphs import Graph, Tree, broken_edges, spanning_trees
 
 
 @dataclass(frozen=True)
@@ -64,164 +53,14 @@ class DeltaParams:
     def box_hi(self) -> Fraction:
         return Fraction(1, 2) + self.delta
 
-    @property
-    def j_lo(self) -> Fraction:
-        return Fraction(1, 2) - self.delta
-
-
-@dataclass(frozen=True)
-class Poset:
-    """Comparability digraph on a vertex set; arc (u, v) means x_u < x_v."""
-
-    elements: tuple[int, ...]
-    arcs: frozenset[tuple[int, int]]
-    acyclic: bool = field(init=False)
-
-    def __post_init__(self):
-        elems = tuple(sorted(self.elements))
-        object.__setattr__(self, "elements", elems)
-        eset = set(elems)
-        for u, v in self.arcs:
-            if u not in eset or v not in eset:
-                raise ValueError(f"arc ({u}, {v}) leaves the element set")
-            if u == v:
-                raise ValueError(f"self-loop at {u}")
-        object.__setattr__(self, "acyclic", self._kahn())
-
-    def _kahn(self) -> bool:
-        remaining = set(self.elements)
-        preds = {v: set() for v in self.elements}
-        for u, v in self.arcs:
-            preds[v].add(u)
-        while remaining:
-            free = [v for v in remaining if not (preds[v] & remaining)]
-            if not free:
-                return False
-            remaining.difference_update(free)
-        return True
-
-    def min_elements(self, subset: set[int] | frozenset[int]) -> list[int]:
-        """Minimal elements of a subset under the arc order."""
-        return sorted(
-            v
-            for v in subset
-            if not any(u in subset for u, w in self.arcs if w == v)
-        )
-
 
 @dataclass(frozen=True)
 class TreeWeightRecord:
     tree: Tree
-    host: Graph
     broken: tuple[int, ...]
     iso_key: bytes
     hat_w: Fraction
     w: Fraction
-
-
-def nice_sets(g: Graph, tree: Tree, broken: tuple[int, ...]) -> Iterator[int]:
-    """Vertex masks S with S independent among tree edges and V(T) \\ S
-    independent among broken edges."""
-    tadj = _local_adjacency(g, tree.edge_ranks)
-    badj = _local_adjacency(g, broken)
-    vset = tree.vset
-    for s_mask in _independent_subsets(vset, tadj):
-        comp = vset & ~s_mask
-        if _is_independent(comp, badj):
-            yield s_mask
-
-
-def st_maps(
-    g: Graph, tree: Tree, broken: tuple[int, ...], s_mask: int
-) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
-    """All (s, t) assignments on V(T) \\ S.
-
-    s(v) is a tree neighbor of v inside S, or PLUS if there is none;
-    t(v) is a broken-edge neighbor inside S, or MINUS.
-    """
-    tadj = _local_adjacency(g, tree.edge_ranks)
-    badj = _local_adjacency(g, broken)
-    comp = sorted(bits(tree.vset & ~s_mask))
-    s_choices = [sorted(bits(tadj.get(v, 0) & s_mask)) or [PLUS] for v in comp]
-    t_choices = [sorted(bits(badj.get(v, 0) & s_mask)) or [MINUS] for v in comp]
-    for s_pick in itertools.product(*s_choices):
-        for t_pick in itertools.product(*t_choices):
-            yield dict(zip(comp, s_pick)), dict(zip(comp, t_pick))
-
-
-def build_poset(
-    g: Graph,
-    tree: Tree,
-    broken: tuple[int, ...],
-    s_mask: int,
-    smap: Mapping[int, int],
-    tmap: Mapping[int, int],
-) -> Poset:
-    """Comparability digraph of one (S, s, t) cell; sentinel endpoints drop out."""
-    tadj = _local_adjacency(g, tree.edge_ranks)
-    badj = _local_adjacency(g, broken)
-    arcs: set[tuple[int, int]] = set()
-    for v in bits(tree.vset & ~s_mask):
-        sv = smap[v]
-        tv = tmap[v]
-        if sv != PLUS and tv != MINUS:
-            arcs.add((tv, sv))
-        if sv != PLUS:
-            for w in bits(tadj.get(v, 0) & s_mask):
-                if w != sv:
-                    arcs.add((sv, w))
-        if tv != MINUS:
-            for w in bits(badj.get(v, 0) & s_mask):
-                if w != tv:
-                    arcs.add((w, tv))
-    return Poset(tuple(bits(s_mask)), frozenset(arcs))
-
-
-def poset_integral(
-    poset: Poset, p: MultiPoly, a: Fraction | int, b: Fraction | int
-) -> Fraction:
-    """Integral of p over {a < x_v < b, v in elements; x_u < x_v per arc}."""
-    if not poset.acyclic:
-        raise ValueError("cyclic comparability digraph; the cell is empty")
-    a = Fraction(a)
-    b = Fraction(b)
-    elems = poset.elements
-    k = len(elems)
-    index = {v: i for i, v in enumerate(elems)}
-    stray = p.variables() - set(elems)
-    if stray:
-        raise ValueError(f"polynomial variables {sorted(stray)} outside the poset")
-    den = 1
-    for coef in p.terms.values():
-        den = den * coef.denominator // _gcd(den, coef.denominator)
-    terms: dict[int, int] = {}
-    for mono, coef in p.terms.items():
-        key = 0
-        for v, e in mono:
-            if e >= 63:
-                raise ValueError("exponent too large for the packed kernel")
-            key += e << (_SHIFT * index[v])
-        terms[key] = terms.get(key, 0) + int(coef * den)
-    preds = [0] * k
-    for u, v in poset.arcs:
-        preds[index[v]] |= 1 << index[u]
-    num, dnm = kernel.poset_integral_packed(
-        k,
-        tuple(preds),
-        terms,
-        den,
-        a.numerator,
-        a.denominator,
-        b.numerator,
-        b.denominator,
-    )
-    return Fraction(num, dnm)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class WeightCache:
@@ -308,62 +147,7 @@ def hat_w(
     broken: tuple[int, ...] | None = None,
     cache: WeightCache | None = None,
 ) -> Fraction:
-    return tree_weight(g, tree, dp, broken=broken, cache=cache, with_host=False).hat_w
-
-
-def hat_w_cellwise(
-    g: Graph,
-    tree: Tree,
-    dp: DeltaParams,
-    broken: tuple[int, ...] | None = None,
-    trace=None,
-) -> Fraction:
-    """hat_w recomputed cell by cell in original coordinates, without the
-    delta factorization or the memo; slower, kept as a cross-check.
-
-    trace, when given, receives one line of text per cell.
-    """
-    if broken is None:
-        broken = broken_edges(g, tree)
-    lo, hi = dp.j_lo, Fraction(1, 2)
-    consts = {PLUS: hi, MINUS: lo}
-    total = Fraction(0)
-    for s_mask in nice_sets(g, tree, broken):
-        for smap, tmap in st_maps(g, tree, broken, s_mask):
-            p = MultiPoly.constant(1)
-            for v in sorted(smap):
-                sv, tv = smap[v], tmap[v]
-                ps = (
-                    MultiPoly.constant(consts[sv])
-                    if sv in consts
-                    else MultiPoly.variable(sv)
-                )
-                pt = (
-                    MultiPoly.constant(consts[tv])
-                    if tv in consts
-                    else MultiPoly.variable(tv)
-                )
-                p = p * (ps - pt)
-            poset = build_poset(g, tree, broken, s_mask, smap, tmap)
-            label = "S={%s} s=%s t=%s" % (
-                ",".join(map(str, bits(s_mask))),
-                _map_str(smap),
-                _map_str(tmap),
-            )
-            if not poset.acyclic:
-                if trace is not None:
-                    trace(f"{label}: cyclic, cell empty")
-                continue
-            cell = poset_integral(poset, p, lo, hi)
-            total += cell
-            if trace is not None:
-                trace(f"{label}: integrand {p} -> {cell}")
-    return total
-
-
-def _map_str(m: Mapping[int, int]) -> str:
-    sym = {PLUS: "+", MINUS: "-"}
-    return "{" + ",".join(f"{v}:{sym.get(x, x)}" for v, x in sorted(m.items())) + "}"
+    return tree_weight(g, tree, dp, broken=broken, cache=cache).hat_w
 
 
 def tree_weight(
@@ -372,7 +156,6 @@ def tree_weight(
     dp: DeltaParams,
     broken: tuple[int, ...] | None = None,
     cache: WeightCache | None = None,
-    with_host: bool = True,
 ) -> TreeWeightRecord:
     """Weight record for a tree with host g[V(tree)]."""
     if not tree.edge_ranks:
@@ -387,7 +170,7 @@ def tree_weight(
     tl = tuple(_local_pair(g, r, local) for r in tree.edge_ranks)
     bl = tuple(_local_pair(g, r, local) for r in broken)
     if dp.delta == 0:
-        # the window J collapses to a point; skip the DP
+        # hat_w = delta^nv * W vanishes; skip the DP
         key = colored_canonical_form(
             nv, [(u, v, 1) for u, v in tl] + [(u, v, 2) for u, v in bl]
         )
@@ -398,9 +181,8 @@ def tree_weight(
         hat = wnorm * dp.delta**nv
         sign = -1 if len(tree.edge_ranks) % 2 else 1
         w = sign * hat / dp.box_hi**nv
-    host = g.induced_subgraph(tree.vset)[0] if with_host else Graph(0, ())
     return TreeWeightRecord(
-        tree=tree, host=host, broken=tuple(broken), iso_key=key, hat_w=hat, w=w
+        tree=tree, broken=tuple(broken), iso_key=key, hat_w=hat, w=w
     )
 
 
@@ -410,34 +192,6 @@ def _local_pair(
     u, v = g.edges[rank]
     a, b = local[u], local[v]
     return (a, b) if a < b else (b, a)
-
-
-def _local_adjacency(g: Graph, ranks: tuple[int, ...]) -> dict[int, int]:
-    adj: dict[int, int] = {}
-    for r in ranks:
-        u, v = g.edges[r]
-        adj[u] = adj.get(u, 0) | (1 << v)
-        adj[v] = adj.get(v, 0) | (1 << u)
-    return adj
-
-
-def _independent_subsets(vset: int, adj: Mapping[int, int]) -> list[int]:
-    """Subsets of vset with no edge of adj inside, ascending recursion order."""
-    out = [0]
-    for v in bits(vset):
-        av = adj.get(v, 0)
-        out.extend([s | (1 << v) for s in out if not (av & s)])
-    return out
-
-
-def _is_independent(mask: int, adj: Mapping[int, int]) -> bool:
-    rest = mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        if adj.get(low.bit_length() - 1, 0) & mask:
-            return False
-    return True
 
 
 def _normalized_weight_dp(

@@ -54,15 +54,6 @@ def is_forest(g: Graph, ranks: tuple[int, ...]) -> bool:
     return True
 
 
-def brute_forests(g: Graph, max_edges: int) -> set[tuple[int, ...]]:
-    out = set()
-    for k in range(max_edges + 1):
-        for combo in itertools.combinations(range(g.m), k):
-            if is_forest(g, combo):
-                out.add(combo)
-    return out
-
-
 def forest_component_ranks(g: Graph, ranks: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Split a forest's edge ranks by connected component."""
     parent = list(range(g.n))

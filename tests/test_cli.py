@@ -102,15 +102,12 @@ def test_weights_json(capsys, graphs):
     assert doc["w"] == "2/81"
 
 
-def test_weights_trace(capsys, graphs):
-    rc, out, err = run_cli(
-        capsys,
-        ["weights", "--graph", graphs["tri"], "--delta", "1/4", "--tree", "0,1", "--trace"],
-    )
-    assert rc == 0
-    assert "trace total hat_w = 1/96" in err
-    assert "DISAGREES" not in err
-    assert "integrand" in err
+def test_weights_trace(graphs):
+    """`weights` takes no --trace flag."""
+    with pytest.raises(SystemExit) as exc:
+        main(["weights", "--graph", graphs["tri"], "--delta", "1/4", "--tree", "0,1",
+              "--trace"])
+    assert exc.value.code == 2
 
 
 def test_radius_success(capsys):

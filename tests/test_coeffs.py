@@ -21,6 +21,7 @@ from forestvol.graphs import (
 )
 from forestvol.families import (
     complete_graph,
+    connected_graphs_upto,
     cycle_graph,
     graphs_upto,
     path_graph,
@@ -28,6 +29,7 @@ from forestvol.families import (
     random_graph,
 )
 from forestvol.interpolate import approximate_volume
+from forestvol.oracles import exact_volume
 from forestvol.treeweight import DeltaParams, default_cache, tree_weight
 
 from conftest import (
@@ -57,7 +59,7 @@ def brute_small_e(g: Graph, dp: DeltaParams, K: int) -> list[Fraction]:
             prod = Fraction(1)
             for comp in forest_component_ranks(g, combo):
                 tree = tree_from_edges(g, comp)
-                prod *= tree_weight(g, tree, dp, with_host=False).w
+                prod *= tree_weight(g, tree, dp).w
             e[k] += prod
     return e
 
@@ -71,6 +73,26 @@ def test_small_e_matches_brute_force(seed, delta):
     for h in (g, shuffled_edges(g, seed)):
         got = small_e(h, dp, 4).e
         assert list(got) == brute_small_e(h, dp, 4)
+
+
+def test_class_weights_match_exact_volume():
+    """Every class weight c(H) up to 6 vertices, and every 7-vertex one of
+    max degree 3, against the independent-set oracle.
+
+    p_H(1) sums, over the sets of disjoint polymers S of H, the product of
+    c(H[S]) t^{|S|}.  The single polymer S = V(H) gives c(H) t^{|H|}; every
+    other term has only polymers on fewer vertices.  So by induction on
+    |H|, once p_H'(1) = Vol(P_H') / box^{|H'|} holds for every connected H'
+    smaller than H, it holds for H iff c(H) is right (t != 0).  The list
+    below is closed under connected induced subgraphs.
+    """
+    dp = DeltaParams(Fraction(1, 7))
+    graphs = list(connected_graphs_upto(6))
+    graphs += [g for g in connected_graphs_upto(7, max_degree=3) if g.n == 7]
+    assert len(graphs) == 143 + 64
+    for g in graphs:
+        got = sum(small_e(g, dp, g.n - 1).e) * dp.box_hi**g.n
+        assert got == exact_volume(g, dp), g.edges
 
 
 def test_small_e_p3_closed_form(delta_quarter):
@@ -151,7 +173,7 @@ def test_lambda_equals_component_product():
                 sub, ids = h.induced_subgraph(cmask)
                 total = Fraction(0)
                 for t in spanning_trees(sub):
-                    total += tree_weight(sub, t, dp, with_host=False).w
+                    total += tree_weight(sub, t, dp).w
                 expected *= total
         else:
             expected = Fraction(0)

@@ -9,7 +9,6 @@ from forestvol.graphs import (
     Tree,
     broken_edges,
     enumerate_connected_sets,
-    enumerate_forests,
     format_graph,
     parse_graph,
     spanning_trees,
@@ -23,7 +22,7 @@ from forestvol.families import (
     random_graph,
 )
 
-from conftest import brute_connected_sets, brute_forests, is_forest, shuffled_edges
+from conftest import brute_connected_sets, shuffled_edges
 
 
 def test_parse_basic():
@@ -99,27 +98,6 @@ def test_connected_sets_match_brute_force(seed):
     g = random_graph(7, 0.4, seed=seed)
     got = set(enumerate_connected_sets(g, 5))
     assert got == brute_connected_sets(g, 5)
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_forests_match_brute_force(seed):
-    g = random_graph(6, 0.5, seed=seed)
-    got = set()
-    for forest in enumerate_forests(g, 4):
-        ranks = tuple(sorted(r for t in forest for r in t.edge_ranks))
-        assert is_forest(g, ranks)
-        assert ranks not in got
-        got.add(ranks)
-    assert got == brute_forests(g, 4)
-
-
-def test_forest_counts_k4():
-    g = complete_graph(4)
-    sizes = {}
-    for forest in enumerate_forests(g, 3):
-        k = sum(len(t.edge_ranks) for t in forest)
-        sizes[k] = sizes.get(k, 0) + 1
-    assert sizes == {0: 1, 1: 6, 2: 15, 3: 16}
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from forestvol.families import (
     complete_graph,
     cycle_graph,
     path_graph,
+    petersen_graph,
     random_graph,
 )
 from forestvol.graphs import Graph
@@ -77,6 +78,24 @@ def test_exact_k2_and_p3(delta_quarter):
 def test_exact_edgeless_and_delta_zero():
     assert exact_p1(Graph(4, []), DeltaParams(Fraction(1, 5))) == 1
     assert exact_volume(cycle_graph(4), DeltaParams(Fraction(0))) == Fraction(1, 16)
+
+
+def test_exact_volume_shares_no_pipeline_code(monkeypatch):
+    """exact_volume answers with the pipeline's polymer DP, class weights,
+    tree weights and canonical labelling all made to raise."""
+    from forestvol import coeffs, kernel, oracles
+    from forestvol.treeweight import WeightCache
+
+    def boom(*args, **kwargs):
+        raise AssertionError("exact_volume reached the pipeline")
+
+    monkeypatch.setattr(coeffs, "small_e", boom)
+    monkeypatch.setattr(oracles, "small_e", boom)
+    monkeypatch.setattr(WeightCache, "class_weight", boom)
+    monkeypatch.setattr(WeightCache, "normalized_weight", boom)
+    monkeypatch.setattr(kernel, "canon_key", boom)
+    got = exact_volume(petersen_graph(), DeltaParams(Fraction(1, 100)))
+    assert got == Fraction("2472583246914026807/2100000000000000000000")
 
 
 def test_exact_size_guard():

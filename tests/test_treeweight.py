@@ -1,9 +1,12 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from forestvol import kernel
 from forestvol.graphs import Graph, broken_edges, spanning_trees, tree_from_edges
 from forestvol.families import (
     complete_graph,
@@ -11,17 +14,11 @@ from forestvol.families import (
     random_connected_graph,
     star_graph,
 )
-from forestvol.polynomials import MultiPoly
 from forestvol.treeweight import (
     DeltaParams,
-    Poset,
     WeightCache,
-    build_poset,
+    _normalized_weight_dp,
     hat_w,
-    hat_w_cellwise,
-    nice_sets,
-    poset_integral,
-    st_maps,
     tree_weight,
 )
 
@@ -49,46 +46,49 @@ def _pairs(max_n=5, max_degree=4, count=24, seed=0, min_n=2, max_extra=3):
     return out
 
 
-# --- poset integration ------------------------------------------------------
+# --- poset integration kernel -------------------------------------------------
 
 
-def test_poset_rejects_bad_arcs():
-    with pytest.raises(ValueError):
-        Poset((0, 1), frozenset({(0, 2)}))
-    with pytest.raises(ValueError):
-        Poset((0,), frozenset({(0, 0)}))
+def _poset_integral(k, arcs, terms, a, b):
+    """kernel.poset_integral_packed over {a < x_v < b; x_u < x_v per arc}
+    for the polynomial sum of coef * prod x_v^e over terms, a dict mapping
+    ((v, e), ...) to integer coefficients."""
+    preds = [0] * k
+    for u, v in arcs:
+        preds[v] |= 1 << u
+    packed = {}
+    for mono, coef in terms.items():
+        key = sum(e << (6 * v) for v, e in mono)
+        packed[key] = packed.get(key, 0) + coef
+    a, b = Fraction(a), Fraction(b)
+    num, den = kernel.poset_integral_packed(
+        k, tuple(preds), packed, 1, a.numerator, a.denominator, b.numerator, b.denominator
+    )
+    return Fraction(num, den)
+
+
+ONE = {(): 1}
 
 
 def test_poset_cycle_detection():
-    cyc = Poset((0, 1), frozenset({(0, 1), (1, 0)}))
-    assert not cyc.acyclic
-    with pytest.raises(ValueError):
-        poset_integral(cyc, MultiPoly.constant(1), 0, 1)
+    # a cyclic digraph has no minimal element, so its cell is empty
+    assert _poset_integral(2, {(0, 1), (1, 0)}, ONE, 0, 1) == 0
+    assert _poset_integral(3, {(0, 1), (1, 2), (2, 0)}, ONE, 0, 1) == 0
 
 
 def test_poset_integral_reference_values():
-    one = MultiPoly.constant(1)
-    assert poset_integral(Poset((), frozenset()), one, 0, 1) == 1
-    assert poset_integral(Poset((3,), frozenset()), one, 0, 1) == 1
-    assert poset_integral(Poset((0, 1), frozenset({(0, 1)})), one, 0, 1) == Fraction(1, 2)
-    assert poset_integral(Poset((0, 1), frozenset()), one, 0, 1) == 1
-    chain3 = Poset((0, 1, 2), frozenset({(0, 1), (1, 2)}))
-    assert poset_integral(chain3, one, 0, 1) == Fraction(1, 6)
-    chain2 = Poset((0, 1), frozenset({(0, 1)}))
-    assert poset_integral(chain2, MultiPoly.variable(0), 0, 1) == Fraction(1, 6)
+    assert _poset_integral(0, set(), ONE, 0, 1) == 1
+    assert _poset_integral(1, set(), ONE, 0, 1) == 1
+    assert _poset_integral(2, {(0, 1)}, ONE, 0, 1) == Fraction(1, 2)
+    assert _poset_integral(2, set(), ONE, 0, 1) == 1
+    assert _poset_integral(3, {(0, 1), (1, 2)}, ONE, 0, 1) == Fraction(1, 6)
+    assert _poset_integral(2, {(0, 1)}, {((0, 1),): 1}, 0, 1) == Fraction(1, 6)
 
 
 def test_poset_integral_shifted_window():
     # over [lo, hi] a chain of k scales like (hi-lo)^k / k!
-    one = MultiPoly.constant(1)
-    chain3 = Poset((0, 1, 2), frozenset({(0, 1), (1, 2)}))
     lo, hi = Fraction(1, 4), Fraction(1, 2)
-    assert poset_integral(chain3, one, lo, hi) == (hi - lo) ** 3 / 6
-
-
-def test_poset_integral_rejects_stray_variables():
-    with pytest.raises(ValueError):
-        poset_integral(Poset((0,), frozenset()), MultiPoly.variable(5), 0, 1)
+    assert _poset_integral(3, {(0, 1), (1, 2)}, ONE, lo, hi) == (hi - lo) ** 3 / 6
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -102,54 +102,12 @@ def test_poset_integral_linear_extension_counting(seed):
         for v in range(k):
             if u != v and rng.random() < 0.3:
                 arcs.add((u, v))
-    poset = Poset(tuple(range(k)), frozenset(arcs))
-    import itertools
-    import math
-
     exts = 0
     for perm in itertools.permutations(range(k)):
         pos = {v: i for i, v in enumerate(perm)}
         if all(pos[u] < pos[v] for u, v in arcs):
             exts += 1
-    if not poset.acyclic:
-        assert exts == 0
-        return
-    val = poset_integral(poset, MultiPoly.constant(1), 0, 1)
-    assert val * math.factorial(k) == exts
-
-
-# --- nice sets, maps, posets -------------------------------------------------
-
-
-def test_nice_sets_k2():
-    tree = tree_from_edges(K2, (0,))
-    assert sorted(nice_sets(K2, tree, ())) == [0b00, 0b01, 0b10]
-
-
-def test_nice_sets_triangle_tree_with_broken_edge():
-    tree = tree_from_edges(TRI, (0, 1))
-    broken = broken_edges(TRI, tree)
-    assert broken == (2,)
-    got = sorted(nice_sets(TRI, tree, broken))
-    assert got == [0b010, 0b100, 0b110]
-
-
-def test_st_maps_count_bound():
-    for g, tree in _pairs(count=12, seed=3):
-        broken = broken_edges(g, tree)
-        dmax = max(g.degree(v) for v in tree.vertices())
-        for s_mask in nice_sets(g, tree, broken):
-            comp = bin(tree.vset & ~s_mask).count("1")
-            n_maps = sum(1 for _ in st_maps(g, tree, broken, s_mask))
-            assert n_maps <= max(dmax, 1) ** (2 * comp)
-
-
-def test_build_poset_sentinels_drop_out():
-    tree = tree_from_edges(K2, (0,))
-    # S = {} leaves both vertices mapped to sentinels: no arcs at all
-    smap, tmap = next(iter(st_maps(K2, tree, (), 0)))
-    poset = build_poset(K2, tree, (), 0, smap, tmap)
-    assert poset.elements == () and not poset.arcs
+    assert _poset_integral(k, arcs, ONE, 0, 1) * math.factorial(k) == exts
 
 
 # --- hat_w and w --------------------------------------------------------------
@@ -197,28 +155,39 @@ def test_tree_weight_requires_edges():
         tree_weight(K2, Tree(vset=0b1, edge_ranks=()), DeltaParams(Fraction(1, 4)))
 
 
-def test_cellwise_matches_memoized_route():
-    deltas = [Fraction(1, 10), Fraction(2, 5)]
-    for i, (g, tree) in enumerate(_pairs(count=16, seed=7)):
-        dp = DeltaParams(deltas[i % 2])
-        assert hat_w_cellwise(g, tree, dp) == hat_w(g, tree, dp)
+def _region_count(nv, tedges, bedges):
+    """Sum over every |z| order and sign vector of the region's indicator.
+
+    On the region, z_v = +-(rank of v in the order) is a representative
+    point: each z_u + z_v has the sign of its endpoint of larger |z| on the
+    whole region, so the point decides every tree and broken edge there.
+    """
+    count = 0
+    for order in itertools.permutations(range(nv)):
+        for signs in itertools.product((1, -1), repeat=nv):
+            z = [0] * nv
+            for rank, v in enumerate(order, 1):
+                z[v] = signs[rank - 1] * rank
+            if all(z[u] + z[v] > 0 for u, v in tedges) and all(
+                z[u] + z[v] <= 0 for u, v in bedges
+            ):
+                count += 1
+    return count
 
 
-def test_cellwise_matches_dp_with_broken_edges():
-    """The |z|-order DP behind WeightCache.normalized_weight against the
-    cell-by-cell poset integrals, which share no code with it, on 6-8 vertex
-    hosts with chords so that broken edges occur."""
-    deltas = [Fraction(1, 10), Fraction(1, 4), Fraction(2, 5)]
-    pairs = _pairs(min_n=6, max_n=8, max_degree=4, count=100, seed=31, max_extra=8)
+def test_region_count_matches_dp():
+    """The |z|-order subset DP against a brute-force count of its (|z|
+    order, sign) regions, on 4-6 vertex hosts with chords so that broken
+    edges occur."""
+    pairs = _pairs(min_n=4, max_n=6, max_degree=4, count=40, seed=31, max_extra=8)
     with_broken = 0
-    for i, (g, tree) in enumerate(pairs):
-        dp = DeltaParams(deltas[i % 3])
-        with_broken += bool(broken_edges(g, tree))
-        cache = WeightCache()
-        rec = tree_weight(g, tree, dp, cache=cache)
-        assert cache.misses == 1
-        assert rec.hat_w == hat_w_cellwise(g, tree, dp), (g.edges, tree)
-    assert with_broken >= 50
+    for g, tree in pairs:
+        tedges = tuple(g.edges[r] for r in tree.edge_ranks)
+        bedges = tuple(g.edges[r] for r in broken_edges(g, tree))
+        with_broken += bool(bedges)
+        want = Fraction(_region_count(g.n, tedges, bedges), math.factorial(g.n))
+        assert _normalized_weight_dp(g.n, tedges, bedges) == want, (g.edges, tree)
+    assert with_broken >= 20
 
 
 def test_automorphic_pairs_share_weight():
@@ -298,4 +267,4 @@ def test_delta_params_validation():
     with pytest.raises(ValueError):
         DeltaParams(Fraction(-1, 10))
     dp = DeltaParams(Fraction(1, 8))
-    assert dp.box_hi == Fraction(5, 8) and dp.j_lo == Fraction(3, 8)
+    assert dp.box_hi == Fraction(5, 8)
