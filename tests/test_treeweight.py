@@ -17,7 +17,6 @@ from forestvol.families import (
 from forestvol.treeweight import (
     DeltaParams,
     WeightCache,
-    _normalized_weight_dp,
     hat_w,
     tree_weight,
 )
@@ -175,18 +174,36 @@ def _region_count(nv, tedges, bedges):
     return count
 
 
-def test_region_count_matches_dp():
-    """The |z|-order subset DP against a brute-force count of its (|z|
-    order, sign) regions, on 4-6 vertex hosts with chords so that broken
-    edges occur."""
+def _hat_w_cellwise(g, tree, dp):
+    """hat_w of a spanning tree of g from the region count:
+    delta^n * count / n!, each (|z| order, sign) region having volume 1/n!."""
+    tedges = tuple(g.edges[r] for r in tree.edge_ranks)
+    bedges = tuple(g.edges[r] for r in broken_edges(g, tree))
+    count = _region_count(g.n, tedges, bedges)
+    return dp.delta**g.n * Fraction(count, math.factorial(g.n))
+
+
+def test_cellwise_matches_memoized_route():
+    deltas = [Fraction(1, 10), Fraction(2, 5)]
+    for i, (g, tree) in enumerate(_pairs(count=16, seed=7)):
+        dp = DeltaParams(deltas[i % 2])
+        assert _hat_w_cellwise(g, tree, dp) == hat_w(g, tree, dp)
+
+
+def test_cellwise_matches_dp_with_broken_edges():
+    """The |z|-order subset DP behind WeightCache.normalized_weight against
+    a brute-force count of its (|z| order, sign) regions, on 4-6 vertex
+    hosts with chords so that broken edges occur."""
+    deltas = [Fraction(1, 10), Fraction(1, 4), Fraction(2, 5)]
     pairs = _pairs(min_n=4, max_n=6, max_degree=4, count=40, seed=31, max_extra=8)
     with_broken = 0
-    for g, tree in pairs:
-        tedges = tuple(g.edges[r] for r in tree.edge_ranks)
-        bedges = tuple(g.edges[r] for r in broken_edges(g, tree))
-        with_broken += bool(bedges)
-        want = Fraction(_region_count(g.n, tedges, bedges), math.factorial(g.n))
-        assert _normalized_weight_dp(g.n, tedges, bedges) == want, (g.edges, tree)
+    for i, (g, tree) in enumerate(pairs):
+        dp = DeltaParams(deltas[i % 3])
+        with_broken += bool(broken_edges(g, tree))
+        cache = WeightCache()
+        rec = tree_weight(g, tree, dp, cache=cache)
+        assert cache.misses == 1
+        assert rec.hat_w == _hat_w_cellwise(g, tree, dp), (g.edges, tree)
     assert with_broken >= 20
 
 
