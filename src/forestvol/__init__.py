@@ -1,7 +1,7 @@
 """Certified volume approximation for polytopes of the form
 {x in [0, 1/2+delta]^V : x_u + x_v <= 1 for uv in E}.
 
-The certified path is exact rational arithmetic end to end: tree weights
+The certified path is exact rational arithmetic end to end: class weights
 by a subset DP over the |z| order, Taylor coefficients of log p via
 pattern counts, and a zero-free disk that turns a truncated series into a
 (1 +- eps) enclosure. Randomized and exact oracles live in

@@ -1,6 +1,6 @@
-"""Undirected simple graphs with ranked edges, plus the enumerations the
-volume engine is built on: connected vertex sets, spanning trees, and
-fundamental-cycle bookkeeping.
+"""Undirected simple graphs with ranked edges, plus the connected vertex
+sets the volume engine is built on, and the spanning trees and
+fundamental-cycle bookkeeping behind tree_weight and the Penrose check.
 
 Vertex sets are plain int bitmasks throughout.  Edges carry a rank (their
 position in the input edge list); several routines depend on that order, so
@@ -30,13 +30,12 @@ class Graph:
     edge's rank.  Parallel edges and loops are rejected.
     """
 
-    __slots__ = ("n", "edges", "adj", "adj_mask", "edge_index", "_hash")
+    __slots__ = ("n", "edges", "adj_mask", "edge_index", "_hash")
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         edges = tuple((int(u), int(v)) for u, v in edges)
-        adj: list[list[int]] = [[] for _ in range(n)]
         adj_mask = [0] * n
         edge_index: dict[tuple[int, int], int] = {}
         for rank, (u, v) in enumerate(edges):
@@ -45,13 +44,10 @@ class Graph:
             if (u, v) in edge_index:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             edge_index[(u, v)] = rank
-            adj[u].append(v)
-            adj[v].append(u)
             adj_mask[u] |= 1 << v
             adj_mask[v] |= 1 << u
         self.n = n
         self.edges = edges
-        self.adj = tuple(tuple(sorted(a)) for a in adj)
         self.adj_mask = tuple(adj_mask)
         self.edge_index = edge_index
         self._hash = hash((n, edges))
@@ -74,18 +70,13 @@ class Graph:
         return f"Graph(n={self.n}, edges={list(self.edges)})"
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.adj_mask[v].bit_count()
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self.adj), default=0)
+        return max((a.bit_count() for a in self.adj_mask), default=0)
 
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self.edge_index
 
     def edges_within(self, vset: int) -> list[int]:
         """Ranks of edges with both endpoints in the vertex mask, in rank order."""

@@ -14,8 +14,11 @@ are exact dyadic rationals taken from the interval endpoints.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
+from typing import Iterator
 
 import mpmath
 from mpmath import iv
@@ -41,6 +44,29 @@ def _e_bounds() -> tuple[Fraction, Fraction]:
 
 def _iv_frac(q: Fraction):
     return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+
+
+@contextmanager
+def _iv_prec(bits: int) -> Iterator[None]:
+    """Run the block with the interval context at `bits` of precision."""
+    old = iv.prec
+    iv.prec = bits
+    try:
+        yield
+    finally:
+        iv.prec = old
+
+
+def _tails(radius: Fraction) -> Iterator:
+    """Intervals enclosing sum_{k>K} R^-k / k = -log(1 - 1/R) - sum_{k<=K}
+    R^-k / k for K = 0, 1, 2, ..., at the current interval precision."""
+    rinv = 1 / _iv_frac(radius)
+    tail = -iv.log(1 - rinv)
+    term = iv.mpf(1)
+    for k in count(1):
+        yield tail
+        term = term * rinv
+        tail = tail - term / k
 
 
 @dataclass(frozen=True)
@@ -82,16 +108,12 @@ def zero_free_radius(delta: Fraction, max_degree: int) -> RadiusCertificate:
     if radius <= 1:
         raise DeltaTooLargeError(delta, max_degree, max_admissible_delta(max_degree))
     witness = e_lo
-    old = iv.prec
-    iv.prec = 160
-    try:
+    with _iv_prec(160):
         lhs = 4 * _iv_frac(delta) * _iv_frac(radius)
         av = _iv_frac(witness)
         rhs = iv.log(av) * _iv_frac(frac) / (av * max_degree)
         if not lhs.b <= rhs.a:
             raise CertificateError("interval verification of the radius failed")
-    finally:
-        iv.prec = old
     return RadiusCertificate(
         delta=delta,
         degree=max_degree,
@@ -118,19 +140,9 @@ def tail_bound(n: int, radius: Fraction, K: int) -> Fraction:
         raise ValueError("tail bound needs radius > 1")
     if n <= 1 or K < 0:
         return Fraction(0)
-    old = iv.prec
-    iv.prec = 160
-    try:
-        rinv = 1 / _iv_frac(radius)
-        tail = -iv.log(1 - rinv)
-        term = iv.mpf(1)
-        for k in range(1, K + 1):
-            term = term * rinv
-            tail = tail - term / k
-        tail = tail * (n - 1)
+    with _iv_prec(160):
+        tail = next(islice(_tails(radius), K, None)) * (n - 1)
         return max(_frac_from_mpf(mpmath.mpf(tail.b)), Fraction(0))
-    finally:
-        iv.prec = old
 
 
 def truncation_order(n: int, eps: Fraction, radius: Fraction) -> int:
@@ -145,25 +157,13 @@ def truncation_order(n: int, eps: Fraction, radius: Fraction) -> int:
         raise ValueError("truncation needs radius > 1")
     if n <= 1:
         return 1
-    old = iv.prec
-    iv.prec = 160
-    try:
-        rinv = 1 / _iv_frac(radius)
+    with _iv_prec(160):
         budget = iv.log(1 + _iv_frac(eps)) / (n - 1)
-        # tail(K) = -log(1 - 1/R) - sum_{k<=K} R^-k / k, upper endpoint
-        tail = -iv.log(1 - rinv)
-        K = 0
-        term = iv.mpf(1)
-        while True:
-            K += 1
-            term = term * rinv
-            tail = tail - term / K
+        for K, tail in enumerate(_tails(radius)):
             if K >= 1 and tail.b <= budget.a:
                 return K
             if K > _MAX_ORDER:
                 raise CertificateError("truncation order did not converge")
-    finally:
-        iv.prec = old
 
 
 @dataclass(frozen=True)
@@ -256,16 +256,8 @@ def approximate_volume(
     coeffs = assemble_a(g, DeltaParams(delta), K, cache=cache)
     total = sum(coeffs.a, Fraction(0))
 
-    old = iv.prec
-    iv.prec = 192
-    try:
-        rinv = 1 / _iv_frac(cert.radius)
-        tail = -iv.log(1 - rinv)
-        term = iv.mpf(1)
-        for k in range(1, K + 1):
-            term = term * rinv
-            tail = tail - term / k
-        tail = tail * max(g.n - 1, 0)
+    with _iv_prec(192):
+        tail = next(islice(_tails(cert.radius), K, None)) * max(g.n - 1, 0)
         # outer endpoints of s +- tail enclose [S - T_true, S + T_true]
         box_iv = _iv_frac(box) ** g.n
         s_iv = _iv_frac(total)
@@ -273,8 +265,6 @@ def approximate_volume(
         upper_iv = box_iv * iv.exp(s_iv + tail)
         lower = _frac_from_mpf(mpmath.mpf(lower_iv.a))
         upper = _frac_from_mpf(mpmath.mpf(upper_iv.b))
-    finally:
-        iv.prec = old
     with mpmath.workprec(192):
         xi = (
             mpmath.mpf(box.numerator)

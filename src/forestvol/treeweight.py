@@ -1,4 +1,4 @@
-"""Exact tree weights for the truncated-box cell decomposition.
+"""Exact tree and class weights for the truncated-box cell decomposition.
 
 For a tree T spanning H = G[V(T)] with broken edge set E_T, the normalized
 cell measure is
@@ -14,27 +14,28 @@ and z_u + z_v has the sign of the endpoint of larger |z|: a tree edge holds
 iff its later endpoint in |z| order is positive, a broken edge iff that
 endpoint is non-positive.  Each (|z| order, signs) region has volume 1/n!,
 so W is an integer count over n!, taken by a subset DP over the |z| order
-(_normalized_weight_dp).  W depends only on the isomorphism type of
-(T, E_T) and is memoized by a canonical key of that edge-bicolored graph,
-so the memo serves every delta at once.  The coefficient pipeline reads W
-only through WeightCache.class_weight, once per spanning tree of each
-connected pattern class; tree_weight is the route for a single tree in a
-host.
+(_normalized_weight_dp), which returns the count N[U] for every mask U;
+tree_weight reads N[V]/n!, memoized by a canonical key of the
+edge-bicolored graph (T, E_T), so the memo serves every delta at once.
+The coefficient pipeline reads only WeightCache.class_weight, which takes
+c(H) from one DP run on H with every edge broken (proof there): no
+spanning tree, broken edge or colored label is built for a class.
 
-The tests check the DP against a brute-force count of the (|z| order,
-sign) regions and against Monte Carlo samples of the box, and every class
-weight c(H) through oracles.exact_volume, which needs no tree weights.
+The tests check the DP against a brute-force region count and Monte Carlo
+samples of the box, the class weights against the spanning-tree sums, and
+every c(H) through oracles.exact_volume, which needs no tree weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from itertools import takewhile
+from math import comb, factorial
 from typing import Mapping
 
 from .canon import colored_canonical_form, graph_from_key
-from .graphs import Graph, Tree, broken_edges, spanning_trees
+from .graphs import Graph, Tree, broken_edges, enumerate_connected_sets
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ class WeightCache:
         w = self.normalized.get(key)
         if w is None:
             self.misses += 1
-            w = _normalized_weight_dp(nv, tedges, bedges)
+            w = Fraction(_normalized_weight_dp(nv, tedges, bedges)[-1], factorial(nv))
             self.normalized[key] = w
         else:
             self.hits += 1
@@ -104,25 +105,39 @@ class WeightCache:
         """c(H) = sum over spanning trees T of H of (-1)^{|T|} W(T) for the
         connected graph H with plain canonical key `key`, so that the w_T of
         the spanning trees of H sum to c(H) t^{|V(H)|}, t = delta/(1/2+delta).
+        It is computed on the representative decoded from the key, from the
+        counts N of _normalized_weight_dp with every edge broken: N[S]/|S|!
+        is the volume of the z in (-1, 1]^S with z_u + z_v <= 0 on H[S].
+        hits and misses count these lookups too.
 
-        c is H's Mayer connected function, independent of the edge order
-        that splits off each tree's broken edges.  It is computed on the
-        representative decoded from the key, so the (T, broken) shapes
-        weighed do not depend on which occurrence of H is met first.
+        By Penrose's identity c(B) integrates over z <= 1 the sum over the
+        connected spanning edge sets A of H[B] of prod_{uv in A} f_uv, with
+        f_uv = -1[z_u + z_v > 0].  A term vanishes unless every z > -1
+        (every vertex has an edge of A, and z <= 1), so the integral may be
+        taken over (-1, 1]^B.  The Mayer formula, prod_{uv in H[S]} (1 + f_uv)
+        = sum over the set partitions of S of prod over blocks B of that sum,
+        integrated over (-1, 1]^S gives N[S]/|S|! = sum over the partitions
+        of prod_B c(B), with c({v}) = 2 and c(B) = 0 for a disconnected H[B].
+        Splitting off the block T of vertex 0, U(T) = |T|! c(H[T]) solves
+            U(S) = N[S] - sum over 0 in T < S of binom(|S|, |T|) U(T) N[S - T],
+        c(H) = U(V)/n!, and U vanishes unless H[T] is connected.
         """
         c = self.classes.get(key)
-        if c is None:
-            h = graph_from_key(key)
-            c = Fraction(0)
-            for tree in spanning_trees(h):
-                c += self.normalized_weight(
-                    h.n,
-                    tuple(h.edges[r] for r in tree.edge_ranks),
-                    tuple(h.edges[r] for r in broken_edges(h, tree)),
-                )[1]
-            if h.n % 2 == 0:  # a spanning tree has n - 1 edges
-                c = -c
-            self.classes[key] = c
+        if c is not None:
+            self.hits += 1
+            return c
+        self.misses += 1
+        h = graph_from_key(key)
+        count = _normalized_weight_dp(h.n, (), h.edges)
+        # connected sets holding vertex 0, in mask order: subsets first
+        done: list[tuple[int, int, int]] = []
+        for s in sorted(takewhile(lambda m: m & 1, enumerate_connected_sets(h, h.n))):
+            size, u = s.bit_count(), count[s]
+            for t, tsize, ut in done:
+                if t & s == t:
+                    u -= comb(size, tsize) * ut * count[s ^ t]
+            done.append((s, size, u))
+        c = self.classes[key] = Fraction(done[-1][2], factorial(h.n))
         return c
 
     def clear(self) -> None:
@@ -198,17 +213,19 @@ def _normalized_weight_dp(
     nv: int,
     tedges: tuple[tuple[int, int], ...],
     bedges: tuple[tuple[int, int], ...],
-) -> Fraction:
-    """W with hat_w = delta^nv * W, by a subset DP over the order of |z|.
+) -> list[int]:
+    """Region counts N[U] of the edges inside each vertex mask U, by a subset
+    DP over the order of |z|; W = N[V] / nv! with hat_w = delta^nv * W.
 
     With x = 1/2 + delta*z, every vertex has a tree edge, so every z lies in
     (-1, 1]; z_u + z_v then has the sign of the endpoint of larger |z|.  A
     tree edge holds iff that later endpoint is positive and a broken edge
     iff it is non-positive.  Each (|z| order, signs) region has volume 1/nv!
-    in z, so W = N / nv!, where N counts the admissible pairs: N[{}] = 1 and
-    N[U + v] += N[U] * f(v, U), with f = 2 when v has no tree or broken
-    neighbour in U, 1 when its neighbours in U are all of one kind (the
-    sign of v is forced), and 0 when they are of both kinds.
+    in z, so W = N[V] / nv!, where N counts the admissible pairs: N[{}] = 1 and
+    N[U] = sum over v in U, the last of U in |z| order, of N[U - v] * f(v),
+    with f = 2 when v has no tree or broken neighbour in U, 1 when its
+    neighbours in U are all of one kind (the sign of v is forced), and 0
+    when they are of both kinds.
     """
     tadj = [0] * nv
     badj = [0] * nv
@@ -218,23 +235,18 @@ def _normalized_weight_dp(
     for u, v in bedges:
         badj[u] |= 1 << v
         badj[v] |= 1 << u
-    full = (1 << nv) - 1
-    count = [0] * (full + 1)
-    count[0] = 1
-    # ascending masks: U is final before any U + v is reached from it
-    for umask in range(full):
-        c = count[umask]
-        if not c:
-            continue
-        rest = full & ~umask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            t = tadj[v] & umask
-            b = badj[v] & umask
-            if not t and not b:
-                count[umask | low] += 2 * c
-            elif not (t and b):
-                count[umask | low] += c
-    return Fraction(count[full], factorial(nv))
+    nbrs = [(1 << v, tadj[v], badj[v]) for v in range(nv)]
+    count = [1] + [0] * ((1 << nv) - 1)
+    # ascending masks: every U - v is final before U reads it
+    for umask in range(1, 1 << nv):
+        c = 0
+        for low, t, b in nbrs:
+            if umask & low:
+                t &= umask
+                b &= umask
+                if not (t or b):
+                    c += 2 * count[umask ^ low]
+                elif not (t and b):
+                    c += count[umask ^ low]
+        count[umask] = c
+    return count

@@ -15,6 +15,7 @@ from forestvol.coeffs import (
 )
 from forestvol.graphs import (
     Graph,
+    bits,
     enumerate_connected_sets,
     spanning_trees,
     tree_from_edges,
@@ -25,12 +26,14 @@ from forestvol.families import (
     cycle_graph,
     graphs_upto,
     path_graph,
+    petersen_graph,
     random_connected_graph,
     random_graph,
 )
 from forestvol.interpolate import approximate_volume
 from forestvol.oracles import exact_volume
-from forestvol.treeweight import DeltaParams, default_cache, tree_weight
+from forestvol import treeweight
+from forestvol.treeweight import DeltaParams, WeightCache, default_cache, tree_weight
 
 from conftest import (
     clear_caches,
@@ -160,25 +163,32 @@ def test_lambda_gates(delta_quarter):
 
 
 def test_lambda_equals_component_product():
+    """lambda_coeff reads each component's class weight from the region-count
+    DP, which builds no tree.  Check it against the product over components
+    of the w_T summed over spanning trees, each component weighed in its own
+    edge order and in one shuffled order: the broken edges of a tree follow
+    the edge ranks, so the two tree sums split the cycles differently and
+    must still agree."""
     dp = DeltaParams(Fraction(1, 10))
-    for h in graphs_upto(6):
+    for seed, h in enumerate(graphs_upto(6)):
         if h.n < 2:
             continue
         comps = h.components()
         k = h.n - len(comps)
-        expected = Fraction(1)
+        expected = [Fraction(1), Fraction(1)]
         valid = all(c.bit_count() >= 2 for c in comps) and k >= 1
         if valid:
             for cmask in comps:
-                sub, ids = h.induced_subgraph(cmask)
-                total = Fraction(0)
-                for t in spanning_trees(sub):
-                    total += tree_weight(sub, t, dp).w
-                expected *= total
+                sub, _ = h.induced_subgraph(cmask)
+                for i, g in enumerate((sub, shuffled_edges(sub, seed))):
+                    expected[i] *= sum(
+                        (tree_weight(g, t, dp).w for t in spanning_trees(g)),
+                        Fraction(0),
+                    )
         else:
-            expected = Fraction(0)
+            expected = [Fraction(0), Fraction(0)]
         if k >= 1:
-            assert lambda_coeff(h, k, dp) == expected, h.edges
+            assert lambda_coeff(h, k, dp) == expected[0] == expected[1], h.edges
 
 
 # --- gamma and assembly --------------------------------------------------------
@@ -247,7 +257,9 @@ def _weight_cases(g: Graph, K: int) -> set[str]:
     cases = set()
     for mask in enumerate_connected_sets(g, 2 * K, min_size=2):
         inside = [v for v in range(g.n) if mask >> v & 1]
-        boundary = {u for v in inside for u in g.adj[v] if not mask >> u & 1}
+        boundary = {
+            u for v in inside for u in bits(g.adj_mask[v]) if not mask >> u & 1
+        }
         b = len(boundary)
         m = min(b, 2 * K - len(inside))
         cases.add("b=0" if b == 0 else "m<b" if m < b else "m=b")
@@ -337,10 +349,10 @@ def test_small_e_delta_zero_weighs_nothing():
 
 
 def test_relabelled_cold_runs_same_answer_and_misses():
-    """Class weights are computed on the representative decoded from the
-    key, so a relabelling (which also reorders the edge ranks) changes
-    neither the answer nor the set of tree shapes weighed."""
-    # weighing trees in the relabelled edge orders gives 16 and 14 misses
+    """Class weights and series are keyed by the plain canonical key and
+    computed on the representative decoded from it, so a relabelling (which
+    also reorders the edge ranks) changes neither the answer nor the number
+    of classes weighed."""
     g = random_connected_graph(8, 3, seed=1, max_degree=3)
     delta, eps = Fraction(1, 100), Fraction(1, 10)
     seen = []
@@ -350,6 +362,23 @@ def test_relabelled_cold_runs_same_answer_and_misses():
         assert res.K >= 3
         seen.append((res.a, res.lower, res.upper, default_cache().misses))
     assert seen[0] == seen[1]
+
+
+def test_class_weights_skip_tree_machinery(monkeypatch):
+    """A cold certified run weighs every class by the region-count DP: it
+    reaches neither the tree-shape memo nor a colored canonical labelling,
+    and returns the bounds that the spanning-tree sums gave."""
+
+    def boom(*args, **kwargs):
+        raise AssertionError("class weights reached the tree route")
+
+    monkeypatch.setattr(WeightCache, "normalized_weight", boom)
+    monkeypatch.setattr(treeweight, "colored_canonical_form", boom)
+    clear_caches()
+    res = approximate_volume(petersen_graph(), Fraction(1, 100), Fraction(1, 100))
+    assert res.K == 7
+    assert res.lower == Fraction(5394260437330575, 4611686018427387904)
+    assert res.upper == Fraction(5465763133293247, 4611686018427387904)
 
 
 def test_pattern_counts_p3():
