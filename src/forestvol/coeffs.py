@@ -4,7 +4,8 @@ e_k(G) sums prod w_T over k-edge forests; a_k are the Taylor coefficients
 of log p at 0, obtained by Newton's identity.  Grouping forests by the
 vertex sets of their trees makes p a hard-core polymer gas: a polymer is a
 connected set S with weight c(G[S]) t^{|S|} z^{|S|-1}, t = delta/(1/2+delta),
-where the delta-free class weight c lives in the WeightCache (small_e).
+where the delta-free weights c(G[S]) of all polymers of G come from one
+region table (treeweight.polymer_weights).
 
 For graphs too large to expand whole, a_k is assembled from connected
 induced subgraphs (Patel-Regts).  a_k is additive over disjoint unions, so
@@ -54,7 +55,7 @@ from typing import Sequence
 
 from .canon import canonical_form, graph_from_key
 from .graphs import Graph, bits, enumerate_connected_sets
-from .treeweight import DeltaParams, WeightCache, default_cache
+from .treeweight import DeltaParams, default_cache, polymer_weights
 
 
 @dataclass(frozen=True)
@@ -75,31 +76,26 @@ class TaylorCoeffs:
         return len(self.a) - 1
 
 
-def polymer_series(
-    g: Graph, K: int, cache: WeightCache | None = None
-) -> tuple[tuple[tuple[int, ...], ...], int]:
+def polymer_series(g: Graph, K: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The delta-free table (E, D) with e_j(t) = sum_r E[j][r] D^{-r} t^{j+r}
     for j <= K, where t = delta/(1/2+delta) and E is integer.
 
-    Polymers are connected sets S with 2 <= |S| <= K+1; a family of r
-    disjoint polymers of total degree j covers j + r vertices, so it carries
-    t^{j+r} and E[j][r] sums D^r prod c(g[S]) over such families, D the lcm
-    of the denominators of the c(g[S]).  The subset DP
+    Polymers are connected sets S with 2 <= |S| <= K+1, weighed together by
+    polymer_weights(g, K+1) on g's own vertex masks; a family of r disjoint
+    polymers of total degree j covers j + r vertices, so it carries t^{j+r}
+    and E[j][r] sums D^r prod c(g[S]) over such families, D the lcm of the
+    denominators of the c(g[S]).  The subset DP
     P[W] = P[W - v] + sum over polymers S with v in S, S in W, of
     c(S) D z^{|S|-1} y P[W - S], v = min W, runs over the sets W reachable
     from V(g), with y counting polymers.
     """
-    cache = cache or default_cache()
-    found = []
-    for mask in enumerate_connected_sets(g, K + 1, min_size=2):
-        sub, _ = g.induced_subgraph(mask)
-        found.append((mask, sub.n - 1, cache.class_weight(canonical_form(sub))))
-    D = lcm(*(c.denominator for _, _, c in found))
+    found = polymer_weights(g, K + 1)
+    D = lcm(*(c.denominator for _, c in found))
     # polymers by their lowest vertex bit, which is where the DP meets them
     polymers: dict[int, list[tuple[int, int, int]]] = {}
-    for mask, deg, c in found:
+    for mask, c in found:
         polymers.setdefault(mask & -mask, []).append(
-            (mask, deg, c.numerator * (D // c.denominator))
+            (mask, mask.bit_count() - 1, c.numerator * (D // c.denominator))
         )
     # every set the recursion reaches; a state's successors have a higher
     # lowest vertex, so evaluating by descending lowest bit is bottom-up
@@ -143,40 +139,36 @@ def _at(row: Sequence[int], D: int, t: Fraction, k: int) -> Fraction:
     return Fraction(num, q**k * dq**top)
 
 
-def small_e(
-    g: Graph, dp: DeltaParams, K: int, cache: WeightCache | None = None
-) -> CoeffVector:
+def small_e(g: Graph, dp: DeltaParams, K: int) -> CoeffVector:
     """e_j for j <= K, with p(z) summed as a hard-core polymer gas on g:
     the polymer_series table evaluated at t.  At t = 0 every polymer weighs
     0, so e = (1, 0, ..., 0) without enumerating (or weighing) any."""
     t = dp.delta / dp.box_hi
     if not t:
         return CoeffVector(graph=g, e=(Fraction(1),) + (Fraction(0),) * K)
-    E, D = polymer_series(g, K, cache)
+    E, D = polymer_series(g, K)
     return CoeffVector(graph=g, e=tuple(_at(E[j], D, t, j) for j in range(K + 1)))
 
 
-def lambda_coeff(
-    h: Graph, k: int, dp: DeltaParams, cache: WeightCache | None = None
-) -> Fraction:
+def lambda_coeff(h: Graph, k: int, dp: DeltaParams) -> Fraction:
     """Coefficient of the induced count of h in the forest expansion.
 
     Nonzero only when |V(h)| = k + #components and every component has at
     least two vertices; then it is the product over components C of the
     polymer weight phi(C) = c(C) t^{|C|}, the sum of w_T over spanning
-    trees T of C.
+    trees T of C.  c(C) is the entry of C, a connected set of h, in
+    polymer_weights(h, h.n).
     """
-    cache = cache or default_cache()
     comps = h.components()
     if any(c.bit_count() < 2 for c in comps):
         return Fraction(0)
     if h.n != k + len(comps):
         return Fraction(0)
     t = dp.delta / dp.box_hi
+    weights = dict(polymer_weights(h, h.n))
     total = Fraction(1)
     for comp in comps:
-        sub, _ = h.induced_subgraph(comp)
-        total *= cache.class_weight(canonical_form(sub)) * t**sub.n
+        total *= weights[comp] * t ** comp.bit_count()
     return total
 
 
@@ -241,27 +233,27 @@ def _log_series(E: Sequence[Sequence[int]], K: int) -> tuple[tuple[int, ...], ..
     return tuple(B)
 
 
-def _class_series(
-    key: bytes, K: int, cache: WeightCache
-) -> tuple[tuple[tuple[int, ...], ...], int]:
+def _class_series(key: bytes, K: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(B, D) of the class a plain canonical key names, rows 0..K' for some
-    K' >= K, from cache.series or expanded once on the decoded
-    representative."""
+    K' >= K, from the default WeightCache's series (a hit) or expanded once
+    on the decoded representative (a miss)."""
+    cache = default_cache()
     hit = cache.series.get(key)
     if hit is None or hit[0] < K:
-        E, D = polymer_series(graph_from_key(key), K, cache)
+        cache.misses += 1
+        E, D = polymer_series(graph_from_key(key), K)
         hit = cache.series[key] = (K, _log_series(E, K), D)
+    else:
+        cache.hits += 1
     return hit[1], hit[2]
 
 
-def _class_a(
-    key: bytes, dp: DeltaParams, K: int, cache: WeightCache | None = None
-) -> TaylorCoeffs:
+def _class_a(key: bytes, dp: DeltaParams, K: int) -> TaylorCoeffs:
     """a_1..a_K of the graph class a plain canonical key names."""
     t = dp.delta / dp.box_hi
     if not t:
         return TaylorCoeffs(a=(Fraction(0),) * (K + 1))
-    B, D = _class_series(key, K, cache or default_cache())
+    B, D = _class_series(key, K)
     return TaylorCoeffs(
         a=(Fraction(0),) + tuple(_at(B[k], D, t, k) / k for k in range(1, K + 1))
     )
@@ -287,12 +279,7 @@ def pattern_gamma(h: Graph, dp: DeltaParams, K: int) -> tuple[Fraction, ...]:
     return tuple(gamma)
 
 
-def assemble_a(
-    g: Graph,
-    dp: DeltaParams,
-    K: int,
-    cache: WeightCache | None = None,
-) -> TaylorCoeffs:
+def assemble_a(g: Graph, dp: DeltaParams, K: int) -> TaylorCoeffs:
     """a_k(G) for k <= K as the sum of w(C) a_k(G[C]) over connected sets C
     (module docstring): one pass over the connected sets of G, then the
     delta-free series of each class whose summed weight is nonzero, summed
@@ -302,7 +289,6 @@ def assemble_a(
     t = dp.delta / dp.box_hi
     if not t:
         return TaylorCoeffs(a=(Fraction(0),) * (K + 1))
-    cache = cache or default_cache()
     cap = 2 * K
     adj = g.adj_mask
     weights: dict[bytes, int] = {}
@@ -322,7 +308,7 @@ def assemble_a(
         weights[key] = weights.get(key, 0) + w
     # A[k][r] = sum over classes of w B[k][r] / (k D^r), kept as the
     # integer N[k][r] = k L^r A[k][r] over the common denominator L
-    series = [(w, *_class_series(key, K, cache)) for key, w in weights.items() if w]
+    series = [(w, *_class_series(key, K)) for key, w in weights.items() if w]
     L = lcm(*(D for _, _, D in series))
     N = [[0] * (K + 1) for _ in range(K + 1)]
     for w, B, D in series:

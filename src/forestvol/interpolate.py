@@ -27,7 +27,7 @@ from .canon import MAX_VERTICES
 from .coeffs import TaylorCoeffs, assemble_a
 from .errors import CertificateError, DeltaTooLargeError, SizeGuardError
 from .graphs import Graph
-from .treeweight import DeltaParams, WeightCache
+from .treeweight import DeltaParams
 
 _SAFETY = Fraction((1 << 20) - 1, 1 << 20)
 _E_BITS = 48
@@ -188,7 +188,6 @@ def approximate_volume(
     delta: Fraction,
     eps: Fraction,
     max_degree: int | None = None,
-    cache: WeightCache | None = None,
 ) -> InterpolationResult:
     """Volume of the truncated polytope within a factor (1 +- eps).
 
@@ -253,7 +252,7 @@ def approximate_volume(
             f"canonical labelling is capped at {MAX_VERTICES} (K <= "
             f"{MAX_VERTICES // 2}); raise eps or lower delta"
         )
-    coeffs = assemble_a(g, DeltaParams(delta), K, cache=cache)
+    coeffs = assemble_a(g, DeltaParams(delta), K)
     total = sum(coeffs.a, Fraction(0))
 
     with _iv_prec(192):

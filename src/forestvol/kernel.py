@@ -3,7 +3,8 @@ on the certified path, and an exact chain-order integration DP.  BACKEND
 names the implementation (forestvol.KERNEL_BACKEND).
 
 Nothing in the package calls poset_integral_packed any more: the certified
-path weighs classes by the |z|-order DP in treeweight, and oracles.exact_volume
+path weighs polymers by the |z|-order recurrence in treeweight, and
+oracles.exact_volume
 integrates over independent sets.  It stays only because perfbench/tracer.py
 traces it by name and raises on a missing target; it goes together with
 that entry in the next change to perfbench/.  tests/test_treeweight.py

@@ -23,7 +23,7 @@ import numpy as np
 from .coeffs import small_e
 from .errors import SizeGuardError
 from .graphs import Graph, spanning_trees, broken_edges
-from .treeweight import DeltaParams, WeightCache
+from .treeweight import DeltaParams
 
 MC_CHUNK = 1 << 16
 EXACT_VERTEX_LIMIT = 12
@@ -348,14 +348,13 @@ def root_check(
     g: Graph,
     dp: DeltaParams,
     radius: Fraction | None = None,
-    cache: WeightCache | None = None,
     max_vertices: int = EXACT_VERTEX_LIMIT,
     max_edges: int = EXACT_EDGE_LIMIT,
 ) -> RootReport:
     """Locate the roots of the exact forest polynomial of g numerically
     (companion-matrix solve plus a few Newton polishing steps)."""
     _guard_exact(g, max_vertices, max_edges)
-    e = small_e(g, dp, max(g.n - 1, 0), cache=cache).e
+    e = small_e(g, dp, max(g.n - 1, 0)).e
     coeffs = [float(c) for c in e]
     while coeffs and coeffs[-1] == 0.0:
         coeffs.pop()

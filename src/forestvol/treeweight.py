@@ -13,13 +13,14 @@ delta-free.  Every vertex of T has a tree edge, so every z lies in (-1, 1],
 and z_u + z_v has the sign of the endpoint of larger |z|: a tree edge holds
 iff its later endpoint in |z| order is positive, a broken edge iff that
 endpoint is non-positive.  Each (|z| order, signs) region has volume 1/n!,
-so W is an integer count over n!, taken by a subset DP over the |z| order
-(_normalized_weight_dp), which returns the count N[U] for every mask U;
+so W is an integer count over n!, taken by a memoized recurrence over the
+|z| order (_region_counts), which gives the count N[U] of any mask U.
 tree_weight reads N[V]/n!, memoized by a canonical key of the
 edge-bicolored graph (T, E_T), so the memo serves every delta at once.
-The coefficient pipeline reads only WeightCache.class_weight, which takes
-c(H) from one DP run on H with every edge broken (proof there): no
-spanning tree, broken edge or colored label is built for a class.
+The coefficient pipeline reads only polymer_weights, which takes c(h[S])
+for every connected S of a graph h from one such table with every edge of
+h broken (proof there): no spanning tree, broken edge, label or induced
+subgraph is built for a polymer, and no weight is cached across graphs.
 
 The tests check the DP against a brute-force region count and Monte Carlo
 samples of the box, the class weights against the spanning-tree sums, and
@@ -30,11 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import takewhile
 from math import comb, factorial
-from typing import Mapping
+from typing import Callable, Mapping
 
-from .canon import colored_canonical_form, graph_from_key
+from .canon import colored_canonical_form
 from .graphs import Graph, Tree, broken_edges, enumerate_connected_sets
 
 
@@ -68,16 +68,16 @@ class WeightCache:
     """Process-wide memo of delta-free weights.
 
     normalized maps the canonical key of the bicolored (tree, broken) graph
-    to W with hat_w = delta^{|V|} * W.  classes maps the plain canonical key
-    of a connected graph H to its class weight c(H) (see class_weight).
-    series maps the same key to (K, B, D), the integer log-series of H that
+    to W with hat_w = delta^{|V|} * W.  series maps the plain canonical key
+    of a connected graph H to (K, B, D), the integer log-series of H that
     coeffs expands once and evaluates at each delta: a_k(H) =
     sum_r B[k][r] t^{k+r} / (k D^r) for k <= K, t = delta/(1/2+delta).
+    hits and misses count the lookups in both; a series miss is one class
+    expanded by coeffs._class_series.
     """
 
     def __init__(self):
         self.normalized: dict[bytes, Fraction] = {}
-        self.classes: dict[bytes, Fraction] = {}
         self.series: dict[bytes, tuple[int, tuple[tuple[int, ...], ...], int]] = {}
         self.hits = 0
         self.misses = 0
@@ -95,54 +95,15 @@ class WeightCache:
         w = self.normalized.get(key)
         if w is None:
             self.misses += 1
-            w = Fraction(_normalized_weight_dp(nv, tedges, bedges)[-1], factorial(nv))
+            full = (1 << nv) - 1
+            w = Fraction(_region_counts(nv, tedges, bedges)(full), factorial(nv))
             self.normalized[key] = w
         else:
             self.hits += 1
         return key, w
 
-    def class_weight(self, key: bytes) -> Fraction:
-        """c(H) = sum over spanning trees T of H of (-1)^{|T|} W(T) for the
-        connected graph H with plain canonical key `key`, so that the w_T of
-        the spanning trees of H sum to c(H) t^{|V(H)|}, t = delta/(1/2+delta).
-        It is computed on the representative decoded from the key, from the
-        counts N of _normalized_weight_dp with every edge broken: N[S]/|S|!
-        is the volume of the z in (-1, 1]^S with z_u + z_v <= 0 on H[S].
-        hits and misses count these lookups too.
-
-        By Penrose's identity c(B) integrates over z <= 1 the sum over the
-        connected spanning edge sets A of H[B] of prod_{uv in A} f_uv, with
-        f_uv = -1[z_u + z_v > 0].  A term vanishes unless every z > -1
-        (every vertex has an edge of A, and z <= 1), so the integral may be
-        taken over (-1, 1]^B.  The Mayer formula, prod_{uv in H[S]} (1 + f_uv)
-        = sum over the set partitions of S of prod over blocks B of that sum,
-        integrated over (-1, 1]^S gives N[S]/|S|! = sum over the partitions
-        of prod_B c(B), with c({v}) = 2 and c(B) = 0 for a disconnected H[B].
-        Splitting off the block T of vertex 0, U(T) = |T|! c(H[T]) solves
-            U(S) = N[S] - sum over 0 in T < S of binom(|S|, |T|) U(T) N[S - T],
-        c(H) = U(V)/n!, and U vanishes unless H[T] is connected.
-        """
-        c = self.classes.get(key)
-        if c is not None:
-            self.hits += 1
-            return c
-        self.misses += 1
-        h = graph_from_key(key)
-        count = _normalized_weight_dp(h.n, (), h.edges)
-        # connected sets holding vertex 0, in mask order: subsets first
-        done: list[tuple[int, int, int]] = []
-        for s in sorted(takewhile(lambda m: m & 1, enumerate_connected_sets(h, h.n))):
-            size, u = s.bit_count(), count[s]
-            for t, tsize, ut in done:
-                if t & s == t:
-                    u -= comb(size, tsize) * ut * count[s ^ t]
-            done.append((s, size, u))
-        c = self.classes[key] = Fraction(done[-1][2], factorial(h.n))
-        return c
-
     def clear(self) -> None:
         self.normalized.clear()
-        self.classes.clear()
         self.series.clear()
         self.hits = 0
         self.misses = 0
@@ -209,13 +170,57 @@ def _local_pair(
     return (a, b) if a < b else (b, a)
 
 
-def _normalized_weight_dp(
+
+
+def polymer_weights(h: Graph, size: int) -> list[tuple[int, Fraction]]:
+    """(S, c(h[S])) for every connected S of h with 2 <= |S| <= size, in
+    ascending mask order.  c(H) = sum over spanning trees T of H of
+    (-1)^{|T|} W(T), so the w_T of the spanning trees of H sum to
+    c(H) t^{|V(H)|}, t = delta/(1/2+delta).  Every weight comes from one
+    memoized table of the region counts N of h with every edge broken
+    (_region_counts): N[U]/|U|! is the volume of the z in (-1, 1]^U with
+    z_u + z_v <= 0 on h[U].
+
+    By Penrose's identity c(B) integrates over z <= 1 the sum over the
+    connected spanning edge sets A of h[B] of prod_{uv in A} f_uv, with
+    f_uv = -1[z_u + z_v > 0].  A term vanishes unless every z > -1 (every
+    vertex has an edge of A, and z <= 1), so the integral may be taken over
+    (-1, 1]^B.  The Mayer formula, prod_{uv in h[S]} (1 + f_uv) = sum over
+    the set partitions of S of prod over blocks B of that sum, integrated
+    over (-1, 1]^S gives N[S]/|S|! = sum over the partitions of
+    prod_B c(B), with c({v}) = 2 and c(B) = 0 for a disconnected h[B].
+    Splitting off the block T of min S, U(T) = |T|! c(h[T]) solves
+        U(S) = N[S] - sum over min S in T < S of binom(|S|, |T|) U(T) N[S - T],
+    c(h[S]) = U(S)/|S|!, and U vanishes unless h[T] is connected.  Such a T
+    is a connected set below S in mask order, so it is solved before S.
+    """
+    count = _region_counts(h.n, (), h.edges)
+    mayer: dict[int, int] = {}
+    out = []
+    for s in sorted(enumerate_connected_sets(h, size)):
+        root, rest, n = s & -s, s & (s - 1), s.bit_count()
+        u = count(s)
+        sub = rest
+        while sub:
+            # proper submasks of rest, 0 included
+            sub = (sub - 1) & rest
+            ut = mayer.get(sub | root)
+            if ut:
+                u -= comb(n, sub.bit_count() + 1) * ut * count(rest ^ sub)
+        mayer[s] = u
+        if n >= 2:
+            out.append((s, Fraction(u, factorial(n))))
+    return out
+
+
+def _region_counts(
     nv: int,
     tedges: tuple[tuple[int, int], ...],
     bedges: tuple[tuple[int, int], ...],
-) -> list[int]:
-    """Region counts N[U] of the edges inside each vertex mask U, by a subset
-    DP over the order of |z|; W = N[V] / nv! with hat_w = delta^nv * W.
+) -> Callable[[int], int]:
+    """Memoized region counts N[U] of the edges inside a vertex mask U, by a
+    recurrence over the order of |z|; W = N[V] / nv! with
+    hat_w = delta^nv * W.
 
     With x = 1/2 + delta*z, every vertex has a tree edge, so every z lies in
     (-1, 1]; z_u + z_v then has the sign of the endpoint of larger |z|.  A
@@ -225,7 +230,8 @@ def _normalized_weight_dp(
     N[U] = sum over v in U, the last of U in |z| order, of N[U - v] * f(v),
     with f = 2 when v has no tree or broken neighbour in U, 1 when its
     neighbours in U are all of one kind (the sign of v is forced), and 0
-    when they are of both kinds.
+    when they are of both kinds.  Only the masks a query reaches are
+    filled, never all 2^nv.
     """
     tadj = [0] * nv
     badj = [0] * nv
@@ -235,18 +241,24 @@ def _normalized_weight_dp(
     for u, v in bedges:
         badj[u] |= 1 << v
         badj[v] |= 1 << u
-    nbrs = [(1 << v, tadj[v], badj[v]) for v in range(nv)]
-    count = [1] + [0] * ((1 << nv) - 1)
-    # ascending masks: every U - v is final before U reads it
-    for umask in range(1, 1 << nv):
-        c = 0
-        for low, t, b in nbrs:
-            if umask & low:
-                t &= umask
-                b &= umask
+    memo = {0: 1}
+
+    def count(umask: int) -> int:
+        c = memo.get(umask)
+        if c is None:
+            c = 0
+            rest = umask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                t = tadj[v] & umask
+                b = badj[v] & umask
                 if not (t or b):
-                    c += 2 * count[umask ^ low]
+                    c += 2 * count(umask ^ low)
                 elif not (t and b):
-                    c += count[umask ^ low]
-        count[umask] = c
+                    c += count(umask ^ low)
+            memo[umask] = c
+        return c
+
     return count

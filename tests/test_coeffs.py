@@ -32,7 +32,7 @@ from forestvol.families import (
 )
 from forestvol.interpolate import approximate_volume
 from forestvol.oracles import exact_volume
-from forestvol import treeweight
+from forestvol import kernel, treeweight
 from forestvol.treeweight import DeltaParams, WeightCache, default_cache, tree_weight
 
 from conftest import (
@@ -87,12 +87,17 @@ def test_class_weights_match_exact_volume():
     other term has only polymers on fewer vertices.  So by induction on
     |H|, once p_H'(1) = Vol(P_H') / box^{|H'|} holds for every connected H'
     smaller than H, it holds for H iff c(H) is right (t != 0).  The list
-    below is closed under connected induced subgraphs.
+    below is closed under connected induced subgraphs.  Petersen and two
+    12-vertex hosts then check, as whole sums, the weights of polymers
+    rooted at min S inside a larger host.
     """
     dp = DeltaParams(Fraction(1, 7))
     graphs = list(connected_graphs_upto(6))
     graphs += [g for g in connected_graphs_upto(7, max_degree=3) if g.n == 7]
     assert len(graphs) == 143 + 64
+    graphs.append(petersen_graph())
+    graphs += [random_connected_graph(12, 4, seed=s, max_degree=3) for s in (0, 1)]
+    assert [g.m for g in graphs[-3:]] == [15, 15, 15]
     for g in graphs:
         got = sum(small_e(g, dp, g.n - 1).e) * dp.box_hi**g.n
         assert got == exact_volume(g, dp), g.edges
@@ -342,17 +347,45 @@ def test_small_e_delta_zero_weighs_nothing():
     clear_caches()
     g = random_connected_graph(10, 3, seed=2, max_degree=3)
     cache = default_cache()
-    before = (cache.misses, dict(cache.classes), dict(cache.series))
+    before = (cache.misses, dict(cache.series))
     e = small_e(g, DeltaParams(Fraction(0)), g.n - 1).e
     assert e == (1,) + (0,) * (g.n - 1)
-    assert (cache.misses, cache.classes, cache.series) == before
+    assert (cache.misses, cache.series) == before
+
+
+def test_small_e_labels_no_polymer(monkeypatch):
+    """A cold small_e weighs every polymer on the host's own vertex masks:
+    it builds no induced subgraph and calls no canonical labelling."""
+
+    def boom(*args, **kwargs):
+        raise AssertionError("small_e labelled a polymer")
+
+    monkeypatch.setattr(kernel, "canon_key", boom)
+    monkeypatch.setattr(Graph, "induced_subgraph", boom)
+    clear_caches()
+    e = small_e(petersen_graph(), DeltaParams(Fraction(1, 100)), 9).e
+    assert e == tuple(
+        Fraction(x)
+        for x in (
+            "1",
+            "-10/867",
+            "1460/2255067",
+            "-690680/17596287801",
+            "4134680/1695109058163",
+            "-5464287556/39680807942537667",
+            "49846614800/7499672701139619063",
+            "-1925822422/7499672701139619063",
+            "39259306/5356909072242585045",
+            "-85672/735262029523492065",
+        )
+    )
 
 
 def test_relabelled_cold_runs_same_answer_and_misses():
-    """Class weights and series are keyed by the plain canonical key and
-    computed on the representative decoded from it, so a relabelling (which
-    also reorders the edge ranks) changes neither the answer nor the number
-    of classes weighed."""
+    """Class series are keyed by the plain canonical key and expanded on the
+    representative decoded from it, so a relabelling (which also reorders
+    the edge ranks) changes neither the answer nor the memo misses, which
+    count the class series expanded."""
     g = random_connected_graph(8, 3, seed=1, max_degree=3)
     delta, eps = Fraction(1, 100), Fraction(1, 10)
     seen = []

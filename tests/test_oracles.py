@@ -91,7 +91,7 @@ def test_exact_volume_shares_no_pipeline_code(monkeypatch):
 
     monkeypatch.setattr(coeffs, "small_e", boom)
     monkeypatch.setattr(oracles, "small_e", boom)
-    monkeypatch.setattr(WeightCache, "class_weight", boom)
+    monkeypatch.setattr(coeffs, "polymer_weights", boom)
     monkeypatch.setattr(WeightCache, "normalized_weight", boom)
     monkeypatch.setattr(kernel, "canon_key", boom)
     got = exact_volume(petersen_graph(), DeltaParams(Fraction(1, 100)))
