@@ -241,7 +241,6 @@ def cmd_weights(args: argparse.Namespace) -> int:
         "hat_w": str(rec.hat_w),
         "w": str(rec.w),
         "delta": str(delta),
-        "iso_key": rec.iso_key.hex(),
     }
     _emit(payload, args.output)
     return 0

@@ -59,12 +59,6 @@ from .treeweight import DeltaParams, default_cache, polymer_weights
 
 
 @dataclass(frozen=True)
-class CoeffVector:
-    graph: Graph
-    e: tuple[Fraction, ...]  # e[0..K]
-
-
-@dataclass(frozen=True)
 class TaylorCoeffs:
     a: tuple[Fraction, ...]  # a[0] = 0 placeholder; a[1..K] meaningful
 
@@ -139,15 +133,15 @@ def _at(row: Sequence[int], D: int, t: Fraction, k: int) -> Fraction:
     return Fraction(num, q**k * dq**top)
 
 
-def small_e(g: Graph, dp: DeltaParams, K: int) -> CoeffVector:
+def small_e(g: Graph, dp: DeltaParams, K: int) -> tuple[Fraction, ...]:
     """e_j for j <= K, with p(z) summed as a hard-core polymer gas on g:
     the polymer_series table evaluated at t.  At t = 0 every polymer weighs
     0, so e = (1, 0, ..., 0) without enumerating (or weighing) any."""
     t = dp.delta / dp.box_hi
     if not t:
-        return CoeffVector(graph=g, e=(Fraction(1),) + (Fraction(0),) * K)
+        return (Fraction(1),) + (Fraction(0),) * K
     E, D = polymer_series(g, K)
-    return CoeffVector(graph=g, e=tuple(_at(E[j], D, t, j) for j in range(K + 1)))
+    return tuple(_at(E[j], D, t, j) for j in range(K + 1))
 
 
 def lambda_coeff(h: Graph, k: int, dp: DeltaParams) -> Fraction:
@@ -172,9 +166,9 @@ def lambda_coeff(h: Graph, k: int, dp: DeltaParams) -> Fraction:
     return total
 
 
-def newton_log(e: CoeffVector | Sequence[Fraction], K: int) -> TaylorCoeffs:
+def newton_log(e: Sequence[Fraction], K: int) -> TaylorCoeffs:
     """a_1..a_K with k e_k = sum_{j<=k} j a_j e_{k-j}."""
-    evec = list(e.e if isinstance(e, CoeffVector) else e)
+    evec = list(e)
     if not evec or evec[0] != 1:
         raise ValueError("series must start with e_0 = 1")
     evec += [Fraction(0)] * (K + 1 - len(evec))

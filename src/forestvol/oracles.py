@@ -26,8 +26,9 @@ from .graphs import Graph, spanning_trees, broken_edges
 from .treeweight import DeltaParams
 
 MC_CHUNK = 1 << 16
-EXACT_VERTEX_LIMIT = 12
-EXACT_EDGE_LIMIT = 16
+EXACT_SET_LIMIT = 1 << 12
+ROOT_VERTEX_LIMIT = 12
+ROOT_EDGE_LIMIT = 16
 PENROSE_EDGE_LIMIT = 20
 
 
@@ -95,32 +96,13 @@ def mc_volume(
     )
 
 
-def _guard_exact(g: Graph, max_vertices: int, max_edges: int) -> None:
-    if g.n > max_vertices or g.m > max_edges:
-        raise SizeGuardError(
-            f"the exact independent-set DP is capped at {max_vertices} vertices / "
-            f"{max_edges} edges (got n={g.n}, m={g.m}); use `volume` instead"
-        )
-
-
-def exact_p1(
-    g: Graph,
-    dp: DeltaParams,
-    max_vertices: int = EXACT_VERTEX_LIMIT,
-    max_edges: int = EXACT_EDGE_LIMIT,
-) -> Fraction:
+def exact_p1(g: Graph, dp: DeltaParams) -> Fraction:
     """p(1) = Vol(P) / (1/2+delta)^n, by the independent-set DP of
     exact_volume; exponential in g."""
-    vol = exact_volume(g, dp, max_vertices=max_vertices, max_edges=max_edges)
-    return vol / dp.box_hi**g.n
+    return exact_volume(g, dp) / dp.box_hi**g.n
 
 
-def exact_volume(
-    g: Graph,
-    dp: DeltaParams,
-    max_vertices: int = EXACT_VERTEX_LIMIT,
-    max_edges: int = EXACT_EDGE_LIMIT,
-) -> Fraction:
+def exact_volume(g: Graph, dp: DeltaParams) -> Fraction:
     """Vol(P) exactly, by a subset DP over the independent sets of g.
 
     The vertices with x_v > 1/2 form an independent set I.  With
@@ -137,9 +119,10 @@ def exact_volume(
     with c = |N(j) - N(U-j)| the neighbours whose smallest u is u_j.  Each
     F[U] is an exact univariate polynomial in w (coefficient lists of
     Fractions).  Nothing here touches tree weights, canonical forms or
-    poset integrals, so it checks the pipeline from outside.
+    poset integrals, so it checks the pipeline from outside.  Raises
+    SizeGuardError, before any polynomial work, when g has more than
+    EXACT_SET_LIMIT independent sets.
     """
-    _guard_exact(g, max_vertices, max_edges)
     n = g.n
     half = Fraction(1, 2)
     lo = half - dp.delta
@@ -151,6 +134,12 @@ def exact_volume(
     sets = [0]
     for v in range(n):
         sets += [s | (1 << v) for s in sets if not nbr[v] & s]
+        if len(sets) > EXACT_SET_LIMIT:
+            raise SizeGuardError(
+                f"the exact independent-set DP is capped at {EXACT_SET_LIMIT} "
+                f"independent sets; the first {v + 1} of the n={g.n} vertices "
+                f"already have {len(sets)}; use `volume` instead"
+            )
     lo_pow = [lo**e for e in range(n + 2)]
     half_pow = [half**e for e in range(n + 2)]
     poly: dict[int, list[Fraction]] = {0: [Fraction(1)]}
@@ -345,17 +334,18 @@ class RootReport:
 
 
 def root_check(
-    g: Graph,
-    dp: DeltaParams,
-    radius: Fraction | None = None,
-    max_vertices: int = EXACT_VERTEX_LIMIT,
-    max_edges: int = EXACT_EDGE_LIMIT,
+    g: Graph, dp: DeltaParams, radius: Fraction | None = None
 ) -> RootReport:
     """Locate the roots of the exact forest polynomial of g numerically
-    (companion-matrix solve plus a few Newton polishing steps)."""
-    _guard_exact(g, max_vertices, max_edges)
-    e = small_e(g, dp, max(g.n - 1, 0)).e
-    coeffs = [float(c) for c in e]
+    (companion-matrix solve plus a few Newton polishing steps).  p is
+    expanded whole with small_e, so g is capped at ROOT_VERTEX_LIMIT
+    vertices / ROOT_EDGE_LIMIT edges."""
+    if g.n > ROOT_VERTEX_LIMIT or g.m > ROOT_EDGE_LIMIT:
+        raise SizeGuardError(
+            f"root_check is capped at {ROOT_VERTEX_LIMIT} vertices / "
+            f"{ROOT_EDGE_LIMIT} edges (got n={g.n}, m={g.m})"
+        )
+    coeffs = [float(c) for c in small_e(g, dp, max(g.n - 1, 0))]
     while coeffs and coeffs[-1] == 0.0:
         coeffs.pop()
     degree = len(coeffs) - 1 if coeffs else 0

@@ -15,8 +15,9 @@ iff its later endpoint in |z| order is positive, a broken edge iff that
 endpoint is non-positive.  Each (|z| order, signs) region has volume 1/n!,
 so W is an integer count over n!, taken by a memoized recurrence over the
 |z| order (_region_counts), which gives the count N[U] of any mask U.
-tree_weight reads N[V]/n!, memoized by a canonical key of the
-edge-bicolored graph (T, E_T), so the memo serves every delta at once.
+tree_weight reads N[V]/n!, memoized under the labelled local shape
+(n, tree edges, broken edges) of (T, E_T), so the memo serves every delta
+at once without labelling the shape canonically.
 The coefficient pipeline reads only polymer_weights, which takes c(h[S])
 for every connected S of a graph h from one such table with every edge of
 h broken (proof there): no spanning tree, broken edge, label or induced
@@ -34,7 +35,9 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Mapping
 
-from .canon import colored_canonical_form
+# not called here: perfbench/tracer.py traces treeweight.colored_canonical_form
+# and raises on a missing target
+from .canon import colored_canonical_form  # noqa: F401
 from .graphs import Graph, Tree, broken_edges, enumerate_connected_sets
 
 
@@ -59,7 +62,6 @@ class DeltaParams:
 class TreeWeightRecord:
     tree: Tree
     broken: tuple[int, ...]
-    iso_key: bytes
     hat_w: Fraction
     w: Fraction
 
@@ -67,17 +69,20 @@ class TreeWeightRecord:
 class WeightCache:
     """Process-wide memo of delta-free weights.
 
-    normalized maps the canonical key of the bicolored (tree, broken) graph
-    to W with hat_w = delta^{|V|} * W.  series maps the plain canonical key
-    of a connected graph H to (K, B, D), the integer log-series of H that
-    coeffs expands once and evaluates at each delta: a_k(H) =
-    sum_r B[k][r] t^{k+r} / (k D^r) for k <= K, t = delta/(1/2+delta).
-    hits and misses count the lookups in both; a series miss is one class
-    expanded by coeffs._class_series.
+    normalized maps the labelled local shape (nv, tree edges, broken edges)
+    of a tree to W with hat_w = delta^{|V|} * W; only tree_weight reads it.
+    series maps the plain canonical key of a connected graph H to
+    (K, B, D), the integer log-series of H that coeffs expands once and
+    evaluates at each delta: a_k(H) = sum_r B[k][r] t^{k+r} / (k D^r) for
+    k <= K, t = delta/(1/2+delta).  hits and misses count series lookups
+    only; a miss is one class expanded by coeffs._class_series.
     """
 
     def __init__(self):
-        self.normalized: dict[bytes, Fraction] = {}
+        self.normalized: dict[
+            tuple[int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]],
+            Fraction,
+        ] = {}
         self.series: dict[bytes, tuple[int, tuple[tuple[int, ...], ...], int]] = {}
         self.hits = 0
         self.misses = 0
@@ -87,20 +92,14 @@ class WeightCache:
         nv: int,
         tedges: tuple[tuple[int, int], ...],
         bedges: tuple[tuple[int, int], ...],
-    ) -> tuple[bytes, Fraction]:
-        key = colored_canonical_form(
-            nv,
-            [(u, v, 1) for u, v in tedges] + [(u, v, 2) for u, v in bedges],
-        )
+    ) -> Fraction:
+        key = (nv, tedges, bedges)
         w = self.normalized.get(key)
         if w is None:
-            self.misses += 1
             full = (1 << nv) - 1
             w = Fraction(_region_counts(nv, tedges, bedges)(full), factorial(nv))
             self.normalized[key] = w
-        else:
-            self.hits += 1
-        return key, w
+        return w
 
     def clear(self) -> None:
         self.normalized.clear()
@@ -117,48 +116,32 @@ def default_cache() -> WeightCache:
 
 
 def hat_w(
-    g: Graph,
-    tree: Tree,
-    dp: DeltaParams,
-    broken: tuple[int, ...] | None = None,
-    cache: WeightCache | None = None,
+    g: Graph, tree: Tree, dp: DeltaParams, cache: WeightCache | None = None
 ) -> Fraction:
-    return tree_weight(g, tree, dp, broken=broken, cache=cache).hat_w
+    return tree_weight(g, tree, dp, cache=cache).hat_w
 
 
 def tree_weight(
-    g: Graph,
-    tree: Tree,
-    dp: DeltaParams,
-    broken: tuple[int, ...] | None = None,
-    cache: WeightCache | None = None,
+    g: Graph, tree: Tree, dp: DeltaParams, cache: WeightCache | None = None
 ) -> TreeWeightRecord:
     """Weight record for a tree with host g[V(tree)]."""
     if not tree.edge_ranks:
         raise ValueError("tree weights are defined for trees with >= 1 edge")
-    if broken is None:
-        broken = broken_edges(g, tree)
-    if cache is None:
-        cache = _default_cache
-    ids = tree.vertices()
-    nv = len(ids)
-    local = {v: i for i, v in enumerate(ids)}
-    tl = tuple(_local_pair(g, r, local) for r in tree.edge_ranks)
-    bl = tuple(_local_pair(g, r, local) for r in broken)
+    broken = broken_edges(g, tree)
+    nv = tree.size
     if dp.delta == 0:
         # hat_w = delta^nv * W vanishes; skip the DP
-        key = colored_canonical_form(
-            nv, [(u, v, 1) for u, v in tl] + [(u, v, 2) for u, v in bl]
-        )
-        hat = Fraction(0)
-        w = Fraction(0)
-    else:
-        key, wnorm = cache.normalized_weight(nv, tl, bl)
-        hat = wnorm * dp.delta**nv
-        sign = -1 if len(tree.edge_ranks) % 2 else 1
-        w = sign * hat / dp.box_hi**nv
+        zero = Fraction(0)
+        return TreeWeightRecord(tree=tree, broken=broken, hat_w=zero, w=zero)
+    if cache is None:
+        cache = _default_cache
+    local = {v: i for i, v in enumerate(tree.vertices())}
+    tl = tuple(_local_pair(g, r, local) for r in tree.edge_ranks)
+    bl = tuple(_local_pair(g, r, local) for r in broken)
+    hat = cache.normalized_weight(nv, tl, bl) * dp.delta**nv
+    sign = -1 if len(tree.edge_ranks) % 2 else 1
     return TreeWeightRecord(
-        tree=tree, broken=tuple(broken), iso_key=key, hat_w=hat, w=w
+        tree=tree, broken=broken, hat_w=hat, w=sign * hat / dp.box_hi**nv
     )
 
 

@@ -162,7 +162,6 @@ def test_criterion_07_weight_bound():
     failures = []
     rng = random.Random(7)
     deltas = (Fraction(1, 10), Fraction(1, 4), Fraction(2, 5))
-    seen = set()
     for i in range(100):
         g = random_graph(rng.randint(5, 10), 0.5, seed=700 + i, max_degree=4)
         host_trees = []
@@ -179,9 +178,6 @@ def test_criterion_07_weight_bound():
             bound_base = 2 * delta / dp.box_hi
             for tree in host_trees:
                 rec = tree_weight(g, tree, dp)
-                if (rec.iso_key, delta) in seen:
-                    continue  # identical colored shape, identical weight
-                seen.add((rec.iso_key, delta))
                 nv = tree.size
                 if rec.hat_w < 0:
                     failures.append(f"negative unsigned weight, graph {700 + i}")
@@ -224,7 +220,7 @@ def test_criterion_09_coefficient_paths_agree():
         g = random_graph(rng.randint(4, 12), 0.4, seed=900 + i, max_degree=3)
         a = assemble_a(g, dp, 4)
         assembled = newton_exp(a, 4)
-        direct = small_e(g, dp, 4).e
+        direct = small_e(g, dp, 4)
         if tuple(assembled) != tuple(direct):
             failures.append(f"e_k mismatch on seed {900 + i}")
     for h in graphs_upto(6):

@@ -16,7 +16,8 @@ def graphs(tmp_path):
         "k2": "2 1\n0 1\n",
         "p3": "3 2\n0 1\n1 2\n",
         "tri": "3 3\n0 1\n0 2\n1 2\n",
-        "c13": "13 13\n" + "".join(f"{i} {i+1}\n" for i in range(12)) + "0 12\n",
+        # C20: 15,127 independent sets, above the exact DP's limit
+        "c20": "20 20\n" + "".join(f"{i} {i+1}\n" for i in range(19)) + "0 19\n",
         "bad": "2 1\n0 5\n",
     }.items():
         p = tmp_path / f"{name}.txt"
@@ -100,6 +101,7 @@ def test_weights_json(capsys, graphs):
     assert doc["broken_edges"] == [[1, 2]]
     assert doc["hat_w"] == "1/96"
     assert doc["w"] == "2/81"
+    assert set(doc) == {"tree_edges", "broken_edges", "hat_w", "w", "delta"}
 
 
 def test_weights_trace(graphs):
@@ -151,7 +153,7 @@ def test_missing_file_exit_3(capsys, tmp_path):
 
 
 def test_size_guard_exit_5(capsys, graphs):
-    rc, _, err = run_cli(capsys, ["exact", "--graph", graphs["c13"], "--delta", "1/4"])
+    rc, _, err = run_cli(capsys, ["exact", "--graph", graphs["c20"], "--delta", "1/4"])
     assert rc == 5
     assert "volume" in err
 

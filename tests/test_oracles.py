@@ -100,10 +100,34 @@ def test_exact_volume_shares_no_pipeline_code(monkeypatch):
 
 def test_exact_size_guard():
     dp = DeltaParams(Fraction(1, 4))
+    # C20 has 15,127 independent sets and the edgeless 13-vertex graph 2^13
     with pytest.raises(SizeGuardError, match="volume"):
-        exact_p1(cycle_graph(13), dp)
+        exact_p1(cycle_graph(20), dp)
     with pytest.raises(SizeGuardError):
-        exact_volume(complete_graph(7), dp)
+        exact_volume(Graph(13, []), dp)
+
+
+def test_exact_guard_counts_independent_sets(monkeypatch):
+    """The guard refuses more than EXACT_SET_LIMIT independent sets, not a
+    vertex or edge count: P3 has 5 and P4 has 8."""
+    from forestvol import oracles
+
+    dp = DeltaParams(Fraction(1, 4))
+    monkeypatch.setattr(oracles, "EXACT_SET_LIMIT", 5)
+    assert exact_volume(path_graph(3), dp) == p3_volume(dp.delta)
+    with pytest.raises(SizeGuardError, match="5 independent sets"):
+        exact_volume(path_graph(4), dp)
+
+
+def test_exact_volume_beyond_thirteen_vertices():
+    """C13 (521 independent sets) was refused by the old 12-vertex cap; its
+    exact volume lies in the certified interval."""
+    from forestvol.interpolate import approximate_volume
+
+    delta = Fraction(1, 100)
+    vol = exact_volume(cycle_graph(13), DeltaParams(delta))
+    res = approximate_volume(cycle_graph(13), delta, Fraction(1, 10))
+    assert res.lower <= vol <= res.upper
 
 
 @pytest.mark.parametrize("delta", [Fraction(1, 10), Fraction(1, 4)])
@@ -194,7 +218,7 @@ def test_roots_satisfy_polynomial():
     dp = DeltaParams(Fraction(1, 4))
     g = complete_graph(4)
     rep = root_check(g, dp)
-    e = [float(c) for c in small_e(g, dp, g.n - 1).e]
+    e = [float(c) for c in small_e(g, dp, g.n - 1)]
     for z in rep.roots:
         val = sum(c * z**k for k, c in enumerate(e))
         assert abs(val) < 1e-9

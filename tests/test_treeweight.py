@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from forestvol import kernel
+from forestvol import canon, kernel
 from forestvol.graphs import Graph, broken_edges, spanning_trees, tree_from_edges
 from forestvol.families import (
     complete_graph,
@@ -17,6 +17,7 @@ from forestvol.families import (
 from forestvol.treeweight import (
     DeltaParams,
     WeightCache,
+    default_cache,
     hat_w,
     tree_weight,
 )
@@ -144,7 +145,6 @@ def test_delta_zero_short_circuit():
     dp = DeltaParams(Fraction(0))
     rec = tree_weight(K2, tree_from_edges(K2, (0,)), dp)
     assert rec.hat_w == 0 and rec.w == 0
-    assert rec.iso_key  # canonical key still computed
 
 
 def test_tree_weight_requires_edges():
@@ -202,9 +202,20 @@ def test_cellwise_matches_dp_with_broken_edges():
         with_broken += bool(broken_edges(g, tree))
         cache = WeightCache()
         rec = tree_weight(g, tree, dp, cache=cache)
-        assert cache.misses == 1
+        assert len(cache.normalized) == 1
         assert rec.hat_w == _hat_w_cellwise(g, tree, dp), (g.edges, tree)
     assert with_broken >= 20
+
+
+def _bicolored_key(g, rec):
+    """Canonical key of the edge-bicolored graph (tree, broken edges)."""
+    local = {v: i for i, v in enumerate(rec.tree.vertices())}
+    edges = [
+        (local[g.edges[r][0]], local[g.edges[r][1]], color)
+        for ranks, color in ((rec.tree.edge_ranks, 1), (rec.broken, 2))
+        for r in ranks
+    ]
+    return canon.colored_canonical_form(rec.tree.size, edges)
 
 
 def test_automorphic_pairs_share_weight():
@@ -224,7 +235,7 @@ def test_automorphic_pairs_share_weight():
         r2 = tree_weight(g2, tree2, DeltaParams(Fraction(1, 4)))
         # same tree shape, but broken sets may differ under reordering, so
         # compare only when the bicolored type matches
-        if r1.iso_key == r2.iso_key:
+        if _bicolored_key(g, r1) == _bicolored_key(g2, r2):
             assert r1.hat_w == r2.hat_w and r1.w == r2.w
 
 
@@ -232,10 +243,26 @@ def test_memo_is_delta_independent():
     cache = WeightCache()
     tree = tree_from_edges(P3, (0, 1))
     hat_w(P3, tree, DeltaParams(Fraction(1, 10)), cache=cache)
-    misses = cache.misses
+    assert len(cache.normalized) == 1
     val = hat_w(P3, tree, DeltaParams(Fraction(1, 4)), cache=cache)
-    assert cache.misses == misses  # second delta served from the memo
+    assert len(cache.normalized) == 1  # second delta served from the memo
     assert val == Fraction(8, 3) * Fraction(1, 4) ** 3
+
+
+def test_tree_weights_skip_labelling_and_series_counters(monkeypatch):
+    """tree_weight runs no canonical labelling, and the default cache's
+    hits and misses, which count class-series lookups, do not move."""
+
+    def boom(*args, **kwargs):
+        raise AssertionError("tree_weight reached kernel.canon_key")
+
+    monkeypatch.setattr(kernel, "canon_key", boom)
+    cache = default_cache()
+    before = (cache.hits, cache.misses)
+    for delta in (Fraction(1, 4), Fraction(0)):
+        for g, tree in _pairs(count=8, seed=17):
+            tree_weight(g, tree, DeltaParams(delta))
+    assert (cache.hits, cache.misses) == before
 
 
 @pytest.mark.parametrize("delta", [Fraction(1, 10), Fraction(1, 4), Fraction(2, 5)])
