@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 selftest failure, 2 bad flags or invalid
 parameter values, 3 graph file problems, 4 delta too large for the
 requested degree bound, 5 size guard (graph too large for the exact DP, or a
-truncation order whose patterns exceed the canonical-form cap), 6 the
+truncation order above 16 on a graph of more than 32 vertices), 6 the
 certificate failed (the interval re-check of the radius, or the search for
 a truncation order).
 """
@@ -199,7 +199,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
         K = truncation_order(g.n, eps, cert.radius)
     a = assemble_a(g, dp, K)
     patterns = []
-    for key, (count, rep) in sorted(pattern_counts(g, min(2 * K, g.n)).items()):
+    for key, (count, rep) in sorted(pattern_counts(g, min(K + 1, g.n)).items()):
         gamma = pattern_gamma(rep, dp, K)
         patterns.append(
             {

@@ -14,6 +14,10 @@ from typing import Iterator, Sequence
 
 from .errors import GraphParseError
 
+# largest vertex count parse_graph accepts; Graph allocates per vertex, so a
+# header is checked against it before anything is built
+MAX_GRAPH_VERTICES = 1_000_000
+
 
 def bits(mask: int) -> Iterator[int]:
     """Yield set bit positions of mask in increasing order."""
@@ -181,7 +185,9 @@ def parse_graph(text: str) -> Graph:
     """Parse "n m" header plus m "u v" edge lines (0 <= u < v < n).
 
     Lines starting with '#' and blank lines are skipped; CRLF is accepted.
-    Errors name the offending physical (1-based) line.
+    A header with more than MAX_GRAPH_VERTICES vertices is refused before
+    anything is allocated.  Errors name the offending physical (1-based)
+    line.
     """
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
@@ -202,6 +208,10 @@ def parse_graph(text: str) -> Graph:
                 raise GraphParseError(lineno, "header must be two integers") from None
             if n < 0 or m < 0:
                 raise GraphParseError(lineno, "header counts must be nonnegative")
+            if n > MAX_GRAPH_VERTICES:
+                raise GraphParseError(
+                    lineno, f"{n} vertices exceed the limit of {MAX_GRAPH_VERTICES}"
+                )
             header = (n, m)
             continue
         n, m = header

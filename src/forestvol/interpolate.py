@@ -194,8 +194,14 @@ def approximate_volume(
     Exact for edgeless graphs, delta = 0, and graphs of maximum degree <= 1;
     otherwise runs the certificate + truncated-series pipeline.  max_degree,
     when given, requests the certificate of that degree family and rejects
-    denser inputs.  Raises SizeGuardError before any enumeration when the
-    largest pattern, min(2K, n) vertices, exceeds the canonical-form cap.
+    denser inputs.
+
+    The first K coefficients are assembled from the connected sets of at
+    most K+1 vertices, or from G whole when n <= 2K (coeffs.assemble_a).
+    Raises SizeGuardError before any enumeration when min(2K, n) exceeds
+    the canonical-form cap of MAX_VERTICES = 32, i.e. when K > 16 on a
+    graph of more than 32 vertices.  The patterns would still fit the cap
+    up to K = 31, but nothing yet bounds the work of enumerating them.
     """
     t0 = time.monotonic()
     delta = Fraction(delta)
@@ -248,9 +254,9 @@ def approximate_volume(
     K = truncation_order(g.n, eps, cert.radius)
     if min(2 * K, g.n) > MAX_VERTICES:
         raise SizeGuardError(
-            f"truncation order K={K} needs patterns of up to {2 * K} vertices; "
-            f"canonical labelling is capped at {MAX_VERTICES} (K <= "
-            f"{MAX_VERTICES // 2}); raise eps or lower delta"
+            f"truncation order K={K} is refused on a graph of {g.n} > "
+            f"{MAX_VERTICES} vertices: orders above {MAX_VERTICES // 2} have "
+            f"no bound on their work yet; raise eps or lower delta"
         )
     coeffs = assemble_a(g, DeltaParams(delta), K)
     total = sum(coeffs.a, Fraction(0))

@@ -82,6 +82,17 @@ def clear_caches() -> None:
     default_cache().clear()
 
 
+def eps_reaching_order(n: int, radius: Fraction, K: int) -> tuple[Fraction, int]:
+    """(eps, order) for the largest eps = 2^-j whose truncation order on n
+    vertices at this radius is at least K."""
+    from forestvol.interpolate import truncation_order
+
+    eps = Fraction(1, 2)
+    while (order := truncation_order(n, eps, radius)) < K:
+        eps /= 2
+    return eps, order
+
+
 def shuffled_edges(g: Graph, seed: int) -> Graph:
     """g with its edge list (hence its edge ranks) in a seeded random order."""
     edges = list(g.edges)

@@ -7,6 +7,10 @@ from fractions import Fraction
 import pytest
 
 from forestvol.cli import main
+from forestvol.families import cycle_graph, petersen_graph
+from forestvol.graphs import format_graph
+
+from conftest import eps_reaching_order
 
 
 @pytest.fixture
@@ -19,6 +23,7 @@ def graphs(tmp_path):
         # C20: 15,127 independent sets, above the exact DP's limit
         "c20": "20 20\n" + "".join(f"{i} {i+1}\n" for i in range(19)) + "0 19\n",
         "bad": "2 1\n0 5\n",
+        "huge": "100000000000 0\n",
     }.items():
         p = tmp_path / f"{name}.txt"
         p.write_text(text)
@@ -90,6 +95,22 @@ def test_coeffs_pattern_schema(capsys, graphs):
         Fraction(p["gamma"]["1"])  # parses as exact rationals
 
 
+def test_coeffs_patterns_reproduce_a(capsys, tmp_path):
+    """The pattern table lists patterns of at most K+1 vertices, and
+    sum of gamma_k(H) count(H) over it reproduces every a_k."""
+    path = tmp_path / "petersen.txt"
+    path.write_text(format_graph(petersen_graph()))
+    rc, out, _ = run_cli(
+        capsys, ["coeffs", "--graph", str(path), "--delta", "1/100", "--order", "3"]
+    )
+    assert rc == 0
+    doc = json.loads(out)
+    assert {p["n"] for p in doc["patterns"]} == {2, 3, 4}
+    for k in range(1, 4):
+        total = sum(p["count"] * Fraction(p["gamma"][str(k)]) for p in doc["patterns"])
+        assert total == Fraction(doc["a"][k - 1]), k
+
+
 def test_weights_json(capsys, graphs):
     rc, out, _ = run_cli(
         capsys,
@@ -147,6 +168,14 @@ def test_parse_error_exit_3(capsys, graphs):
     assert "line" in err
 
 
+def test_huge_header_exit_3(capsys, graphs):
+    rc, out, err = run_cli(
+        capsys, ["exact", "--graph", graphs["huge"], "--delta", "1/4"]
+    )
+    assert rc == 3 and out == ""
+    assert "line 1" in err and "exceed the limit" in err
+
+
 def test_missing_file_exit_3(capsys, tmp_path):
     rc, _, err = run_cli(capsys, ["exact", "--graph", str(tmp_path / "nope.txt"), "--delta", "1/4"])
     assert rc == 3
@@ -170,6 +199,27 @@ def test_volume_size_guard_exit_5(capsys, tmp_path):
     assert rc == 5
     assert out == ""
     assert "K=17" in err and "32" in err
+
+
+def test_volume_size_guard_before_enumerating_exit_5(capsys, monkeypatch, tmp_path):
+    """A cycle on 33 vertices at an eps that needs K >= 17 exits 5 before
+    any connected set is enumerated."""
+    from forestvol import coeffs
+    from forestvol.interpolate import zero_free_radius
+
+    def boom(*args, **kwargs):
+        raise AssertionError("enumerated connected sets")
+
+    delta = Fraction(1, 100)
+    eps, order = eps_reaching_order(33, zero_free_radius(delta, 2).radius, 17)
+    path = tmp_path / "c33.txt"
+    path.write_text(format_graph(cycle_graph(33)))
+    monkeypatch.setattr(coeffs, "enumerate_connected_sets", boom)
+    rc, out, err = run_cli(
+        capsys, ["volume", "--graph", str(path), "--delta", str(delta), "--eps", str(eps)]
+    )
+    assert rc == 5 and out == ""
+    assert f"K={order}" in err and "33 > 32" in err
 
 
 def test_certificate_failures_exit_6(capsys, monkeypatch, graphs):

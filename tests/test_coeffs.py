@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -216,6 +217,23 @@ def test_gamma_vanishes_beyond_two_k():
                 assert gamma[k] == 0, (h.edges, k)
 
 
+def test_gamma_vanishes_beyond_k_plus_one():
+    """gamma_k(h) = 0 whenever |V(h)| > k+1: a cluster of polymers of total
+    degree k covers at most k+1 vertices.  The bound is tight: gamma_{n-1}
+    of an n-vertex pattern is nonzero."""
+    dp = DeltaParams(Fraction(1, 7))
+    zeros = 0
+    for seed in range(48):
+        n = 4 + seed % 4
+        h = random_connected_graph(n, random.Random(seed).randrange(n), seed=seed)
+        gamma = pattern_gamma(h, dp, n - 1)
+        for k in range(1, n - 1):
+            assert gamma[k] == 0, (h.edges, k)
+            zeros += 1
+        assert gamma[n - 1] != 0, h.edges
+    assert zeros == 12 * (2 + 3 + 4 + 5)
+
+
 def _ind_counts(h: Graph) -> dict[bytes, int]:
     """ind(H', h) for every induced subgraph class with >= 2 vertices."""
     out: dict[bytes, int] = {}
@@ -256,17 +274,17 @@ def test_disconnected_patterns_carry_no_weight():
                 assert gamma[k] == 0, (h.edges, k)
 
 
-def _weight_cases(g: Graph, K: int) -> set[str]:
+def _weight_cases(g: Graph, cap: int) -> set[str]:
     """Which boundary cases of w(C) occur among the connected sets C of g
-    with 2 <= |C| <= 2K: b = |outer boundary of C|, m = min(b, 2K - |C|)."""
+    with 2 <= |C| <= cap: b = |outer boundary of C|, m = min(b, cap - |C|)."""
     cases = set()
-    for mask in enumerate_connected_sets(g, 2 * K, min_size=2):
+    for mask in enumerate_connected_sets(g, cap, min_size=2):
         inside = [v for v in range(g.n) if mask >> v & 1]
         boundary = {
             u for v in inside for u in bits(g.adj_mask[v]) if not mask >> u & 1
         }
         b = len(boundary)
-        m = min(b, 2 * K - len(inside))
+        m = min(b, cap - len(inside))
         cases.add("b=0" if b == 0 else "m<b" if m < b else "m=b")
     return cases
 
@@ -285,21 +303,38 @@ def test_assembled_matches_direct(seed):
     assembled = assemble_a(g, dp, K)
     direct = newton_log(small_e(g, dp, K), K)
     assert assembled.a == direct.a
-    # n > 2K: sets below the size cap carry the boundary weight w(C); a
-    # path component gives sets with an empty boundary.  The pattern table
-    # the CLI prints, sum of gamma_k(H) ind(H, G), must give the same a_k.
+    # n > 2K: assemble_a caps the sets at K+1 vertices, and sets below the
+    # cap carry the boundary weight w(C); a path component gives sets with
+    # an empty boundary.  The pattern table the CLI prints, sum of
+    # gamma_k(H) ind(H, G) over patterns of at most K+1 vertices, must give
+    # the same a_k.
     for n, K in ((11, 2), (9, 3)):
         h = _with_path(random_connected_graph(n, 3, seed=80 + seed, max_degree=3), 3)
         assert h.n > 2 * K
-        assert _weight_cases(h, K) == {"b=0", "m<b", "m=b"}
+        assert _weight_cases(h, K + 1) == {"b=0", "m<b", "m=b"}
         assembled = assemble_a(h, dp, K)
         assert assembled.a == newton_log(small_e(h, dp, K), K).a, (n, K)
         expanded = [Fraction(0)] * (K + 1)
-        for count, rep in pattern_counts(h, 2 * K).values():
+        for count, rep in pattern_counts(h, K + 1).values():
             gamma = pattern_gamma(rep, dp, K)
             for k in range(1, K + 1):
                 expanded[k] += count * gamma[k]
         assert tuple(expanded) == assembled.a, (n, K)
+
+
+def test_assembly_expands_classes_up_to_k_plus_one():
+    """A cold assemble_a expands one class series per class of at most K+1
+    vertices with nonzero summed weight when n > 2K, and G alone when
+    n <= 2K; either way it equals the whole-graph expansion."""
+    dp = DeltaParams(Fraction(1, 100))
+    for g, K, classes in (
+        (random_connected_graph(16, 3, seed=3, max_degree=3), 5, 22),
+        (petersen_graph(), 7, 1),
+    ):
+        clear_caches()
+        assembled = assemble_a(g, dp, K)
+        assert default_cache().misses == classes, (g.n, K)
+        assert assembled.a == newton_log(small_e(g, dp, K), K).a, (g.n, K)
 
 
 def test_assembly_additive_over_disjoint_union():

@@ -9,6 +9,7 @@ from forestvol.graphs import (
     Tree,
     broken_edges,
     enumerate_connected_sets,
+    MAX_GRAPH_VERTICES,
     format_graph,
     parse_graph,
     spanning_trees,
@@ -49,6 +50,9 @@ def test_parse_comments_blanks_crlf():
         ("# lead\n2 2\n0 1\n0 1\n", 4),
         ("2 2\n0 1\n", 0),
         ("2 1\n0 1\n0 1\n", 3),
+        # refused before Graph allocates per vertex
+        (f"# big\n{MAX_GRAPH_VERTICES + 1} 0\n", 2),
+        ("100000000000 0\n", 1),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
@@ -56,6 +60,10 @@ def test_parse_errors_carry_line_numbers(text, line):
         parse_graph(text)
     if line:
         assert exc.value.line == line
+
+
+def test_parse_accepts_vertex_limit():
+    assert parse_graph(f"{MAX_GRAPH_VERTICES} 0\n").n == MAX_GRAPH_VERTICES
 
 
 def test_format_parse_roundtrip():

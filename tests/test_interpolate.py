@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from forestvol.errors import DeltaTooLargeError
+from forestvol import coeffs
+from forestvol.errors import DeltaTooLargeError, SizeGuardError
 from forestvol.families import (
     complete_graph,
     connected_graphs_upto,
@@ -22,7 +23,7 @@ from forestvol.interpolate import (
 from forestvol.oracles import exact_volume
 from forestvol.treeweight import DeltaParams
 
-from conftest import clear_caches, k2_volume, p3_volume
+from conftest import clear_caches, eps_reaching_order, k2_volume, p3_volume
 
 
 # --- radius certificate -------------------------------------------------------
@@ -164,6 +165,28 @@ def test_parameter_validation():
 def test_delta_too_large_via_volume():
     with pytest.raises(DeltaTooLargeError):
         approximate_volume(cycle_graph(5), Fraction(1, 10), Fraction(1, 100), max_degree=3)
+
+
+def test_size_guard_refuses_before_enumerating(monkeypatch):
+    """An order K > 16 on a graph of more than 32 vertices is refused before
+    any connected set is enumerated; K = 16 on the same graph passes the
+    guard and reaches the enumeration."""
+
+    def boom(*args, **kwargs):
+        raise AssertionError("enumerated connected sets")
+
+    g = cycle_graph(33)
+    delta = Fraction(1, 100)
+    radius = zero_free_radius(delta, 2).radius
+    eps16, order = eps_reaching_order(g.n, radius, 16)
+    assert order == 16
+    eps, order = eps_reaching_order(g.n, radius, 17)
+    assert order >= 17
+    monkeypatch.setattr(coeffs, "enumerate_connected_sets", boom)
+    with pytest.raises(SizeGuardError, match=f"K={order} .* 33 > 32 vertices"):
+        approximate_volume(g, delta, eps)
+    with pytest.raises(AssertionError, match="enumerated"):
+        approximate_volume(g, delta, eps16)
 
 
 def test_repeat_cold_runs_same_bits():
