@@ -6,6 +6,11 @@ upper triangle (row-major, i < j) of the color matrix under the canonical
 labelling, so a key also encodes one fixed representative of its class
 (graph_from_key).  Capped at MAX_VERTICES; the search is exhaustive over a
 refinement tree and degrades factorially beyond that.
+
+Plain keys are cached under the graph's row code (graphs.row_code), the
+same format in which graphs.enumerate_connected_sets describes each
+connected set, so a set is classified by code_key without building its
+induced subgraph, and the search runs once per distinct code.
 """
 
 from __future__ import annotations
@@ -13,22 +18,28 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import kernel
-from .graphs import Graph
+from .graphs import Graph, graph_from_code, row_code
 
 MAX_VERTICES = 32
 
-_plain_cache: dict[tuple[int, tuple[tuple[int, int], ...]], bytes] = {}
+# row code (graphs.enumerate_connected_sets) -> plain key; a class has one
+# entry per labelled copy seen, so each code is labelled once
+_plain_cache: dict[tuple[int, ...], bytes] = {}
+
+
+def code_key(code: tuple[int, ...]) -> bytes:
+    """Isomorphism key of the plain graph whose row code is code."""
+    key = _plain_cache.get(code)
+    if key is None:
+        h = graph_from_code(code)
+        key = colored_canonical_form(h.n, [(u, v, 1) for u, v in h.edges])
+        _plain_cache[code] = key
+    return key
 
 
 def canonical_form(g: Graph) -> bytes:
-    """Isomorphism key of a plain graph."""
-    ck = (g.n, g.edges)
-    hit = _plain_cache.get(ck)
-    if hit is not None:
-        return hit
-    key = colored_canonical_form(g.n, [(u, v, 1) for u, v in g.edges])
-    _plain_cache[ck] = key
-    return key
+    """Isomorphism key of a plain graph, looked up under its row code."""
+    return code_key(row_code(g))
 
 
 def colored_canonical_form(

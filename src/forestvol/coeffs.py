@@ -52,6 +52,13 @@ evaluates it at the new t.  An entry built at K' >= K also serves K: e_j
 and hence b_j for j <= K only involve polymers of degree at most j, i.e.
 with at most j+1 vertices, and the larger polymers seen at K' only make D a
 multiple of what K alone needs, which leaves the rational values unchanged.
+
+Connected sets are classified without building their induced subgraphs:
+graphs.enumerate_connected_sets carries each set's neighbourhood (for the
+boundary dC and the closed neighbourhood N[C]) and its row code, an exact
+labelled copy of G[C] in the order the set was grown.  Sets are summed per
+code, and each distinct code is mapped once to its plain canonical key
+(canon.code_key), which names the class.
 """
 
 from __future__ import annotations
@@ -61,8 +68,10 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Sequence
 
-from .canon import canonical_form, graph_from_key
-from .graphs import Graph, bits, enumerate_connected_sets
+# canonical_form is not called here: perfbench/tracer.py traces
+# coeffs.canonical_form and raises on a missing target
+from .canon import canonical_form, code_key, graph_from_key  # noqa: F401
+from .graphs import Graph, enumerate_connected_sets, graph_from_code
 from .treeweight import DeltaParams, default_cache, polymer_weights
 
 
@@ -204,16 +213,20 @@ def newton_exp(a: TaylorCoeffs | Sequence[Fraction], K: int) -> tuple[Fraction, 
 
 
 def pattern_counts(g: Graph, max_size: int) -> dict[bytes, tuple[int, Graph]]:
-    """Connected induced patterns of size 2..max_size: key -> (count, representative)."""
+    """Connected induced patterns of size 2..max_size: key -> (count,
+    representative), the representative decoded from one of the class's
+    row codes."""
+    by_code: dict[tuple[int, ...], int] = {}
+    for _, _, code in enumerate_connected_sets(g, max_size, min_size=2):
+        by_code[code] = by_code.get(code, 0) + 1
     out: dict[bytes, tuple[int, Graph]] = {}
-    for mask in enumerate_connected_sets(g, max_size, min_size=2):
-        sub, _ = g.induced_subgraph(mask)
-        key = canonical_form(sub)
+    for code, count in by_code.items():
+        key = code_key(code)
         hit = out.get(key)
         if hit is None:
-            out[key] = (1, sub)
+            out[key] = (count, graph_from_code(code))
         else:
-            out[key] = (hit[0] + 1, hit[1])
+            out[key] = (hit[0] + count, hit[1])
     return out
 
 
@@ -270,13 +283,10 @@ def pattern_gamma(h: Graph, dp: DeltaParams, K: int) -> tuple[Fraction, ...]:
     the series in the default WeightCache."""
     full = h.vertex_mask()
     gamma = [Fraction(0)] * (K + 1)
-    for mask in enumerate_connected_sets(h, h.n, min_size=2):
-        closed = mask
-        for v in bits(mask):
-            closed |= h.adj_mask[v]
-        if closed != full:
+    for mask, nbr, code in enumerate_connected_sets(h, h.n, min_size=2):
+        if mask | nbr != full:
             continue
-        a = _class_a(canonical_form(h.induced_subgraph(mask)[0]), dp, K)
+        a = _class_a(code_key(code), dp, K)
         sign = -1 if (h.n - mask.bit_count()) & 1 else 1
         for k in range(1, K + 1):
             gamma[k] += sign * a[k]
@@ -289,37 +299,40 @@ def assemble_a(g: Graph, dp: DeltaParams, K: int) -> TaylorCoeffs:
     then the delta-free series of each class whose summed weight is
     nonzero, summed over the classes and evaluated at t once.
 
+    Sets are classified by the row code the enumerator carries: w(C) is
+    summed per code, and each code with a nonzero sum is labelled once.
+
     Any cap c with K+1 <= c <= n gives the same a.  When n > 2K, c = K+1.
     When n <= 2K, c = n, which leaves a weight only on the components of
     G, so each is expanded whole as one class.  A graph that small is
     cheaper whole than as the many classes of at most K+1 vertices:
     random_connected_graph(16, 3, seed=3, max_degree=3) at K = 8 expands
-    113 classes with c = 9 in 0.29 s, against 0.08 s whole (CPython 3.11,
+    113 classes with c = 9 in 0.38 s, against 0.13 s whole (CPython 3.11.7,
     one core, cold caches).  Above 2K it turns: at K = 6,
-    random_connected_graph(20, 5, seed=0, max_degree=3) takes 0.22 s with
-    c = 7 (33 classes) and 0.93 s whole."""
+    random_connected_graph(20, 5, seed=0, max_degree=3) takes 0.08 s with
+    c = 7 (33 classes) and 0.74 s whole."""
     if K < 1:
         raise ValueError("K must be >= 1")
     t = dp.delta / dp.box_hi
     if not t:
         return TaylorCoeffs(a=(Fraction(0),) * (K + 1))
     cap = g.n if g.n <= 2 * K else K + 1
-    adj = g.adj_mask
-    weights: dict[bytes, int] = {}
-    for mask in enumerate_connected_sets(g, cap, min_size=2):
-        nbr = 0
-        for v in bits(mask):
-            nbr |= adj[v]
+    by_code: dict[tuple[int, ...], int] = {}
+    for mask, nbr, code in enumerate_connected_sets(g, cap, min_size=2):
         b = (nbr & ~mask).bit_count()
-        m = min(b, cap - mask.bit_count())
+        m = min(b, cap - len(code))
         if b == 0:
             w = 1
         elif m < b:
             w = (-1) ** m * comb(b - 1, m)
         else:
             continue
-        key = canonical_form(g.induced_subgraph(mask)[0])
-        weights[key] = weights.get(key, 0) + w
+        by_code[code] = by_code.get(code, 0) + w
+    weights: dict[bytes, int] = {}
+    for code, w in by_code.items():
+        if w:
+            key = code_key(code)
+            weights[key] = weights.get(key, 0) + w
     # A[k][r] = sum over classes of w B[k][r] / (k D^r), kept as the
     # integer N[k][r] = k L^r A[k][r] over the common denominator L
     series = [(w, *_class_series(key, K)) for key, w in weights.items() if w]

@@ -1,6 +1,7 @@
 """Undirected simple graphs with ranked edges, plus the connected vertex
-sets the volume engine is built on, and the spanning trees and
-fundamental-cycle bookkeeping behind tree_weight and the Penrose check.
+sets the volume engine is built on (each with its neighbourhood and row
+code), and the spanning trees and fundamental-cycle bookkeeping behind
+tree_weight and the Penrose check.
 
 Vertex sets are plain int bitmasks throughout.  Edges carry a rank (their
 position in the input edge list); several routines depend on that order, so
@@ -251,23 +252,37 @@ def format_graph(g: Graph) -> str:
 
 def enumerate_connected_sets(
     g: Graph, max_size: int, min_size: int = 1
-) -> Iterator[int]:
-    """All vertex subsets inducing a connected subgraph, as bitmasks.
+) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """All vertex subsets inducing a connected subgraph, as (mask, nbr, code).
 
     Sizes run from min_size to max_size.  Each set is produced exactly once:
     sets are rooted at their smallest vertex and grown only through
     neighbors above the root, with an exclusion mask preventing revisits.
+
+    nbr is the OR of the adjacency masks over mask, so the set's outer
+    boundary is nbr & ~mask and its closed neighbourhood is mask | nbr.
+    code is the row code of g[mask] with its vertices numbered in the order
+    they were added, the root first: code[i] is the bitmask of the
+    positions j < i whose vertices are adjacent to the vertex at position
+    i, so code[0] = 0 and len(code) = |mask|.  It is an exact labelled copy
+    of g[mask] (graph_from_code), in the format row_code gives a whole
+    graph.  Adding a vertex u updates all three in O(deg u).
     """
     if max_size <= 0:
         return
-    n = g.n
     adj_mask = g.adj_mask
-    for root in range(n):
+    # position of each vertex of the current set in its code; entries of
+    # vertices outside the set are stale and never read
+    pos = [0] * g.n
+    for root in range(g.n):
         above = ~((1 << (root + 1)) - 1)
 
-        def grow(sset: int, size: int, cand: int, banned: int) -> Iterator[int]:
+        def grow(
+            sset: int, nbr: int, code: tuple[int, ...], cand: int, banned: int
+        ) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+            size = len(code)
             if size >= min_size:
-                yield sset
+                yield sset, nbr, code
             if size == max_size:
                 return
             while cand:
@@ -275,10 +290,32 @@ def enumerate_connected_sets(
                 cand ^= low
                 banned |= low
                 u = low.bit_length() - 1
-                new_cand = cand | (adj_mask[u] & above & ~banned & ~sset)
-                yield from grow(sset | low, size + 1, new_cand, banned)
+                au = adj_mask[u]
+                row = 0
+                inside = au & sset
+                while inside:
+                    b = inside & -inside
+                    inside ^= b
+                    row |= 1 << pos[b.bit_length() - 1]
+                pos[u] = size
+                new_cand = cand | (au & above & ~banned & ~sset)
+                yield from grow(sset | low, nbr | au, code + (row,), new_cand, banned)
 
-        yield from grow(1 << root, 1, adj_mask[root] & above, 0)
+        pos[root] = 0
+        yield from grow(1 << root, adj_mask[root], (0,), adj_mask[root] & above, 0)
+
+
+def row_code(g: Graph) -> tuple[int, ...]:
+    """g's row code under its own labels: entry i is the bitmask of the
+    neighbours of i below i (the code format of enumerate_connected_sets)."""
+    return tuple(a & ((1 << i) - 1) for i, a in enumerate(g.adj_mask))
+
+
+def graph_from_code(code: Sequence[int]) -> Graph:
+    """The graph a row code describes, edges in row-major order."""
+    return Graph(
+        len(code), sorted((j, i) for i, row in enumerate(code) for j in bits(row))
+    )
 
 
 class _UnionFind:

@@ -44,14 +44,12 @@ def canon_key(n: int, flat: bytes) -> bytes:
 
     def refine(colors: list[int]) -> list[int]:
         while True:
-            sigs = []
-            for v in range(n):
-                row = rows[v]
-                entries = sorted((row[u] << 16) | colors[u] for u in nbrs[v])
-                sig = colors[v].to_bytes(3, "big") + b"".join(
-                    e.to_bytes(3, "big") for e in entries
-                )
-                sigs.append(sig)
+            # every value is below 2^24, so these tuples sort exactly as
+            # their fixed-width 3-byte big-endian strings would
+            sigs = [
+                (colors[v], *sorted((rows[v][u] << 16) | colors[u] for u in nbrs[v]))
+                for v in range(n)
+            ]
             index = {s: i for i, s in enumerate(sorted(set(sigs)))}
             new = [index[s] for s in sigs]
             # sig leads with the old color, so ids are stable at a fixed point

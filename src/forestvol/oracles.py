@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 
-import numpy as np
-
 from .coeffs import small_e
 from .errors import SizeGuardError
 from .graphs import Graph, spanning_trees, broken_edges
@@ -58,6 +56,10 @@ def mc_volume(
     Chunk i draws from Philox(key=seed) at counter block i, so the accepted
     count (hence the estimate) is independent of thread count.
     """
+    # imported here, not at module level: numpy is most of the import
+    # time and memory of the package, and only the oracles use it
+    import numpy as np
+
     delta = Fraction(delta)
     if samples <= 0:
         raise ValueError("samples must be positive")
@@ -351,6 +353,8 @@ def root_check(
     degree = len(coeffs) - 1 if coeffs else 0
     if degree < 1:
         return RootReport(degree=0, radius=radius, min_modulus=float("inf"), roots=())
+    import numpy as np
+
     roots = [_polish(complex(r), coeffs) for r in np.roots(coeffs[::-1])]
     return RootReport(
         degree=degree,

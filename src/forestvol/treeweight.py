@@ -180,7 +180,7 @@ def polymer_weights(h: Graph, size: int) -> list[tuple[int, Fraction]]:
     count = _region_counts(h.n, (), h.edges)
     mayer: dict[int, int] = {}
     out = []
-    for s in sorted(enumerate_connected_sets(h, size)):
+    for s in sorted(mask for mask, _, _ in enumerate_connected_sets(h, size)):
         root, rest, n = s & -s, s & (s - 1), s.bit_count()
         u = count(s)
         sub = rest

@@ -165,7 +165,7 @@ def test_criterion_07_weight_bound():
     for i in range(100):
         g = random_graph(rng.randint(5, 10), 0.5, seed=700 + i, max_degree=4)
         host_trees = []
-        for vset in enumerate_connected_sets(g, 5):
+        for vset, _, _ in enumerate_connected_sets(g, 5):
             if vset.bit_count() < 2:
                 continue
             sub, _ = g.induced_subgraph(vset)

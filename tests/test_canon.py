@@ -9,6 +9,7 @@ from forestvol.families import (
     cycle_graph,
     graphs_upto,
     path_graph,
+    petersen_graph,
     random_graph,
 )
 
@@ -92,3 +93,29 @@ def test_regular_pairs_with_same_refinement():
     c6 = cycle_graph(6)
     two_triangles = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
     assert canonical_form(c6) != canonical_form(two_triangles)
+
+
+# Keys are WeightCache.series keys, so a change to the labelling search or
+# to the code cache must not re-key them; these bytes were recorded before
+# canonical_form looked graphs up by row code.
+PINNED_KEYS = [
+    (
+        petersen_graph(),
+        "0a010000000001000001010001000000000000000100000100010000000101"
+        "000001000000010001010100000000",
+    ),
+    (path_graph(6), "06010000000000010000000101010000"),
+    (complete_graph(4), "04010101010101"),
+    # a tree with two branch points
+    (Graph(6, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)]), "06000100000000010000010001010000"),
+]
+
+
+@pytest.mark.parametrize("g,key", PINNED_KEYS, ids=["petersen", "p6", "k4", "tree6"])
+def test_pinned_keys(g, key):
+    assert canonical_form(g).hex() == key
+
+
+def test_pinned_colored_key():
+    edges = [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 4, 3), (0, 4, 2), (1, 3, 3)]
+    assert colored_canonical_form(5, edges).hex() == "0500010002020100030003"

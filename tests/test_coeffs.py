@@ -278,7 +278,7 @@ def _weight_cases(g: Graph, cap: int) -> set[str]:
     """Which boundary cases of w(C) occur among the connected sets C of g
     with 2 <= |C| <= cap: b = |outer boundary of C|, m = min(b, cap - |C|)."""
     cases = set()
-    for mask in enumerate_connected_sets(g, cap, min_size=2):
+    for mask, _, _ in enumerate_connected_sets(g, cap, min_size=2):
         inside = [v for v in range(g.n) if mask >> v & 1]
         boundary = {
             u for v in inside for u in bits(g.adj_mask[v]) if not mask >> u & 1
@@ -414,6 +414,34 @@ def test_small_e_labels_no_polymer(monkeypatch):
             "-85672/735262029523492065",
         )
     )
+
+
+def test_assembly_classifies_sets_by_code(monkeypatch):
+    """With n > 2K a cold query classifies every connected set by the row
+    code the enumerator carries: it builds no induced subgraph, labels each
+    distinct code at most once, and returns the bounds that classifying by
+    induced subgraphs gave."""
+    g = random_connected_graph(16, 3, seed=3, max_degree=3)
+    codes = {code for _, _, code in enumerate_connected_sets(g, 6, min_size=2)}
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a connected set built its induced subgraph")
+
+    labelled = []
+    canon_key = kernel.canon_key
+
+    def counted(n, flat):
+        labelled.append(n)
+        return canon_key(n, flat)
+
+    monkeypatch.setattr(Graph, "induced_subgraph", boom)
+    monkeypatch.setattr(kernel, "canon_key", counted)
+    clear_caches()
+    res = approximate_volume(g, Fraction(1, 100), Fraction(1, 10))
+    assert res.K == 5 and g.n > 2 * res.K
+    assert res.lower == Fraction(5747138500914243, 295147905179352825856)
+    assert res.upper == Fraction(3237765961500075, 147573952589676412928)
+    assert 0 < len(labelled) <= len(codes)
 
 
 def test_relabelled_cold_runs_same_answer_and_misses():

@@ -3,15 +3,19 @@ import random
 
 import pytest
 
+from forestvol.canon import canonical_form
 from forestvol.errors import GraphParseError
 from forestvol.graphs import (
     Graph,
     Tree,
+    bits,
     broken_edges,
     enumerate_connected_sets,
     MAX_GRAPH_VERTICES,
     format_graph,
+    graph_from_code,
     parse_graph,
+    row_code,
     spanning_trees,
     tree_from_edges,
 )
@@ -20,6 +24,7 @@ from forestvol.families import (
     cycle_graph,
     path_graph,
     petersen_graph,
+    random_connected_graph,
     random_graph,
 )
 
@@ -104,8 +109,42 @@ def test_induced_subgraph_preserves_edge_order():
 @pytest.mark.parametrize("seed", range(6))
 def test_connected_sets_match_brute_force(seed):
     g = random_graph(7, 0.4, seed=seed)
-    got = set(enumerate_connected_sets(g, 5))
-    assert got == brute_connected_sets(g, 5)
+    for min_size in (1, 2):
+        got = [mask for mask, _, _ in enumerate_connected_sets(g, 5, min_size)]
+        assert len(got) == len(set(got))
+        assert set(got) == brute_connected_sets(g, 5, min_size)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        petersen_graph(),
+        complete_graph(4),
+        cycle_graph(6),
+        random_connected_graph(16, 3, seed=3, max_degree=3),
+        random_graph(9, 0.4, seed=11),
+        random_graph(10, 0.3, seed=12),
+    ],
+    ids=["petersen", "k4", "c6", "dense16", "random9", "random10"],
+)
+def test_connected_sets_carry_neighbourhood_and_code(g):
+    for mask, nbr, code in enumerate_connected_sets(g, 7):
+        expect = 0
+        for v in bits(mask):
+            expect |= g.adj_mask[v]
+        assert nbr == expect
+        assert len(code) == mask.bit_count()
+        assert all(row < 1 << i for i, row in enumerate(code))
+        sub = g.induced_subgraph(mask)[0]
+        h = graph_from_code(code)
+        assert h.m == sub.m
+        assert canonical_form(h) == canonical_form(sub)
+
+
+def test_row_code_roundtrip():
+    for g in (petersen_graph(), path_graph(5), Graph(0, []), Graph(3, [(0, 2)])):
+        back = graph_from_code(row_code(g))
+        assert back.n == g.n and set(back.edges) == set(g.edges)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from forestvol.families import (
     connected_graphs_upto,
     cycle_graph,
     path_graph,
+    random_connected_graph,
     star_graph,
 )
 from forestvol.graphs import Graph
@@ -206,3 +208,15 @@ def test_p3_against_slice_integration():
     res = approximate_volume(path_graph(3), delta, Fraction(1, 100))
     truth = p3_volume(delta)
     assert res.lower <= truth <= res.upper
+
+
+def test_frontier_answer_pinned():
+    """The 1000-vertex degree-3 graph at delta = 1/500, eps = 1/100 (K = 4,
+    connected sets of at most 5 vertices): sha256 prefix of (delta, a,
+    lower, upper), joined as the benchmark's answer digest joins them."""
+    g = random_connected_graph(1000, 300, seed=0, max_degree=3)
+    delta = Fraction(1, 500)
+    res = approximate_volume(g, delta, Fraction(1, 100))
+    assert res.K == 4
+    text = "|".join([str(delta), ",".join(map(str, res.a)), str(res.lower), str(res.upper)])
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "674a671a8f807fa9"

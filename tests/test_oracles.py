@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -222,3 +225,19 @@ def test_roots_satisfy_polynomial():
     for z in rep.roots:
         val = sum(c * z**k for k, c in enumerate(e))
         assert abs(val) < 1e-9
+
+
+def test_package_import_leaves_numpy_out():
+    """numpy is imported by the oracles that use it, not by the package."""
+    import forestvol
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(forestvol.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, forestvol; print('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
