@@ -4,13 +4,18 @@ The key is a bytes string: two graphs (with matching edge colors) are
 isomorphic iff their keys are equal.  It is bytes([n]) followed by the
 upper triangle (row-major, i < j) of the color matrix under the canonical
 labelling, so a key also encodes one fixed representative of its class
-(graph_from_key).  Capped at MAX_VERTICES; the search is exhaustive over a
-refinement tree and degrades factorially beyond that.
+(graph_from_key).  Capped at MAX_VERTICES.  The key is the least leaf key
+of an individualisation-refinement search (kernel.canon_key) that skips
+each branch an automorphism found at earlier leaves maps onto a branch
+already searched.  Skipped branches hold the same leaf keys, so pruning
+never changes a key, and a symmetric graph costs a few leaves rather than
+one per automorphism: Petersen takes 10 leaves for |Aut| = 120.
 
 Plain keys are cached under the graph's row code (graphs.row_code), the
 same format in which graphs.enumerate_connected_sets describes each
-connected set, so a set is classified by code_key without building its
-induced subgraph, and the search runs once per distinct code.
+connected set.  code_key fills the color matrix straight from the code, so
+a set is classified without building its induced subgraph or any Graph,
+and the search runs once per distinct code.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import kernel
-from .graphs import Graph, graph_from_code, row_code
+from .graphs import Graph, bits, row_code
 
 MAX_VERTICES = 32
 
@@ -31,8 +36,16 @@ def code_key(code: tuple[int, ...]) -> bytes:
     """Isomorphism key of the plain graph whose row code is code."""
     key = _plain_cache.get(code)
     if key is None:
-        h = graph_from_code(code)
-        key = colored_canonical_form(h.n, [(u, v, 1) for u, v in h.edges])
+        n = len(code)
+        if n > MAX_VERTICES:
+            raise ValueError(f"canonical form supports at most {MAX_VERTICES} vertices")
+        flat = bytearray(n * n)
+        for i, row in enumerate(code):
+            if row >> i:
+                raise ValueError(f"bad row code entry {row} at position {i}")
+            for j in bits(row):
+                flat[i * n + j] = flat[j * n + i] = 1
+        key = kernel.canon_key(n, bytes(flat))
         _plain_cache[code] = key
     return key
 

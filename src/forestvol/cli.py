@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 selftest failure, 2 bad flags or invalid
 parameter values, 3 graph file problems, 4 delta too large for the
 requested degree bound, 5 size guard (graph too large for the exact DP, or a
-truncation order above 16 on a graph of more than 32 vertices), 6 the
+truncation order above 16 on a graph of more than 32 vertices, for volume
+and coeffs alike), 6 the
 certificate failed (the interval re-check of the radius, or the search for
 a truncation order).
 """
@@ -26,7 +27,12 @@ from .errors import (
     SizeGuardError,
 )
 from .graphs import Graph, parse_graph, tree_from_edges
-from .interpolate import approximate_volume, truncation_order, zero_free_radius
+from .interpolate import (
+    approximate_volume,
+    guard_order,
+    truncation_order,
+    zero_free_radius,
+)
 from .oracles import exact_volume, mc_volume, penrose_check, root_check
 from .treeweight import DeltaParams, tree_weight
 
@@ -197,6 +203,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
         cert = zero_free_radius(delta, max(g.max_degree(), 2))
         radius = cert.radius
         K = truncation_order(g.n, eps, cert.radius)
+    guard_order(g.n, K)
     a = assemble_a(g, dp, K)
     patterns = []
     for key, (count, rep) in sorted(pattern_counts(g, min(K + 1, g.n)).items()):

@@ -166,6 +166,20 @@ def truncation_order(n: int, eps: Fraction, radius: Fraction) -> int:
                 raise CertificateError("truncation order did not converge")
 
 
+def guard_order(n: int, K: int) -> None:
+    """Raise SizeGuardError when coefficients of order K on an n-vertex
+    graph need patterns above MAX_VERTICES: min(2K, n) > 32, i.e. K > 16
+    on a graph of more than 32 vertices.  The patterns would still fit the
+    cap up to K = 31, but nothing yet bounds the work of enumerating them,
+    so every caller checks this before it enumerates a connected set."""
+    if min(2 * K, n) > MAX_VERTICES:
+        raise SizeGuardError(
+            f"truncation order K={K} is refused on a graph of {n} > "
+            f"{MAX_VERTICES} vertices: orders above {MAX_VERTICES // 2} have "
+            f"no bound on their work yet; use a smaller order (raise eps or lower delta)"
+        )
+
+
 @dataclass(frozen=True)
 class InterpolationResult:
     n: int
@@ -198,10 +212,8 @@ def approximate_volume(
 
     The first K coefficients are assembled from the connected sets of at
     most K+1 vertices, or from G whole when n <= 2K (coeffs.assemble_a).
-    Raises SizeGuardError before any enumeration when min(2K, n) exceeds
-    the canonical-form cap of MAX_VERTICES = 32, i.e. when K > 16 on a
-    graph of more than 32 vertices.  The patterns would still fit the cap
-    up to K = 31, but nothing yet bounds the work of enumerating them.
+    Raises SizeGuardError before any enumeration when guard_order refuses
+    K on this graph.
     """
     t0 = time.monotonic()
     delta = Fraction(delta)
@@ -252,12 +264,7 @@ def approximate_volume(
 
     cert = zero_free_radius(delta, degree)
     K = truncation_order(g.n, eps, cert.radius)
-    if min(2 * K, g.n) > MAX_VERTICES:
-        raise SizeGuardError(
-            f"truncation order K={K} is refused on a graph of {g.n} > "
-            f"{MAX_VERTICES} vertices: orders above {MAX_VERTICES // 2} have "
-            f"no bound on their work yet; raise eps or lower delta"
-        )
+    guard_order(g.n, K)
     coeffs = assemble_a(g, DeltaParams(delta), K)
     total = sum(coeffs.a, Fraction(0))
 

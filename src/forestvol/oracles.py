@@ -13,6 +13,7 @@ routines.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,7 +55,9 @@ def mc_volume(
     """Monte Carlo volume estimate with a fixed chunked sample layout.
 
     Chunk i draws from Philox(key=seed) at counter block i, so the accepted
-    count (hence the estimate) is independent of thread count.
+    count (hence the estimate) is independent of thread count.  threads
+    must be >= 1; the pool holds at most min(threads, chunks, CPU count)
+    workers.
     """
     # imported here, not at module level: numpy is most of the import
     # time and memory of the package, and only the oracles use it
@@ -63,6 +66,8 @@ def mc_volume(
     delta = Fraction(delta)
     if samples <= 0:
         raise ValueError("samples must be positive")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     n = g.n
     hi = float(Fraction(1, 2) + delta)
     edges = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
@@ -81,8 +86,9 @@ def mc_volume(
             ok &= x[:, u] + x[:, v] <= 1.0
         return int(ok.sum())
 
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(chunks), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             accepted = sum(pool.map(run, chunks))
     else:
         accepted = sum(run(c) for c in chunks)

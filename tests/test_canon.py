@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from forestvol.canon import canonical_form, colored_canonical_form
-from forestvol.graphs import Graph
+from forestvol import kernel
+from forestvol.canon import canonical_form, code_key, colored_canonical_form
+from forestvol.graphs import Graph, row_code
 from forestvol.families import (
     complete_graph,
     cycle_graph,
@@ -119,3 +120,157 @@ def test_pinned_keys(g, key):
 def test_pinned_colored_key():
     edges = [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 4, 3), (0, 4, 2), (1, 3, 3)]
     assert colored_canonical_form(5, edges).hex() == "0500010002020100030003"
+
+
+# The labelling search as it stood before automorphism pruning: it visits
+# every leaf of the refinement tree.  Kept verbatim as the reference the
+# pruned kernel.canon_key must agree with byte for byte.
+def _unpruned_key(n: int, flat: bytes) -> bytes:
+    if n == 0:
+        return b"\x00"
+    if n == 1:
+        return b"\x01"
+    rows = [flat[i * n : (i + 1) * n] for i in range(n)]
+    nbrs = [[u for u in range(n) if rows[v][u]] for v in range(n)]
+
+    def refine(colors: list[int]) -> list[int]:
+        while True:
+            # every value is below 2^24, so these tuples sort exactly as
+            # their fixed-width 3-byte big-endian strings would
+            sigs = [
+                (colors[v], *sorted((rows[v][u] << 16) | colors[u] for u in nbrs[v]))
+                for v in range(n)
+            ]
+            index = {s: i for i, s in enumerate(sorted(set(sigs)))}
+            new = [index[s] for s in sigs]
+            # sig leads with the old color, so ids are stable at a fixed point
+            if new == colors:
+                return colors
+            colors = new
+
+    best: bytes | None = None
+
+    def leaf_key(colors: list[int]) -> bytes:
+        order = sorted(range(n), key=colors.__getitem__)
+        tri = bytearray()
+        for i in range(n):
+            ri = rows[order[i]]
+            for j in range(i + 1, n):
+                tri.append(ri[order[j]])
+        return bytes(tri)
+
+    def search(colors: list[int]) -> None:
+        nonlocal best
+        colors = refine(colors)
+        counts = [0] * (n + 1)
+        for c in colors:
+            counts[c] += 1
+        target = -1
+        for c in range(n):
+            if counts[c] > 1:
+                target = c
+                break
+        if target < 0:
+            key = leaf_key(colors)
+            if best is None or key < best:
+                best = key
+            return
+        for v in range(n):
+            if colors[v] == target:
+                child = colors.copy()
+                child[v] = n  # fresh id: existing ids are < n
+                search(child)
+
+    search([0] * n)
+    assert best is not None
+    return bytes([n]) + best
+
+
+def _flat(n: int, colored_edges) -> bytes:
+    flat = bytearray(n * n)
+    for u, v, c in colored_edges:
+        flat[u * n + v] = flat[v * n + u] = c
+    return bytes(flat)
+
+
+def _frucht_graph() -> Graph:
+    # cubic on 12 vertices with no automorphism but the identity, so every
+    # leaf of its search gives a different key (LCF [-5,-2,-4,2,5,-2,2,5,-2,-5,4,2])
+    lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
+    edges = {tuple(sorted((i, (i + 1) % 12))) for i in range(12)}
+    edges |= {tuple(sorted((i, (i + d) % 12))) for i, d in enumerate(lcf)}
+    return Graph(12, sorted(edges))
+
+
+_SYMMETRIC = {
+    "petersen": petersen_graph(),
+    "q3": Graph(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b]),
+    "k33": Graph(6, [(u, v) for u in range(3) for v in range(3, 6)]),
+    "prism": Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5)]),
+    "c12": cycle_graph(12),
+    # the complement of C3 + C4: pruning by automorphisms that move the
+    # node's colouring, instead of only those that keep it, changes its key
+    "co-c3c4": Graph(
+        7,
+        [(u, v) for u in range(7) for v in range(u + 1, 7)
+         if (u, v) not in {(0, 1), (0, 6), (1, 6), (2, 3), (3, 4), (4, 5), (2, 5)}],
+    ),
+}
+
+
+def test_pruned_keys_equal_unpruned_search():
+    rng = random.Random(12)
+    cases = []
+    for g in graphs_upto(6):
+        for _ in range(2):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            cases.append((g.n, [(perm[u], perm[v], 1) for u, v in g.edges]))
+    for i in range(300):
+        n = rng.randint(6, 9)
+        g = random_graph(n, rng.uniform(0.2, 0.8), seed=1000 + i)
+        top = 3 if i % 2 else 1
+        cases.append((n, [(u, v, rng.randint(1, top)) for u, v in g.edges]))
+    for g in _SYMMETRIC.values():
+        cases.append((g.n, [(u, v, 1) for u, v in g.edges]))
+    for n, edges in cases:
+        flat = _flat(n, edges)
+        assert kernel.canon_key(n, flat) == _unpruned_key(n, flat), (n, edges)
+
+
+def test_pinned_frucht_key():
+    # recorded before the search pruned by automorphisms; with every leaf
+    # distinct, a search that took any leaf but the least would move it
+    key = (
+        "0c010001010000000000000001000001000000000000000101000000000000000001"
+        "010000000000000001000000000000010000010100000000000100000001010101"
+    )
+    assert canonical_form(_frucht_graph()).hex() == key
+
+
+def test_complete_graph_labels_in_few_leaves(monkeypatch):
+    # unpruned, K9 has 9! = 362,880 leaves, every one with the same key
+    leaves = []
+    leaf_key = kernel._leaf_key
+
+    def counted(rows, order):
+        leaves.append(order)
+        return leaf_key(rows, order)
+
+    monkeypatch.setattr(kernel, "_leaf_key", counted)
+    key = canonical_form(complete_graph(9))
+    assert key == bytes([9]) + b"\x01" * 36
+    assert len(leaves) <= 9 * 9
+
+
+def test_code_key_refuses_oversized_code():
+    with pytest.raises(ValueError, match="at most 32"):
+        code_key(tuple(range(33)))
+    with pytest.raises(ValueError):
+        code_key((0, 0b10))  # position 1 cannot be adjacent to position 1
+
+
+def test_code_key_matches_colored_form():
+    for g in list(_SYMMETRIC.values()) + [_frucht_graph(), path_graph(5)]:
+        plain = colored_canonical_form(g.n, [(u, v, 1) for u, v in g.edges])
+        assert code_key(row_code(g)) == plain

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from forestvol.cli import main
-from forestvol.families import cycle_graph, petersen_graph
+from forestvol.families import cycle_graph, petersen_graph, random_connected_graph
 from forestvol.graphs import format_graph
 
 from conftest import eps_reaching_order
@@ -220,6 +220,45 @@ def test_volume_size_guard_before_enumerating_exit_5(capsys, monkeypatch, tmp_pa
     )
     assert rc == 5 and out == ""
     assert f"K={order}" in err and "33 > 32" in err
+
+
+@pytest.mark.parametrize(
+    "g,order",
+    [
+        (cycle_graph(100), 40),
+        (random_connected_graph(60, 20, seed=1, max_degree=3), 18),
+    ],
+    ids=["c100-order40", "random60-order18"],
+)
+def test_coeffs_size_guard_before_enumerating_exit_5(capsys, monkeypatch, tmp_path, g, order):
+    """coeffs --order refuses the orders volume refuses, before any
+    connected set is enumerated."""
+    from forestvol import coeffs
+
+    def boom(*args, **kwargs):
+        raise AssertionError("enumerated connected sets")
+
+    path = tmp_path / "g.txt"
+    path.write_text(format_graph(g))
+    monkeypatch.setattr(coeffs, "enumerate_connected_sets", boom)
+    argv = ["coeffs", "--graph", str(path), "--delta", "1/100"]
+    rc, out, err = run_cli(capsys, argv + ["--order", str(order)])
+    assert rc == 5 and out == ""
+    assert f"K={order}" in err and f"{g.n} > 32" in err
+    # order 16 needs 32-vertex patterns at most, so it passes the guard
+    with pytest.raises(AssertionError, match="enumerated"):
+        main(argv + ["--order", "16"])
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_mc_rejects_nonpositive_threads_exit_2(capsys, graphs, threads):
+    rc, out, err = run_cli(
+        capsys,
+        ["mc", "--graph", graphs["p3"], "--delta", "1/4", "--samples", "1000",
+         "--threads", threads],
+    )
+    assert rc == 2 and out == ""
+    assert "threads" in err
 
 
 def test_certificate_failures_exit_6(capsys, monkeypatch, graphs):

@@ -44,6 +44,50 @@ def test_mc_deterministic_and_thread_invariant():
     assert d.accepted != a.accepted  # different seed, different stream
 
 
+def test_mc_rejects_nonpositive_threads():
+    for threads in (0, -1):
+        with pytest.raises(ValueError, match="threads"):
+            mc_volume(path_graph(3), Fraction(1, 4), 1000, threads=threads)
+
+
+@pytest.mark.parametrize(
+    "samples,threads,cpus,workers",
+    [
+        # 10**9 samples are 15,259 chunks: the CPU count caps the pool
+        (10**9, 100_000, 64, 64),
+        # three chunks cap it below the CPU count
+        (3 * 65536, 100_000, 64, 3),
+        (10**9, 5, 64, 5),
+    ],
+)
+def test_mc_pool_size_capped(monkeypatch, samples, threads, cpus, workers):
+    """The pool never exceeds the chunk count or the CPU count.  The
+    executor is replaced by one that records its size and runs nothing, so
+    no thread starts and no sample is drawn."""
+    from forestvol import oracles
+
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return [0 for _ in chunks]
+
+    monkeypatch.setattr(oracles, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(oracles.os, "cpu_count", lambda: cpus)
+    est = mc_volume(path_graph(3), Fraction(1, 4), samples, threads=threads)
+    assert sizes == [workers]
+    assert est.accepted == 0
+
+
 def test_mc_edgeless_exact():
     est = mc_volume(Graph(3, []), Fraction(1, 4), 10_000, seed=0)
     assert est.accepted == est.samples
