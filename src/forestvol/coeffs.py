@@ -47,11 +47,15 @@ multiplies t^j by t^{k-j} and convolves the (t/D)^r series, so
     B[k] = k E[k] - sum_{j<k} B[j] * E[k-j]   (convolution over r)
 stays integer, with no division, and a_k(t) = sum_r B[k][r] t^{k+r} / (k D^r).
 Each class's (K, B, D) is computed once, on the representative decoded
-from its key, and kept in WeightCache.series; a query at another delta only
-evaluates it at the new t.  An entry built at K' >= K also serves K: e_j
-and hence b_j for j <= K only involve polymers of degree at most j, i.e.
-with at most j+1 vertices, and the larger polymers seen at K' only make D a
-multiple of what K alone needs, which leaves the rational values unchanged.
+from its key, and kept in WeightCache.series.  An entry built at K' >= K
+also serves K: e_j and hence b_j for j <= K only involve polymers of degree
+at most j, i.e. with at most j+1 vertices, and the larger polymers seen at
+K' only make D a multiple of what K alone needs, which leaves the rational
+values unchanged.  The weighted sum of the class series is itself an
+integer table (N, L) for the input graph, a_k(G) = sum_r N[k][r] t^{k+r} /
+(k L^r), kept in WeightCache.whole for the last graph asked: a query on
+that graph at another delta enumerates, labels and reads nothing and only
+evaluates it at the new t.
 
 Connected sets are classified without building their induced subgraphs:
 graphs.enumerate_connected_sets carries each set's neighbourhood (for the
@@ -293,29 +297,11 @@ def pattern_gamma(h: Graph, dp: DeltaParams, K: int) -> tuple[Fraction, ...]:
     return tuple(gamma)
 
 
-def assemble_a(g: Graph, dp: DeltaParams, K: int) -> TaylorCoeffs:
-    """a_k(G) for k <= K as the sum of w(C) a_k(G[C]) over connected sets C
-    of at most c vertices (module docstring): one pass over those sets,
-    then the delta-free series of each class whose summed weight is
-    nonzero, summed over the classes and evaluated at t once.
-
-    Sets are classified by the row code the enumerator carries: w(C) is
-    summed per code, and each code with a nonzero sum is labelled once.
-
-    Any cap c with K+1 <= c <= n gives the same a.  When n > 2K, c = K+1.
-    When n <= 2K, c = n, which leaves a weight only on the components of
-    G, so each is expanded whole as one class.  A graph that small is
-    cheaper whole than as the many classes of at most K+1 vertices:
-    random_connected_graph(16, 3, seed=3, max_degree=3) at K = 8 expands
-    113 classes with c = 9 in 0.38 s, against 0.13 s whole (CPython 3.11.7,
-    one core, cold caches).  Above 2K it turns: at K = 6,
-    random_connected_graph(20, 5, seed=0, max_degree=3) takes 0.08 s with
-    c = 7 (33 classes) and 0.74 s whole."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    t = dp.delta / dp.box_hi
-    if not t:
-        return TaylorCoeffs(a=(Fraction(0),) * (K + 1))
+def _graph_series(g: Graph, K: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(N, L) with a_k(g) = sum_r N[k][r] t^{k+r} / (k L^r) for k <= K: one
+    pass over the connected sets of at most c vertices (assemble_a), then
+    the class series of every class whose summed weight w is nonzero,
+    summed over the classes over their common denominator L."""
     cap = g.n if g.n <= 2 * K else K + 1
     by_code: dict[tuple[int, ...], int] = {}
     for mask, nbr, code in enumerate_connected_sets(g, cap, min_size=2):
@@ -343,6 +329,48 @@ def assemble_a(g: Graph, dp: DeltaParams, K: int) -> TaylorCoeffs:
             for r, v in enumerate(B[k]):
                 if v:
                     N[k][r] += w * v * (L // D) ** r
+    return tuple(map(tuple, N)), L
+
+
+def assemble_a(g: Graph, dp: DeltaParams, K: int) -> TaylorCoeffs:
+    """a_k(G) for k <= K as the sum of w(C) a_k(G[C]) over connected sets C
+    of at most c vertices (module docstring): one pass over those sets,
+    then the delta-free series of each class whose summed weight is
+    nonzero, summed over the classes into one delta-free table (N, L) for G
+    (_graph_series), evaluated at t.
+
+    Sets are classified by the row code the enumerator carries: w(C) is
+    summed per code, and each code with a nonzero sum is labelled once.
+
+    (N, L) is kept in the default WeightCache's whole-graph slot.  A later
+    query on an equal graph at any delta and any order up to the slot's K
+    counts one hit and only evaluates the table: a slot built at K' >= K
+    holds the exact a_k(G) for k <= K, since any cap in [k+1, n] gives the
+    same rational.  Any other query builds its table as above and then
+    replaces the slot, so a failed query leaves it as it was.
+
+    Any cap c with K+1 <= c <= n gives the same a.  When n > 2K, c = K+1.
+    When n <= 2K, c = n, which leaves a weight only on the components of
+    G, so each is expanded whole as one class.  A graph that small is
+    cheaper whole than as the many classes of at most K+1 vertices:
+    random_connected_graph(16, 3, seed=3, max_degree=3) at K = 8 expands
+    113 classes with c = 9 in 0.38 s, against 0.13 s whole (CPython 3.11.7,
+    one core, cold caches).  Above 2K it turns: at K = 6,
+    random_connected_graph(20, 5, seed=0, max_degree=3) takes 0.08 s with
+    c = 7 (33 classes) and 0.74 s whole."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    t = dp.delta / dp.box_hi
+    if not t:
+        return TaylorCoeffs(a=(Fraction(0),) * (K + 1))
+    cache = default_cache()
+    whole = cache.whole
+    if whole is not None and whole[1] >= K and whole[0] == g:
+        cache.hits += 1
+        _, _, N, L = whole
+    else:
+        N, L = _graph_series(g, K)
+        cache.whole = (g, K, N, L)
     return TaylorCoeffs(
         a=(Fraction(0),) + tuple(_at(N[k], L, t, k) / k for k in range(1, K + 1))
     )

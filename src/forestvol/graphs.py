@@ -62,8 +62,11 @@ class Graph:
         return len(self.edges)
 
     def __eq__(self, other: object) -> bool:
+        # the stored hash rejects almost every unequal pair without walking
+        # the edge tuples
         return (
             isinstance(other, Graph)
+            and self._hash == other._hash
             and self.n == other.n
             and self.edges == other.edges
         )

@@ -13,6 +13,7 @@ are exact dyadic rationals taken from the interval endpoints.
 
 from __future__ import annotations
 
+import functools
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -34,8 +35,9 @@ _E_BITS = 48
 _MAX_ORDER = 1_000_000  # truncation_order gives up beyond this K
 
 
+@functools.cache
 def _e_bounds() -> tuple[Fraction, Fraction]:
-    """Rational lower/upper bounds on e, tight to 2^-_E_BITS."""
+    """Rational lower/upper bounds on e, tight to 2^-_E_BITS; computed once."""
     with mpmath.workprec(_E_BITS + 64):
         scaled = mpmath.e * (1 << _E_BITS)
         lo = int(mpmath.floor(scaled))
@@ -78,6 +80,20 @@ class RadiusCertificate:
     safety: Fraction
 
 
+@functools.lru_cache(maxsize=64)
+def _radius_rhs(witness: Fraction, max_degree: int):
+    """Lower endpoint, at 160 bits, of the interval enclosing the radius
+    condition's right-hand side log(a) * (1 - 1/Delta) / (a * Delta) at the
+    witness a.  zero_free_radius always takes a = e_lo, so this is computed
+    once per degree."""
+    with _iv_prec(160):
+        av = _iv_frac(witness)
+        rhs = iv.log(av) * _iv_frac(Fraction(max_degree - 1, max_degree)) / (
+            av * max_degree
+        )
+        return rhs.a
+
+
 def max_admissible_delta(max_degree: int) -> Fraction:
     """Largest delta for which zero_free_radius can exceed 1 at this degree."""
     if max_degree < 2:
@@ -107,18 +123,15 @@ def zero_free_radius(delta: Fraction, max_degree: int) -> RadiusCertificate:
     radius = frac * _SAFETY / (4 * e_hi * max_degree * delta)
     if radius <= 1:
         raise DeltaTooLargeError(delta, max_degree, max_admissible_delta(max_degree))
-    witness = e_lo
     with _iv_prec(160):
         lhs = 4 * _iv_frac(delta) * _iv_frac(radius)
-        av = _iv_frac(witness)
-        rhs = iv.log(av) * _iv_frac(frac) / (av * max_degree)
-        if not lhs.b <= rhs.a:
+        if not lhs.b <= _radius_rhs(e_lo, max_degree):
             raise CertificateError("interval verification of the radius failed")
     return RadiusCertificate(
         delta=delta,
         degree=max_degree,
         radius=radius,
-        witness_a=witness,
+        witness_a=e_lo,
         safety=_SAFETY,
     )
 
@@ -212,6 +225,11 @@ def approximate_volume(
 
     The first K coefficients are assembled from the connected sets of at
     most K+1 vertices, or from G whole when n <= 2K (coeffs.assemble_a).
+    Their delta-free table is kept for the last graph asked, so a sweep
+    over delta on one graph expands it once: a later point whose K is no
+    larger only evaluates the table.  The certificate's constants (the
+    bounds on e, and the radius condition's right-hand side per degree)
+    are likewise computed once; the interval re-check runs on every call.
     Raises SizeGuardError before any enumeration when guard_order refuses
     K on this graph.
     """

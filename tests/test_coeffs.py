@@ -33,7 +33,7 @@ from forestvol.families import (
 )
 from forestvol.interpolate import approximate_volume
 from forestvol.oracles import exact_volume
-from forestvol import kernel, treeweight
+from forestvol import coeffs, kernel, treeweight
 from forestvol.treeweight import DeltaParams, WeightCache, default_cache, tree_weight
 
 from conftest import (
@@ -458,6 +458,111 @@ def test_relabelled_cold_runs_same_answer_and_misses():
         assert res.K >= 3
         seen.append((res.a, res.lower, res.upper, default_cache().misses))
     assert seen[0] == seen[1]
+
+
+# the benchmark's delta sweep: delta stepped down from 1/100 by 1/10000
+SWEEP = tuple(Fraction(1, 100) - Fraction(j, 10000) for j in range(6))
+
+
+def _boom(*args, **kwargs):
+    raise AssertionError("a warm query redid delta-free work")
+
+
+@pytest.mark.parametrize(
+    "g, eps",
+    [
+        (random_connected_graph(16, 3, seed=3, max_degree=3), Fraction(1, 10)),
+        (petersen_graph(), Fraction(1, 100)),
+    ],
+    ids=["n>2K", "n<=2K"],
+)
+def test_warm_sweep_points_do_no_delta_free_work(monkeypatch, g, eps):
+    """After the first point of a delta sweep on one graph, every later
+    point reads the graph's delta-free series from the whole-graph slot: it
+    enumerates no connected set, labels no code, expands no class series
+    and counts no miss, and its a, lower and upper equal a cold answer."""
+    cold = []
+    for delta in SWEEP:
+        clear_caches()
+        res = approximate_volume(g, delta, eps)
+        cold.append((res.K, res.a, res.lower, res.upper))
+    clear_caches()
+    cache = default_cache()
+    first = approximate_volume(g, SWEEP[0], eps)
+    assert (first.K, first.a, first.lower, first.upper) == cold[0]
+    assert (g.n > 2 * first.K) == (g.n == 16)
+    for name in ("enumerate_connected_sets", "code_key", "polymer_series"):
+        monkeypatch.setattr(coeffs, name, _boom)
+    misses = cache.misses
+    for delta, want in zip(SWEEP[1:], cold[1:]):
+        hits = cache.hits
+        res = approximate_volume(g, delta, eps)
+        assert (res.K, res.a, res.lower, res.upper) == want, delta
+        assert (cache.hits, cache.misses) == (hits + 1, misses), delta
+
+
+def test_whole_graph_slot_holds_one_graph(monkeypatch):
+    """The slot serves any order up to its own from the same table, is
+    rebuilt for a higher order, is found by an equal but distinct Graph,
+    is replaced by any other graph (a relabelled copy included) so that it
+    holds only the last, is left as it was by a failed query, and is
+    emptied by WeightCache.clear()."""
+    dp = DeltaParams(Fraction(1, 100))
+    g = random_connected_graph(12, 3, seed=5, max_degree=3)
+    cold = {}
+    for K in (3, 4):
+        clear_caches()
+        cold[K] = assemble_a(g, dp, K).a
+    assert g.n > 2 * 4
+    enumerated = []
+    enumerate_sets = coeffs.enumerate_connected_sets
+
+    def counted(h, *args, **kwargs):
+        enumerated.append(h)
+        return enumerate_sets(h, *args, **kwargs)
+
+    monkeypatch.setattr(coeffs, "enumerate_connected_sets", counted)
+    cache = default_cache()
+
+    # built at K' = 4 (by the last cold query), it serves K = 3
+    assert cache.whole[:2] == (g, 4)
+    hits, misses = cache.hits, cache.misses
+    assert assemble_a(g, dp, 3).a == cold[3]
+    assert (cache.hits, cache.misses) == (hits + 1, misses)
+    assert cache.whole[1] == 4 and not enumerated
+
+    # a higher order than the slot's rebuilds it
+    clear_caches()
+    assemble_a(g, dp, 3)
+    assert assemble_a(g, dp, 4).a == cold[4]
+    assert cache.whole[:2] == (g, 4) and enumerated == [g, g]
+
+    # an equal graph built separately hits
+    twin = Graph(g.n, list(g.edges))
+    assert twin is not g
+    hits = cache.hits
+    assert assemble_a(twin, dp, 4).a == cold[4]
+    assert cache.hits == hits + 1 and len(enumerated) == 2
+
+    # any other graph replaces the slot; only the last one is held
+    moved = relabelled(g, 1)
+    other = cycle_graph(9)
+    for h in (moved, other):
+        assemble_a(h, dp, 4)
+        assert cache.whole[0] is h
+    assert enumerated[2:] == [moved, other]
+    assert assemble_a(g, dp, 4).a == cold[4]
+    assert enumerated[4:] == [g] and cache.whole[0] is g
+
+    # a failed query leaves the slot as it was
+    held = cache.whole
+    monkeypatch.setattr(coeffs, "code_key", _boom)
+    with pytest.raises(AssertionError, match="delta-free work"):
+        assemble_a(other, dp, 4)
+    assert cache.whole is held
+
+    cache.clear()
+    assert cache.whole is None
 
 
 def test_class_weights_skip_tree_machinery(monkeypatch):

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from forestvol import coeffs
-from forestvol.errors import DeltaTooLargeError, SizeGuardError
+from mpmath import iv
+
+from forestvol import coeffs, interpolate
+from forestvol.errors import CertificateError, DeltaTooLargeError, SizeGuardError
 from forestvol.families import (
     complete_graph,
     connected_graphs_upto,
@@ -36,6 +38,24 @@ def test_radius_reference_bands():
     assert Fraction(204, 100) <= r <= Fraction(205, 100)
     r = zero_free_radius(Fraction(1, 1000), 2).radius
     assert Fraction(229, 10) <= r <= Fraction(230, 10)
+
+
+def test_radius_recheck_runs_on_every_call(monkeypatch):
+    """The right-hand side of the radius condition depends on the degree
+    alone and is computed once per degree, but the interval re-check runs
+    on every call: the radius is the one recorded before the right-hand
+    side was cached, and a right-hand side below the left-hand side fails
+    a degree whose certificate was issued before."""
+    expected = Fraction(469124513792000, 229538494307553)
+    for _ in range(2):
+        cert = zero_free_radius(Fraction(1, 100), 3)
+        assert cert.radius == expected
+    e_lo, _ = interpolate._e_bounds()
+    fresh = interpolate._radius_rhs.__wrapped__(e_lo, 3)
+    assert interpolate._radius_rhs(e_lo, 3) == fresh
+    monkeypatch.setattr(interpolate, "_radius_rhs", lambda a, degree: iv.mpf(0))
+    with pytest.raises(CertificateError):
+        zero_free_radius(Fraction(1, 100), 3)
 
 
 def test_radius_rejects_large_delta():
