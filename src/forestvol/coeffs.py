@@ -60,9 +60,19 @@ evaluates it at the new t.
 Connected sets are classified without building their induced subgraphs:
 graphs.enumerate_connected_sets carries each set's neighbourhood (for the
 boundary dC and the closed neighbourhood N[C]) and its row code, an exact
-labelled copy of G[C] in the order the set was grown.  Sets are summed per
-code, and each distinct code is mapped once to its plain canonical key
-(canon.code_key), which names the class.
+labelled copy of G[C] in the order the set was grown.
+
+assemble_a and pattern_gamma compute one sum, sum over connected sets C of
+w(C) a_k(G[C]), with two weight rules: the boundary weight w(C) above over
+the sets of at most c vertices of G (assemble_a), and (-1)^{|U|-|C|} over
+the sets of h = G[U] with N[C] = U (pattern_gamma).  Both take one route:
+the weights are summed per row code into a {code: weight} table, codes
+whose sum is 0 are dropped, and each remaining code is mapped once to its
+plain canonical key (canon.code_key), which names the class (_classes);
+then w B of every class series with a nonzero summed weight w is added
+over the common denominator into a delta-free table (N, L) (_class_sum),
+which is evaluated once at t (_taylor).  pattern_counts folds its per-code
+set counts into classes by the same _classes step.
 """
 
 from __future__ import annotations
@@ -218,19 +228,30 @@ def newton_exp(a: TaylorCoeffs | Sequence[Fraction], K: int) -> tuple[Fraction, 
 
 def pattern_counts(g: Graph, max_size: int) -> dict[bytes, tuple[int, Graph]]:
     """Connected induced patterns of size 2..max_size: key -> (count,
-    representative), the representative decoded from one of the class's
-    row codes."""
+    representative).  Sets are counted per row code and the codes folded
+    into classes by _classes, the step assemble_a and pattern_gamma use;
+    the representative is decoded from the class's first code."""
     by_code: dict[tuple[int, ...], int] = {}
     for _, _, code in enumerate_connected_sets(g, max_size, min_size=2):
         by_code[code] = by_code.get(code, 0) + 1
-    out: dict[bytes, tuple[int, Graph]] = {}
-    for code, count in by_code.items():
-        key = code_key(code)
-        hit = out.get(key)
-        if hit is None:
-            out[key] = (count, graph_from_code(code))
-        else:
-            out[key] = (hit[0] + count, hit[1])
+    return {
+        key: (count, graph_from_code(code))
+        for key, (count, code) in _classes(by_code).items()
+    }
+
+
+def _classes(
+    by_code: dict[tuple[int, ...], int]
+) -> dict[bytes, tuple[int, tuple[int, ...]]]:
+    """Fold a {row code: integer weight} table into {plain canonical key:
+    (summed weight, first code)}.  A code whose weight is 0 is dropped
+    unlabelled; every other code is labelled once (canon.code_key)."""
+    out: dict[bytes, tuple[int, tuple[int, ...]]] = {}
+    for code, w in by_code.items():
+        if w:
+            key = code_key(code)
+            hit = out.get(key)
+            out[key] = (w, code) if hit is None else (hit[0] + w, hit[1])
     return out
 
 
@@ -267,14 +288,35 @@ def _class_series(key: bytes, K: int) -> tuple[tuple[tuple[int, ...], ...], int]
     return hit[1], hit[2]
 
 
-def _class_a(key: bytes, dp: DeltaParams, K: int) -> TaylorCoeffs:
-    """a_1..a_K of the graph class a plain canonical key names."""
+def _class_sum(
+    by_code: dict[tuple[int, ...], int], K: int
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(N, L) with sum over codes C of by_code[C] a_k(class of C) =
+    sum_r N[k][r] t^{k+r} / (k L^r) for k <= K: the codes folded into
+    classes (_classes), then w B[k][r] / (k D^r) of every class series with
+    a nonzero summed weight w, kept as the integer N[k][r] over the common
+    denominator L."""
+    classes = _classes(by_code)
+    series = [(w, *_class_series(key, K)) for key, (w, _) in classes.items() if w]
+    L = lcm(*(D for _, _, D in series))
+    N = [[0] * (K + 1) for _ in range(K + 1)]
+    for w, B, D in series:
+        for k in range(1, K + 1):
+            for r, v in enumerate(B[k]):
+                if v:
+                    N[k][r] += w * v * (L // D) ** r
+    return tuple(map(tuple, N)), L
+
+
+def _taylor(dp: DeltaParams, K: int, series) -> TaylorCoeffs:
+    """a_1..a_K from the delta-free table (N, L) = series(), evaluated at
+    t.  At t = 0 every a_k is 0 and series is not called."""
     t = dp.delta / dp.box_hi
     if not t:
         return TaylorCoeffs(a=(Fraction(0),) * (K + 1))
-    B, D = _class_series(key, K)
+    N, L = series()
     return TaylorCoeffs(
-        a=(Fraction(0),) + tuple(_at(B[k], D, t, k) / k for k in range(1, K + 1))
+        a=(Fraction(0),) + tuple(_at(N[k], L, t, k) / k for k in range(1, K + 1))
     )
 
 
@@ -283,25 +325,30 @@ def pattern_gamma(h: Graph, dp: DeltaParams, K: int) -> tuple[Fraction, ...]:
     the sum over connected C in V(h) with N[C] = V(h) of
     (-1)^{|h|-|C|} a(h[C]).  gamma_k is 0 when h is disconnected and when
     |V(h)| > k+1, since a cluster of polymers of total degree k covers at
-    most k+1 vertices (module docstring).  The class a-vectors come from
-    the series in the default WeightCache."""
+    most k+1 vertices (module docstring).
+
+    The signs are summed per row code and the table goes through the class
+    sum assemble_a uses (_class_sum), so each distinct code is labelled
+    once and each class series read once.  At delta = 0 nothing is
+    labelled or expanded."""
     full = h.vertex_mask()
-    gamma = [Fraction(0)] * (K + 1)
+    by_code: dict[tuple[int, ...], int] = {}
     for mask, nbr, code in enumerate_connected_sets(h, h.n, min_size=2):
-        if mask | nbr != full:
-            continue
-        a = _class_a(code_key(code), dp, K)
-        sign = -1 if (h.n - mask.bit_count()) & 1 else 1
-        for k in range(1, K + 1):
-            gamma[k] += sign * a[k]
-    return tuple(gamma)
+        if mask | nbr == full:
+            by_code[code] = by_code.get(code, 0) + (-1) ** (h.n - len(code))
+    return _taylor(dp, K, lambda: _class_sum(by_code, K)).a
 
 
 def _graph_series(g: Graph, K: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(N, L) with a_k(g) = sum_r N[k][r] t^{k+r} / (k L^r) for k <= K: one
-    pass over the connected sets of at most c vertices (assemble_a), then
-    the class series of every class whose summed weight w is nonzero,
-    summed over the classes over their common denominator L."""
+    """(N, L) with a_k(g) = sum_r N[k][r] t^{k+r} / (k L^r) for k <= K, from
+    the default WeightCache's whole-graph slot or built by one pass over
+    the connected sets of at most c vertices (assemble_a), each weighed by
+    w(C) and summed per row code, and then the class sum (_class_sum)."""
+    cache = default_cache()
+    whole = cache.whole
+    if whole is not None and whole[1] >= K and whole[0] == g:
+        cache.hits += 1
+        return whole[2], whole[3]
     cap = g.n if g.n <= 2 * K else K + 1
     by_code: dict[tuple[int, ...], int] = {}
     for mask, nbr, code in enumerate_connected_sets(g, cap, min_size=2):
@@ -314,22 +361,9 @@ def _graph_series(g: Graph, K: int) -> tuple[tuple[tuple[int, ...], ...], int]:
         else:
             continue
         by_code[code] = by_code.get(code, 0) + w
-    weights: dict[bytes, int] = {}
-    for code, w in by_code.items():
-        if w:
-            key = code_key(code)
-            weights[key] = weights.get(key, 0) + w
-    # A[k][r] = sum over classes of w B[k][r] / (k D^r), kept as the
-    # integer N[k][r] = k L^r A[k][r] over the common denominator L
-    series = [(w, *_class_series(key, K)) for key, w in weights.items() if w]
-    L = lcm(*(D for _, _, D in series))
-    N = [[0] * (K + 1) for _ in range(K + 1)]
-    for w, B, D in series:
-        for k in range(1, K + 1):
-            for r, v in enumerate(B[k]):
-                if v:
-                    N[k][r] += w * v * (L // D) ** r
-    return tuple(map(tuple, N)), L
+    N, L = _class_sum(by_code, K)
+    cache.whole = (g, K, N, L)
+    return N, L
 
 
 def assemble_a(g: Graph, dp: DeltaParams, K: int) -> TaylorCoeffs:
@@ -360,17 +394,4 @@ def assemble_a(g: Graph, dp: DeltaParams, K: int) -> TaylorCoeffs:
     c = 7 (33 classes) and 0.74 s whole."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    t = dp.delta / dp.box_hi
-    if not t:
-        return TaylorCoeffs(a=(Fraction(0),) * (K + 1))
-    cache = default_cache()
-    whole = cache.whole
-    if whole is not None and whole[1] >= K and whole[0] == g:
-        cache.hits += 1
-        _, _, N, L = whole
-    else:
-        N, L = _graph_series(g, K)
-        cache.whole = (g, K, N, L)
-    return TaylorCoeffs(
-        a=(Fraction(0),) + tuple(_at(N[k], L, t, k) / k for k in range(1, K + 1))
-    )
+    return _taylor(dp, K, lambda: _graph_series(g, K))

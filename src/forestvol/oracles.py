@@ -57,19 +57,19 @@ def mc_volume(
     Chunk i draws from Philox(key=seed) at counter block i, so the accepted
     count (hence the estimate) is independent of thread count.  threads
     must be >= 1; the pool holds at most min(threads, chunks, CPU count)
-    workers.
+    workers.  delta must lie in [0, 1/2), as everywhere else (a
+    ValueError from DeltaParams otherwise).
     """
     # imported here, not at module level: numpy is most of the import
     # time and memory of the package, and only the oracles use it
     import numpy as np
 
-    delta = Fraction(delta)
+    hi = float(DeltaParams(delta).box_hi)
     if samples <= 0:
         raise ValueError("samples must be positive")
     if threads < 1:
         raise ValueError("threads must be >= 1")
     n = g.n
-    hi = float(Fraction(1, 2) + delta)
     edges = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
     chunks = [
         (i, min(MC_CHUNK, samples - i * MC_CHUNK))

@@ -97,7 +97,8 @@ def test_coeffs_pattern_schema(capsys, graphs):
 
 def test_coeffs_patterns_reproduce_a(capsys, tmp_path):
     """The pattern table lists patterns of at most K+1 vertices, and
-    sum of gamma_k(H) count(H) over it reproduces every a_k."""
+    sum of gamma_k(H) count(H) over it reproduces every a_k.  The table and
+    a are pinned to the values of a per-set gamma computation."""
     path = tmp_path / "petersen.txt"
     path.write_text(format_graph(petersen_graph()))
     rc, out, _ = run_cli(
@@ -109,6 +110,17 @@ def test_coeffs_patterns_reproduce_a(capsys, tmp_path):
     for k in range(1, 4):
         total = sum(p["count"] * Fraction(p["gamma"][str(k)]) for p in doc["patterns"])
         assert total == Fraction(doc["a"][k - 1]), k
+    assert doc["a"] == ["-10/867", "1310/2255067", "-568280/17596287801"]
+    table = [
+        (p["key"], p["n"], p["count"], [p["gamma"][str(k)] for k in (1, 2, 3)])
+        for p in doc["patterns"]
+    ]
+    assert table == [
+        ("0201", 2, 15, ["-2/2601", "-2/6765201", "-8/52788863403"]),
+        ("03010001", 3, 30, ["0", "44/2255067", "176/5865429267"]),
+        ("04010000010001", 4, 60, ["0", "0", "-8134/17596287801"]),
+        ("04010000010100", 4, 10, ["0", "0", "-9604/17596287801"]),
+    ]
 
 
 def test_weights_json(capsys, graphs):
@@ -259,6 +271,15 @@ def test_mc_rejects_nonpositive_threads_exit_2(capsys, graphs, threads):
     )
     assert rc == 2 and out == ""
     assert "threads" in err
+
+
+@pytest.mark.parametrize("delta", ["--delta=1", "--delta=-3/4", "--delta=1/2"])
+def test_mc_rejects_delta_outside_range_exit_2(capsys, graphs, delta):
+    rc, out, err = run_cli(
+        capsys, ["mc", "--graph", graphs["p3"], delta, "--samples", "1000"]
+    )
+    assert rc == 2 and out == ""
+    assert "delta must lie in [0, 1/2)" in err
 
 
 def test_certificate_failures_exit_6(capsys, monkeypatch, graphs):

@@ -234,6 +234,60 @@ def test_gamma_vanishes_beyond_k_plus_one():
     assert zeros == 12 * (2 + 3 + 4 + 5)
 
 
+def test_pattern_gamma_labels_each_code_once(monkeypatch):
+    """pattern_gamma sums its signs per row code, so K4's 11 dominating
+    connected sets (6 edges, 4 triangles, K4 itself) are labelled through
+    3 code_key calls, one per distinct code; each gamma_k still equals the
+    per-set definition, the sum over connected C with N[C] = V(h) of
+    (-1)^{|h|-|C|} a_k(h[C]), with a(h[C]) from newton_log(small_e(h[C]))."""
+    dp = DeltaParams(Fraction(1, 10))
+    labelled = []
+    code_key = coeffs.code_key
+
+    def counted(code):
+        labelled.append(code)
+        return code_key(code)
+
+    monkeypatch.setattr(coeffs, "code_key", counted)
+    for h, K, calls in (
+        (complete_graph(4), 3, 3),
+        (path_graph(4), 3, None),
+        (random_connected_graph(6, 3, seed=2), 5, None),
+    ):
+        labelled.clear()
+        gamma = pattern_gamma(h, dp, K)
+        if calls is not None:
+            assert len(labelled) == calls
+        assert len(labelled) == len(set(labelled)), h.edges
+        expected = [Fraction(0)] * (K + 1)
+        for size in range(2, h.n + 1):
+            for combo in itertools.combinations(range(h.n), size):
+                mask = sum(1 << v for v in combo)
+                closed = mask
+                for v in combo:
+                    closed |= h.adj_mask[v]
+                sub, _ = h.induced_subgraph(mask)
+                if closed != h.vertex_mask() or not sub.is_connected():
+                    continue
+                a = newton_log(small_e(sub, dp, K), K)
+                sign = (-1) ** (h.n - size)
+                for k in range(1, K + 1):
+                    expected[k] += sign * a[k]
+        assert gamma == tuple(expected), h.edges
+
+
+def test_pattern_gamma_delta_zero_expands_nothing(monkeypatch):
+    """At delta = 0 every gamma_k is 0, returned without labelling a set or
+    expanding a class series."""
+
+    def boom(*args, **kwargs):
+        raise AssertionError("labelled or expanded at delta = 0")
+
+    monkeypatch.setattr(coeffs, "code_key", boom)
+    monkeypatch.setattr(coeffs, "_class_series", boom)
+    assert pattern_gamma(complete_graph(4), DeltaParams(Fraction(0)), 3) == (Fraction(0),) * 4
+
+
 def _ind_counts(h: Graph) -> dict[bytes, int]:
     """ind(H', h) for every induced subgraph class with >= 2 vertices."""
     out: dict[bytes, int] = {}

@@ -112,6 +112,14 @@ def test_mc_rejects_bad_samples():
         mc_volume(K2, Fraction(1, 4), 0)
 
 
+@pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(1), Fraction(-1, 4)])
+def test_mc_rejects_delta_outside_range(delta):
+    """mc_volume refuses delta outside [0, 1/2) before drawing a sample,
+    with the DeltaParams error the exact routes raise."""
+    with pytest.raises(ValueError, match=r"delta must lie in \[0, 1/2\)"):
+        mc_volume(K2, delta, 1000)
+
+
 # --- exact enumeration ------------------------------------------------------------
 
 

@@ -1,7 +1,8 @@
-"""perfbench/tracer.py wraps forestvol's module attributes by name and
-perfbench/run.py reads the default WeightCache's counters, so a change
-under src/ that renames either breaks `perfbench/run.py --trace 1` or its
-memo check; these checks fail first."""
+"""perfbench/tracer.py wraps forestvol's module attributes by name,
+perfbench/run.py reads the default WeightCache's counters and calls the
+package's entry points, and perfbench/workloads.py builds its graphs, so a
+change under src/ that renames any of them breaks `perfbench/run.py`;
+these checks fail first."""
 
 import importlib
 import importlib.util
@@ -54,3 +55,27 @@ def test_weight_cache_has_the_counters_perfbench_reads():
     for name in ("hits", "misses", "normalized"):
         assert hasattr(cache, name), name
     assert isinstance(cache.hits + cache.misses + len(cache.normalized), int)
+
+
+def test_perfbench_entry_points_answer():
+    """Every other forestvol name perfbench/run.py and perfbench/workloads.py
+    call, called the way they call it on a tiny input, with the result
+    fields they read."""
+    import forestvol
+    from forestvol import DeltaParams
+    from forestvol.families import petersen_graph, random_connected_graph
+    from forestvol.graphs import Graph
+
+    assert isinstance(forestvol.KERNEL_BACKEND, str)
+    g = Graph(3, [(0, 1), (1, 2)])
+    assert (g.n, list(g.edges)) == (3, [(0, 1), (1, 2)])
+    res = forestvol.approximate_volume(g, Fraction(1, 100), Fraction(1, 10))
+    assert res.K >= 1 and len(res.a) >= res.K
+    assert 0 < res.lower <= res.upper
+    mc = forestvol.mc_volume(g, Fraction(1, 100), 1000, seed=1)
+    assert isinstance(mc.mean, float) and isinstance(mc.stderr, float)
+    exact = forestvol.exact_volume(g, DeltaParams(Fraction(1, 100)))
+    assert res.lower <= exact <= res.upper
+    assert petersen_graph().n == 10
+    h = random_connected_graph(8, 2, seed=0, max_degree=3)
+    assert h.n == 8 and h.is_connected() and h.max_degree() <= 3
