@@ -33,8 +33,12 @@ of the outer boundary dC of C in G, all of them connected, so (assemble_a)
     w(C) = sum over X in dC, |X| <= c-|C|, of (-1)^{|X|}.
 With b = |dC| and m = min(b, c-|C|), w(C) = sum_{j<=m} (-1)^j binom(b, j),
 which is 1 when b = 0 and (-1)^m binom(b-1, m) otherwise; it is 0 when
-m = b, i.e. when the whole boundary fits under the size cap.  With c = n
-every boundary fits, so only the components of G keep a weight (of 1).
+m = b, i.e. when the whole boundary fits under the size cap.  A set of
+exactly c vertices has m = 0 and so weighs 1 whatever its boundary; most
+sets are of that size, and their boundary is never counted.  With c = n
+every boundary fits, so only the components of G keep a weight (of 1):
+they are taken from G.components() and coded by row_code, one class per
+component of at least two vertices, with no set enumerated.
 
 All delta-dependence enters through t.  A family of r disjoint polymers of
 total degree j covers j + r vertices, so (polymer_series)
@@ -85,7 +89,7 @@ from typing import Sequence
 # canonical_form is not called here: perfbench/tracer.py traces
 # coeffs.canonical_form and raises on a missing target
 from .canon import canonical_form, code_key, graph_from_key  # noqa: F401
-from .graphs import Graph, enumerate_connected_sets, graph_from_code
+from .graphs import Graph, enumerate_connected_sets, graph_from_code, row_code
 from .treeweight import DeltaParams, default_cache, polymer_weights
 
 
@@ -341,26 +345,38 @@ def pattern_gamma(h: Graph, dp: DeltaParams, K: int) -> tuple[Fraction, ...]:
 
 def _graph_series(g: Graph, K: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(N, L) with a_k(g) = sum_r N[k][r] t^{k+r} / (k L^r) for k <= K, from
-    the default WeightCache's whole-graph slot or built by one pass over
-    the connected sets of at most c vertices (assemble_a), each weighed by
-    w(C) and summed per row code, and then the class sum (_class_sum)."""
+    the default WeightCache's whole-graph slot or built by summing w(C) per
+    row code over the connected sets C of at most c vertices (assemble_a),
+    and then the class sum (_class_sum).
+
+    With c = n only the components of g with at least two vertices keep a
+    weight, 1 each, so they are coded straight from g.components() and no
+    set is enumerated.  With c = K+1 every set is enumerated, and a set of
+    exactly c vertices has m = 0, so it weighs 1 whatever its boundary."""
     cache = default_cache()
     whole = cache.whole
     if whole is not None and whole[1] >= K and whole[0] == g:
         cache.hits += 1
         return whole[2], whole[3]
-    cap = g.n if g.n <= 2 * K else K + 1
     by_code: dict[tuple[int, ...], int] = {}
-    for mask, nbr, code in enumerate_connected_sets(g, cap, min_size=2):
-        b = (nbr & ~mask).bit_count()
-        m = min(b, cap - len(code))
-        if b == 0:
+    if g.n <= 2 * K:
+        for comp in g.components():
+            if comp.bit_count() >= 2:
+                code = row_code(g.induced_subgraph(comp)[0])
+                by_code[code] = by_code.get(code, 0) + 1
+    else:
+        cap = K + 1
+        for mask, nbr, code in enumerate_connected_sets(g, cap, min_size=2):
             w = 1
-        elif m < b:
-            w = (-1) ** m * comb(b - 1, m)
-        else:
-            continue
-        by_code[code] = by_code.get(code, 0) + w
+            m = cap - len(code)
+            if m:
+                # below the cap the weight depends on the boundary
+                b = (nbr & ~mask).bit_count()
+                if m < b:
+                    w = -comb(b - 1, m) if m & 1 else comb(b - 1, m)
+                elif b:
+                    continue
+            by_code[code] = by_code.get(code, 0) + w
     N, L = _class_sum(by_code, K)
     cache.whole = (g, K, N, L)
     return N, L
@@ -384,9 +400,10 @@ def assemble_a(g: Graph, dp: DeltaParams, K: int) -> TaylorCoeffs:
     replaces the slot, so a failed query leaves it as it was.
 
     Any cap c with K+1 <= c <= n gives the same a.  When n > 2K, c = K+1.
-    When n <= 2K, c = n, which leaves a weight only on the components of
-    G, so each is expanded whole as one class.  A graph that small is
-    cheaper whole than as the many classes of at most K+1 vertices:
+    When n <= 2K, c = n, which leaves a weight of 1 only on the components
+    of G with at least two vertices: each is read off G.components() and
+    expanded whole as its own class, with no set enumerated.  A graph that
+    small is cheaper whole than as the many classes of at most K+1 vertices:
     random_connected_graph(16, 3, seed=3, max_degree=3) at K = 8 expands
     113 classes with c = 9 in 0.38 s, against 0.13 s whole (CPython 3.11.7,
     one core, cold caches).  Above 2K it turns: at K = 6,

@@ -259,8 +259,18 @@ def enumerate_connected_sets(
     """All vertex subsets inducing a connected subgraph, as (mask, nbr, code).
 
     Sizes run from min_size to max_size.  Each set is produced exactly once:
-    sets are rooted at their smallest vertex and grown only through
-    neighbors above the root, with an exclusion mask preventing revisits.
+    sets are rooted at their smallest vertex and grown depth-first, one
+    candidate neighbour at a time, through vertices that are not banned.
+    The root and every vertex below it are banned from the start.  Once a
+    set has tried a vertex as its next one, that vertex stays banned in
+    every set grown from it afterwards, so no set is reached twice.  Every
+    vertex of a set is banned, so growing a set by u adds the candidates
+    adj(u) & ~banned.  The search keeps its own stack of partial sets in
+    one generator frame, and the sets of max_size vertices are yielded
+    straight from their parent's candidates without being pushed.  The
+    order is that of a recursive search (each set before the sets grown
+    from it, candidates by ascending vertex), and callers rely on it:
+    coeffs._classes keeps the first code it meets of each class.
 
     nbr is the OR of the adjacency masks over mask, so the set's outer
     boundary is nbr & ~mask and its closed neighbourhood is mask | nbr.
@@ -271,27 +281,35 @@ def enumerate_connected_sets(
     of g[mask] (graph_from_code), in the format row_code gives a whole
     graph.  Adding a vertex u updates all three in O(deg u).
     """
-    if max_size <= 0:
+    min_size = max(min_size, 1)
+    # sets of max_size vertices are yielded below without a size check
+    if max_size < min_size:
         return
     adj_mask = g.adj_mask
     # position of each vertex of the current set in its code; entries of
     # vertices outside the set are stale and never read
     pos = [0] * g.n
+    last = max_size - 1
+    # the partial sets below the current one, as (set, nbr, code,
+    # remaining candidates, banned)
+    stack: list[tuple[int, int, tuple[int, ...], int, int]] = []
+    push, pop = stack.append, stack.pop
     for root in range(g.n):
-        above = ~((1 << (root + 1)) - 1)
-
-        def grow(
-            sset: int, nbr: int, code: tuple[int, ...], cand: int, banned: int
-        ) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-            size = len(code)
-            if size >= min_size:
-                yield sset, nbr, code
-            if size == max_size:
-                return
-            while cand:
+        sset = 1 << root
+        nbr = adj_mask[root]
+        code: tuple[int, ...] = (0,)
+        if min_size == 1:
+            yield sset, nbr, code
+        if not last:
+            continue
+        pos[root] = 0
+        banned = (sset << 1) - 1
+        cand = nbr & ~banned
+        size = 1
+        while True:
+            if cand:
                 low = cand & -cand
                 cand ^= low
-                banned |= low
                 u = low.bit_length() - 1
                 au = adj_mask[u]
                 row = 0
@@ -300,12 +318,25 @@ def enumerate_connected_sets(
                     b = inside & -inside
                     inside ^= b
                     row |= 1 << pos[b.bit_length() - 1]
+                if size == last:
+                    # nothing grows from a set of max_size vertices
+                    yield sset | low, nbr | au, code + (row,)
+                    continue
+                banned |= low
                 pos[u] = size
-                new_cand = cand | (au & above & ~banned & ~sset)
-                yield from grow(sset | low, nbr | au, code + (row,), new_cand, banned)
-
-        pos[root] = 0
-        yield from grow(1 << root, adj_mask[root], (0,), adj_mask[root] & above, 0)
+                push((sset, nbr, code, cand, banned))
+                sset |= low
+                nbr |= au
+                code += (row,)
+                cand |= au & ~banned
+                size += 1
+                if size >= min_size:
+                    yield sset, nbr, code
+            elif stack:
+                sset, nbr, code, cand, banned = pop()
+                size -= 1
+            else:
+                break
 
 
 def row_code(g: Graph) -> tuple[int, ...]:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from typing import Iterator
 
 import pytest
 
@@ -34,6 +35,64 @@ def brute_connected_sets(g: Graph, max_size: int, min_size: int = 1) -> set[int]
             if sub.is_connected():
                 out.add(mask)
     return out
+
+
+def recursive_connected_sets(
+    g: Graph, max_size: int, min_size: int = 1
+) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """The recursive enumerator graphs.enumerate_connected_sets replaced,
+    kept verbatim as the reference for its output and order.
+
+    All vertex subsets inducing a connected subgraph, as (mask, nbr, code).
+
+    Sizes run from min_size to max_size.  Each set is produced exactly once:
+    sets are rooted at their smallest vertex and grown only through
+    neighbors above the root, with an exclusion mask preventing revisits.
+
+    nbr is the OR of the adjacency masks over mask, so the set's outer
+    boundary is nbr & ~mask and its closed neighbourhood is mask | nbr.
+    code is the row code of g[mask] with its vertices numbered in the order
+    they were added, the root first: code[i] is the bitmask of the
+    positions j < i whose vertices are adjacent to the vertex at position
+    i, so code[0] = 0 and len(code) = |mask|.  It is an exact labelled copy
+    of g[mask] (graph_from_code), in the format row_code gives a whole
+    graph.  Adding a vertex u updates all three in O(deg u).
+    """
+    if max_size <= 0:
+        return
+    adj_mask = g.adj_mask
+    # position of each vertex of the current set in its code; entries of
+    # vertices outside the set are stale and never read
+    pos = [0] * g.n
+    for root in range(g.n):
+        above = ~((1 << (root + 1)) - 1)
+
+        def grow(
+            sset: int, nbr: int, code: tuple[int, ...], cand: int, banned: int
+        ) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+            size = len(code)
+            if size >= min_size:
+                yield sset, nbr, code
+            if size == max_size:
+                return
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                banned |= low
+                u = low.bit_length() - 1
+                au = adj_mask[u]
+                row = 0
+                inside = au & sset
+                while inside:
+                    b = inside & -inside
+                    inside ^= b
+                    row |= 1 << pos[b.bit_length() - 1]
+                pos[u] = size
+                new_cand = cand | (au & above & ~banned & ~sset)
+                yield from grow(sset | low, nbr | au, code + (row,), new_cand, banned)
+
+        pos[root] = 0
+        yield from grow(1 << root, adj_mask[root], (0,), adj_mask[root] & above, 0)
 
 
 def is_forest(g: Graph, ranks: tuple[int, ...]) -> bool:

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -40,6 +41,7 @@ from conftest import (
     clear_caches,
     forest_component_ranks,
     is_forest,
+    recursive_connected_sets,
     relabelled,
     shuffled_edges,
 )
@@ -389,6 +391,69 @@ def test_assembly_expands_classes_up_to_k_plus_one():
         assembled = assemble_a(g, dp, K)
         assert default_cache().misses == classes, (g.n, K)
         assert assembled.a == newton_log(small_e(g, dp, K), K).a, (g.n, K)
+
+
+def _recursive_graph_series(g: Graph, K: int):
+    """(N, L) of g from the recursive enumerator and the boundary weight as
+    first written: cap = n when n <= 2K, else K+1, and every set weighed
+    (-1)^m binom(b-1, m), or 1 when b = 0, or dropped when m = b."""
+    cap = g.n if g.n <= 2 * K else K + 1
+    by_code: dict[tuple[int, ...], int] = {}
+    for mask, nbr, code in recursive_connected_sets(g, cap, min_size=2):
+        b = (nbr & ~mask).bit_count()
+        m = min(b, cap - len(code))
+        if b == 0:
+            w = 1
+        elif m < b:
+            w = (-1) ** m * comb(b - 1, m)
+        else:
+            continue
+        by_code[code] = by_code.get(code, 0) + w
+    return coeffs._class_sum(by_code, K)
+
+
+@pytest.mark.parametrize(
+    "g,K",
+    [
+        (random_connected_graph(16, 3, seed=3, max_degree=3), 5),
+        (petersen_graph(), 7),
+        # two isomorphic triangles, an edge and two isolated vertices, n <= 2K
+        (Graph(10, [(0, 1), (1, 2), (0, 2), (4, 5), (6, 7), (7, 8), (6, 8)]), 5),
+        (random_connected_graph(1000, 300, seed=0, max_degree=3), 2),
+    ],
+    ids=["dense16-K5", "petersen-K7", "disconnected-K5", "sparse1000-K2"],
+)
+def test_graph_series_matches_recursive_table(g, K):
+    """The class table built from the flat enumerator (weight 1 at the cap,
+    the sign from the parity of m) or, when n <= 2K, from G's components
+    equals the one built from the recursive enumerator by the first rule."""
+    clear_caches()
+    assert coeffs._graph_series(g, K) == _recursive_graph_series(g, K)
+
+
+def test_component_route_enumerates_nothing(monkeypatch):
+    """With n <= 2K a cold query weighs G's components and enumerates no
+    connected set."""
+
+    def boom(*args, **kwargs):
+        raise AssertionError("enumerated connected sets")
+
+    monkeypatch.setattr(coeffs, "enumerate_connected_sets", boom)
+    dp = DeltaParams(Fraction(1, 100))
+    g = Graph(10, [(0, 1), (1, 2), (0, 2), (4, 5), (6, 7), (7, 8), (6, 8)])
+    clear_caches()
+    a = assemble_a(g, dp, 5).a
+    assert a == newton_log(small_e(g, dp, 5), 5).a
+    assert default_cache().misses == 2
+
+
+def test_sparse1000_connected_set_counts():
+    """The connected sets of 2..c vertices of the sparse_large graph, each
+    once: a faster enumerator that skips or repeats a set changes these."""
+    g = random_connected_graph(1000, 300, seed=0, max_degree=3)
+    for cap, count in ((3, 3596), (4, 8346), (5, 19166)):
+        masks = [mask for mask, _, _ in enumerate_connected_sets(g, cap, min_size=2)]
+        assert len(masks) == len(set(masks)) == count, cap
 
 
 def test_assembly_additive_over_disjoint_union():

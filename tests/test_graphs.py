@@ -28,7 +28,7 @@ from forestvol.families import (
     random_graph,
 )
 
-from conftest import brute_connected_sets, shuffled_edges
+from conftest import brute_connected_sets, recursive_connected_sets, shuffled_edges
 
 
 def test_parse_basic():
@@ -139,6 +139,29 @@ def test_connected_sets_carry_neighbourhood_and_code(g):
         h = graph_from_code(code)
         assert h.m == sub.m
         assert canonical_form(h) == canonical_form(sub)
+
+
+@pytest.mark.parametrize(
+    "g,max_sizes",
+    [
+        # n = 0 and n + 2 = 2 are among the small caps
+        (Graph(0, []), (0, 1, 2, 5)),
+        (Graph(9, [(0, 1), (1, 2), (0, 2), (4, 5), (5, 7)]), (0, 1, 2, 5, 9, 11)),
+        (petersen_graph(), (0, 1, 2, 5, 10, 12)),
+        (random_connected_graph(16, 3, seed=3, max_degree=3), (0, 1, 2, 5, 16, 18)),
+        # every connected set of 200 vertices is out of reach, so the two
+        # largest caps stop at 7
+        (random_connected_graph(200, 60, seed=1, max_degree=3), (0, 1, 2, 5, 6, 7)),
+    ],
+    ids=["empty", "isolated", "petersen", "dense16", "sparse200"],
+)
+@pytest.mark.parametrize("min_size", [1, 2, 3])
+def test_connected_sets_match_recursive_search(g, max_sizes, min_size):
+    """The flat enumerator yields the recursive search's (mask, nbr, code)
+    tuples, element by element and in its order."""
+    for max_size in max_sizes:
+        got = list(enumerate_connected_sets(g, max_size, min_size))
+        assert got == list(recursive_connected_sets(g, max_size, min_size)), max_size
 
 
 def test_row_code_roundtrip():
