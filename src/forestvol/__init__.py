@@ -1,12 +1,14 @@
 """Certified volume approximation for polytopes of the form
 {x in [0, 1/2+delta]^V : x_u + x_v <= 1 for uv in E}.
 
-The certified path is exact rational arithmetic end to end: class weights
-by a subset DP over the |z| order, Taylor coefficients of log p via
-pattern counts, and a zero-free disk that turns a truncated series into a
-(1 +- eps) enclosure. Randomized and exact oracles live in
-:mod:`forestvol.oracles`; Monte Carlo and exact_volume, a DP over the
-independent sets of the graph, share no code with the pipeline.
+The certified path is exact rational arithmetic end to end: polymer
+weights by a subset DP over the |z| order, Taylor coefficients of log p
+summed over the isomorphism classes of the small connected induced
+subgraphs, each class expanded once as a polymer gas, and a zero-free disk
+that turns a truncated series into a (1 +- eps) enclosure. Randomized and
+exact oracles live in :mod:`forestvol.oracles`; Monte Carlo and
+exact_volume, a DP over the independent sets of the graph, share no code
+with the pipeline.
 """
 
 from .errors import (

@@ -11,11 +11,12 @@ already searched.  Skipped branches hold the same leaf keys, so pruning
 never changes a key, and a symmetric graph costs a few leaves rather than
 one per automorphism: Petersen takes 10 leaves for |Aut| = 120.
 
-Plain keys are cached under the graph's row code (graphs.row_code), the
-same format in which graphs.enumerate_connected_sets describes each
-connected set.  code_key fills the color matrix straight from the code, so
-a set is classified without building its induced subgraph or any Graph,
-and the search runs once per distinct code.
+code_key labels a plain graph given by its row code (graphs.row_code),
+the format in which graphs.enumerate_connected_sets describes each
+connected set: it fills the color matrix straight from the code, so a set
+is classified without building its induced subgraph or any Graph.  Nothing
+is cached here: coeffs sums set weights per code before labelling, so each
+code of one {code: weight} table is labelled once.
 """
 
 from __future__ import annotations
@@ -27,31 +28,22 @@ from .graphs import Graph, bits, row_code
 
 MAX_VERTICES = 32
 
-# row code (graphs.enumerate_connected_sets) -> plain key; a class has one
-# entry per labelled copy seen, so each code is labelled once
-_plain_cache: dict[tuple[int, ...], bytes] = {}
-
-
 def code_key(code: tuple[int, ...]) -> bytes:
     """Isomorphism key of the plain graph whose row code is code."""
-    key = _plain_cache.get(code)
-    if key is None:
-        n = len(code)
-        if n > MAX_VERTICES:
-            raise ValueError(f"canonical form supports at most {MAX_VERTICES} vertices")
-        flat = bytearray(n * n)
-        for i, row in enumerate(code):
-            if row >> i:
-                raise ValueError(f"bad row code entry {row} at position {i}")
-            for j in bits(row):
-                flat[i * n + j] = flat[j * n + i] = 1
-        key = kernel.canon_key(n, bytes(flat))
-        _plain_cache[code] = key
-    return key
+    n = len(code)
+    if n > MAX_VERTICES:
+        raise ValueError(f"canonical form supports at most {MAX_VERTICES} vertices")
+    flat = bytearray(n * n)
+    for i, row in enumerate(code):
+        if row >> i:
+            raise ValueError(f"bad row code entry {row} at position {i}")
+        for j in bits(row):
+            flat[i * n + j] = flat[j * n + i] = 1
+    return kernel.canon_key(n, bytes(flat))
 
 
 def canonical_form(g: Graph) -> bytes:
-    """Isomorphism key of a plain graph, looked up under its row code."""
+    """Isomorphism key of a plain graph, labelled from its row code."""
     return code_key(row_code(g))
 
 
@@ -82,7 +74,3 @@ def graph_from_key(key: bytes) -> Graph:
         raise ValueError("not a canonical key")
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     return Graph(n, [uv for uv, c in zip(pairs, key[1:]) if c])
-
-
-def clear_cache() -> None:
-    _plain_cache.clear()

@@ -19,7 +19,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .coeffs import assemble_a, pattern_counts, pattern_gamma
+from .coeffs import pattern_table
 from .errors import (
     CertificateError,
     DeltaTooLargeError,
@@ -96,8 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coeffs", help="Taylor coefficients and pattern table")
     _add_common(p)
     p.add_argument("--delta", required=True)
-    p.add_argument("--eps", default=None, help="pick K from the certificate (default)")
-    p.add_argument("--order", type=int, default=None, help="explicit K override")
+    order = p.add_mutually_exclusive_group()
+    order.add_argument("--eps", default="1/100", help="pick K from the certificate (default 1/100)")
+    order.add_argument("--order", type=int, default=None, help="explicit K instead of --eps")
 
     p = sub.add_parser("weights", help="weight of one tree inside its host")
     _add_common(p)
@@ -199,23 +200,21 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
         K = args.order
         radius = None
     else:
-        eps = _rational(args.eps if args.eps is not None else "1/100", "eps")
+        eps = _rational(args.eps, "eps")
         cert = zero_free_radius(delta, max(g.max_degree(), 2))
         radius = cert.radius
         K = truncation_order(g.n, eps, cert.radius)
     guard_order(g.n, K)
-    a = assemble_a(g, dp, K)
-    patterns = []
-    for key, (count, rep) in sorted(pattern_counts(g, min(K + 1, g.n)).items()):
-        gamma = pattern_gamma(rep, dp, K)
-        patterns.append(
-            {
-                "key": key.hex(),
-                "n": rep.n,
-                "count": count,
-                "gamma": {str(k): str(gamma[k]) for k in range(1, K + 1)},
-            }
-        )
+    rows, a = pattern_table(g, dp, K)
+    patterns = [
+        {
+            "key": key.hex(),
+            "n": rep.n,
+            "count": count,
+            "gamma": {str(k): str(gamma[k]) for k in range(1, K + 1)},
+        }
+        for key, count, rep, gamma in rows
+    ]
     payload = {
         "K": K,
         "R": float(radius) if radius is not None else None,

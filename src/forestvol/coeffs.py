@@ -50,16 +50,13 @@ Newton's identity for b_k = k a_k, b_k = k e_k - sum_{j<k} b_j e_{k-j},
 multiplies t^j by t^{k-j} and convolves the (t/D)^r series, so
     B[k] = k E[k] - sum_{j<k} B[j] * E[k-j]   (convolution over r)
 stays integer, with no division, and a_k(t) = sum_r B[k][r] t^{k+r} / (k D^r).
-Each class's (K, B, D) is computed once, on the representative decoded
-from its key, and kept in WeightCache.series.  An entry built at K' >= K
-also serves K: e_j and hence b_j for j <= K only involve polymers of degree
-at most j, i.e. with at most j+1 vertices, and the larger polymers seen at
-K' only make D a multiple of what K alone needs, which leaves the rational
-values unchanged.  The weighted sum of the class series is itself an
-integer table (N, L) for the input graph, a_k(G) = sum_r N[k][r] t^{k+r} /
-(k L^r), kept in WeightCache.whole for the last graph asked: a query on
-that graph at another delta enumerates, labels and reads nothing and only
-evaluates it at the new t.
+Each class's (B, D) is expanded on the representative decoded from its key
+into a {key: (B, D)} dict that the caller of _class_sum owns, so nothing of
+a class outlives the call that made the dict.  The weighted sum of the
+class series is itself an integer table (N, L) for the input graph, a_k(G)
+= sum_r N[k][r] t^{k+r} / (k L^r), kept in WeightCache.whole for the last
+graph asked: a query on that graph at another delta enumerates, labels and
+expands nothing and only evaluates it at the new t.
 
 Connected sets are classified without building their induced subgraphs:
 graphs.enumerate_connected_sets carries each set's neighbourhood (for the
@@ -89,7 +86,7 @@ from typing import Sequence
 # canonical_form is not called here: perfbench/tracer.py traces
 # coeffs.canonical_form and raises on a missing target
 from .canon import canonical_form, code_key, graph_from_key  # noqa: F401
-from .graphs import Graph, enumerate_connected_sets, graph_from_code, row_code
+from .graphs import Graph, enumerate_connected_sets, row_code
 from .treeweight import DeltaParams, default_cache, polymer_weights
 
 
@@ -234,28 +231,22 @@ def pattern_counts(g: Graph, max_size: int) -> dict[bytes, tuple[int, Graph]]:
     """Connected induced patterns of size 2..max_size: key -> (count,
     representative).  Sets are counted per row code and the codes folded
     into classes by _classes, the step assemble_a and pattern_gamma use;
-    the representative is decoded from the class's first code."""
+    the representative is the one the key encodes (graph_from_key)."""
     by_code: dict[tuple[int, ...], int] = {}
     for _, _, code in enumerate_connected_sets(g, max_size, min_size=2):
         by_code[code] = by_code.get(code, 0) + 1
-    return {
-        key: (count, graph_from_code(code))
-        for key, (count, code) in _classes(by_code).items()
-    }
+    return {key: (count, graph_from_key(key)) for key, count in _classes(by_code).items()}
 
 
-def _classes(
-    by_code: dict[tuple[int, ...], int]
-) -> dict[bytes, tuple[int, tuple[int, ...]]]:
+def _classes(by_code: dict[tuple[int, ...], int]) -> dict[bytes, int]:
     """Fold a {row code: integer weight} table into {plain canonical key:
-    (summed weight, first code)}.  A code whose weight is 0 is dropped
-    unlabelled; every other code is labelled once (canon.code_key)."""
-    out: dict[bytes, tuple[int, tuple[int, ...]]] = {}
+    summed weight}.  A code whose weight is 0 is dropped unlabelled; every
+    other code is labelled once (canon.code_key)."""
+    out: dict[bytes, int] = {}
     for code, w in by_code.items():
         if w:
             key = code_key(code)
-            hit = out.get(key)
-            out[key] = (w, code) if hit is None else (hit[0] + w, hit[1])
+            out[key] = out.get(key, 0) + w
     return out
 
 
@@ -277,34 +268,29 @@ def _log_series(E: Sequence[Sequence[int]], K: int) -> tuple[tuple[int, ...], ..
     return tuple(B)
 
 
-def _class_series(key: bytes, K: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(B, D) of the class a plain canonical key names, rows 0..K' for some
-    K' >= K, from the default WeightCache's series (a hit) or expanded once
-    on the decoded representative (a miss)."""
-    cache = default_cache()
-    hit = cache.series.get(key)
-    if hit is None or hit[0] < K:
-        cache.misses += 1
-        E, D = polymer_series(graph_from_key(key), K)
-        hit = cache.series[key] = (K, _log_series(E, K), D)
-    else:
-        cache.hits += 1
-    return hit[1], hit[2]
-
-
 def _class_sum(
-    by_code: dict[tuple[int, ...], int], K: int
+    by_code: dict[tuple[int, ...], int],
+    K: int,
+    series: dict[bytes, tuple[tuple[tuple[int, ...], ...], int]],
 ) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(N, L) with sum over codes C of by_code[C] a_k(class of C) =
     sum_r N[k][r] t^{k+r} / (k L^r) for k <= K: the codes folded into
     classes (_classes), then w B[k][r] / (k D^r) of every class series with
     a nonzero summed weight w, kept as the integer N[k][r] over the common
-    denominator L."""
-    classes = _classes(by_code)
-    series = [(w, *_class_series(key, K)) for key, (w, _) in classes.items() if w]
-    L = lcm(*(D for _, _, D in series))
+    denominator L.  A class missing from the caller's series {key: (B, D)}
+    is expanded into it, one miss of the default WeightCache."""
+    terms = []
+    for key, w in _classes(by_code).items():
+        if w:
+            hit = series.get(key)
+            if hit is None:
+                default_cache().misses += 1
+                E, D = polymer_series(graph_from_key(key), K)
+                hit = series[key] = (_log_series(E, K), D)
+            terms.append((w, *hit))
+    L = lcm(*(D for _, _, D in terms))
     N = [[0] * (K + 1) for _ in range(K + 1)]
-    for w, B, D in series:
+    for w, B, D in terms:
         for k in range(1, K + 1):
             for r, v in enumerate(B[k]):
                 if v:
@@ -331,16 +317,39 @@ def pattern_gamma(h: Graph, dp: DeltaParams, K: int) -> tuple[Fraction, ...]:
     |V(h)| > k+1, since a cluster of polymers of total degree k covers at
     most k+1 vertices (module docstring).
 
-    The signs are summed per row code and the table goes through the class
-    sum assemble_a uses (_class_sum), so each distinct code is labelled
-    once and each class series read once.  At delta = 0 nothing is
-    labelled or expanded."""
+    The signs are summed per row code (_gamma_codes) and go through the
+    class sum assemble_a uses (_class_sum).  At delta = 0 nothing is
+    enumerated, labelled or expanded."""
+    return _taylor(dp, K, lambda: _class_sum(_gamma_codes(h), K, {})).a
+
+
+def _gamma_codes(h: Graph) -> dict[tuple[int, ...], int]:
+    """{row code: summed (-1)^{|h|-|C|}} over the connected sets C of h
+    with 2 <= |C| and N[C] = V(h)."""
     full = h.vertex_mask()
     by_code: dict[tuple[int, ...], int] = {}
     for mask, nbr, code in enumerate_connected_sets(h, h.n, min_size=2):
         if mask | nbr == full:
             by_code[code] = by_code.get(code, 0) + (-1) ** (h.n - len(code))
-    return _taylor(dp, K, lambda: _class_sum(by_code, K)).a
+    return by_code
+
+
+def pattern_table(
+    g: Graph, dp: DeltaParams, K: int
+) -> tuple[list[tuple[bytes, int, Graph, tuple[Fraction, ...]]], TaylorCoeffs]:
+    """Rows (key, count, representative, pattern_gamma) of the classes in
+    pattern_counts(g, min(K+1, n)), sorted by key, and a = sum of count *
+    gamma over them, which is assemble_a's a (module docstring).  g is
+    enumerated once and each class expanded once for the whole table."""
+    series: dict[bytes, tuple[tuple[tuple[int, ...], ...], int]] = {}
+    rows = []
+    a = [Fraction(0)] * (K + 1)
+    for key, (count, rep) in sorted(pattern_counts(g, min(K + 1, g.n)).items()):
+        gamma = _taylor(dp, K, lambda: _class_sum(_gamma_codes(rep), K, series)).a
+        rows.append((key, count, rep, gamma))
+        for k in range(1, K + 1):
+            a[k] += count * gamma[k]
+    return rows, TaylorCoeffs(a=tuple(a))
 
 
 def _graph_series(g: Graph, K: int) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -377,7 +386,7 @@ def _graph_series(g: Graph, K: int) -> tuple[tuple[tuple[int, ...], ...], int]:
                 elif b:
                     continue
             by_code[code] = by_code.get(code, 0) + w
-    N, L = _class_sum(by_code, K)
+    N, L = _class_sum(by_code, K, {})
     cache.whole = (g, K, N, L)
     return N, L
 

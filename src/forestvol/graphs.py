@@ -269,8 +269,8 @@ def enumerate_connected_sets(
     one generator frame, and the sets of max_size vertices are yielded
     straight from their parent's candidates without being pushed.  The
     order is that of a recursive search (each set before the sets grown
-    from it, candidates by ascending vertex), and callers rely on it:
-    coeffs._classes keeps the first code it meets of each class.
+    from it, candidates by ascending vertex).  No caller relies on it: coeffs
+    sums per code and names each class by its canonical key.
 
     nbr is the OR of the adjacency masks over mask, so the set's outer
     boundary is nbr & ~mask and its closed neighbourhood is mask | nbr.

@@ -71,18 +71,15 @@ class WeightCache:
 
     normalized maps the labelled local shape (nv, tree edges, broken edges)
     of a tree to W with hat_w = delta^{|V|} * W; only tree_weight reads it.
-    series maps the plain canonical key of a connected graph H to
-    (K, B, D), the integer log-series of H that coeffs expands once and
-    evaluates at each delta: a_k(H) = sum_r B[k][r] t^{k+r} / (k D^r) for
-    k <= K, t = delta/(1/2+delta).
     whole is one slot for the last input graph coeffs.assemble_a answered:
     (G, K, N, L) with a_k(G) = sum_r N[k][r] t^{k+r} / (k L^r) for k <= K,
-    or None.  A query on an equal graph (same n and ordered edge list) at
-    any delta and any order up to K only evaluates it; any other query
-    replaces it, so the slot never holds more than one graph.
-    A miss is one class series expanded by coeffs._class_series; a hit is
-    a class series read from series, or a whole-graph series read from the
-    slot (which reads no class series).
+    t = delta/(1/2+delta), or None.  A query on an equal graph (same n and
+    ordered edge list) at any delta and any order up to K only evaluates
+    it; any other query replaces it, so the slot never holds more than one
+    graph.  It is the only memo of the coefficient path that outlives a
+    query: class series live in a dict the caller of coeffs._class_sum owns.
+    A miss is one class series expanded (coeffs._class_sum); a hit is one
+    whole-graph series read from the slot, which expands nothing.
     """
 
     def __init__(self):
@@ -90,7 +87,6 @@ class WeightCache:
             tuple[int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]],
             Fraction,
         ] = {}
-        self.series: dict[bytes, tuple[int, tuple[tuple[int, ...], ...], int]] = {}
         self.whole: tuple[Graph, int, tuple[tuple[int, ...], ...], int] | None = None
         self.hits = 0
         self.misses = 0
@@ -111,7 +107,6 @@ class WeightCache:
 
     def clear(self) -> None:
         self.normalized.clear()
-        self.series.clear()
         self.whole = None
         self.hits = 0
         self.misses = 0

@@ -134,10 +134,8 @@ def forest_component_ranks(g: Graph, ranks: tuple[int, ...]) -> list[tuple[int, 
 
 def clear_caches() -> None:
     """Empty every process-global memo, so the next query runs cold."""
-    from forestvol.canon import clear_cache
     from forestvol.treeweight import default_cache
 
-    clear_cache()
     default_cache().clear()
 
 

@@ -96,9 +96,9 @@ def test_regular_pairs_with_same_refinement():
     assert canonical_form(c6) != canonical_form(two_triangles)
 
 
-# Keys are WeightCache.series keys, so a change to the labelling search or
-# to the code cache must not re-key them; these bytes were recorded before
-# canonical_form looked graphs up by row code.
+# Keys name the classes coeffs expands and the forestvol coeffs table
+# prints, so a change to the labelling search must not re-key them; these
+# bytes were recorded before canonical_form labelled graphs from row codes.
 PINNED_KEYS = [
     (
         petersen_graph(),

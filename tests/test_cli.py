@@ -123,6 +123,59 @@ def test_coeffs_patterns_reproduce_a(capsys, tmp_path):
     ]
 
 
+def test_coeffs_eps_and_order_exclusive_exit_2(capsys, graphs):
+    """--order replaces --eps, so passing both is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main(["coeffs", "--graph", graphs["p3"], "--delta", "1/100",
+              "--eps", "1/10", "--order", "2"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_coeffs_eps_default_declared(capsys, graphs):
+    """The --eps default lives in the parser, and a run without --eps picks
+    K from the certificate exactly as --eps 1/100 does."""
+    from forestvol.cli import build_parser
+
+    args = build_parser().parse_args(["coeffs", "--graph", "g", "--delta", "1/100"])
+    assert (args.eps, args.order) == ("1/100", None)
+    argv = ["coeffs", "--graph", graphs["tri"], "--delta", "1/100"]
+    rc, out, _ = run_cli(capsys, argv)
+    rc2, out2, _ = run_cli(capsys, argv + ["--eps", "1/100"])
+    assert rc == rc2 == 0 and out == out2
+    assert json.loads(out)["R"] is not None
+
+
+def test_coeffs_enumerates_graph_once(capsys, monkeypatch, tmp_path):
+    """forestvol coeffs enumerates the input graph once and expands each
+    pattern class once: on the 1000-vertex benchmark graph at delta = 1/300
+    (K = 5), one enumeration of G and one miss per printed pattern."""
+    from forestvol import coeffs
+    from forestvol.treeweight import default_cache
+
+    g = random_connected_graph(1000, 300, seed=0, max_degree=3)
+    path = tmp_path / "sparse1000.txt"
+    path.write_text(format_graph(g))
+    sizes = []
+    enumerate_sets = coeffs.enumerate_connected_sets
+
+    def counted(h, *args, **kwargs):
+        sizes.append(h.n)
+        return enumerate_sets(h, *args, **kwargs)
+
+    monkeypatch.setattr(coeffs, "enumerate_connected_sets", counted)
+    default_cache().clear()
+    rc, out, _ = run_cli(
+        capsys, ["coeffs", "--graph", str(path), "--delta", "1/300", "--eps", "1/100"]
+    )
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["K"] == 5
+    assert sizes.count(g.n) == 1
+    assert all(n <= 6 for n in sizes if n != g.n)
+    assert default_cache().misses == len(doc["patterns"]) == 18
+
+
 def test_weights_json(capsys, graphs):
     rc, out, _ = run_cli(
         capsys,

@@ -286,7 +286,7 @@ def test_pattern_gamma_delta_zero_expands_nothing(monkeypatch):
         raise AssertionError("labelled or expanded at delta = 0")
 
     monkeypatch.setattr(coeffs, "code_key", boom)
-    monkeypatch.setattr(coeffs, "_class_series", boom)
+    monkeypatch.setattr(coeffs, "polymer_series", boom)
     assert pattern_gamma(complete_graph(4), DeltaParams(Fraction(0)), 3) == (Fraction(0),) * 4
 
 
@@ -378,6 +378,33 @@ def test_assembled_matches_direct(seed):
         assert tuple(expanded) == assembled.a, (n, K)
 
 
+@pytest.mark.parametrize(
+    "g,K",
+    [
+        (random_connected_graph(16, 3, seed=3, max_degree=3), 5),
+        (petersen_graph(), 7),
+        # two isomorphic triangles, an edge and two isolated vertices, n <= 2K
+        (Graph(10, [(0, 1), (1, 2), (0, 2), (4, 5), (6, 7), (7, 8), (6, 8)]), 5),
+        (_with_path(random_connected_graph(9, 3, seed=81, max_degree=3), 3), 3),
+    ],
+    ids=["dense16-K5", "petersen-K7", "disconnected-K5", "disconnected-K3"],
+)
+def test_pattern_table_a_matches_assemble_a(g, K):
+    """The forestvol coeffs table: its a, the sum of count * gamma_k over
+    the patterns of at most K+1 vertices, equals assemble_a's a, both when
+    n > 2K (dense16, the 12-vertex union) and when n <= 2K; its rows are
+    pattern_counts sorted by key, each with its pattern_gamma."""
+    dp = DeltaParams(Fraction(1, 100))
+    clear_caches()
+    rows, a = coeffs.pattern_table(g, dp, K)
+    counts = pattern_counts(g, min(K + 1, g.n))
+    assert [key for key, _, _, _ in rows] == sorted(counts)
+    for key, count, rep, gamma in rows:
+        assert (count, rep) == counts[key]
+        assert gamma == pattern_gamma(rep, dp, K)
+    assert a.a == assemble_a(g, dp, K).a
+
+
 def test_assembly_expands_classes_up_to_k_plus_one():
     """A cold assemble_a expands one class series per class of at most K+1
     vertices with nonzero summed weight when n > 2K, and G alone when
@@ -409,7 +436,7 @@ def _recursive_graph_series(g: Graph, K: int):
         else:
             continue
         by_code[code] = by_code.get(code, 0) + w
-    return coeffs._class_sum(by_code, K)
+    return coeffs._class_sum(by_code, K, {})
 
 
 @pytest.mark.parametrize(
@@ -472,11 +499,10 @@ def test_assembly_additive_over_disjoint_union():
 
 
 def test_assemble_repeat_cold_deterministic():
-    """Repeated cold runs agree.  So does a run that finds the class series
-    a query at delta' and order K' left in the cache, and it weighs and
-    expands nothing new.  The series carry no delta; with n <= 2K the only
-    class is G itself, so the 6-vertex case reads an entry built at K' = 4
-    for K = 3."""
+    """Repeated cold runs agree.  So does a run that finds the whole-graph
+    series a query at delta' and order K' left in the slot, and it expands
+    nothing new.  The series carries no delta, so the 6-vertex case reads a
+    slot built at K' = 4 for K = 3."""
     dp = DeltaParams(Fraction(1, 100))
     cache = default_cache()
     for n, warm in ((8, (Fraction(1, 10), 3)), (6, (Fraction(1, 10), 4))):
@@ -487,12 +513,11 @@ def test_assemble_repeat_cold_deterministic():
             runs.append(assemble_a(g, dp, 3).a)
         assert runs[0] == runs[1] == runs[2]
         clear_caches()
-        assert not cache.series
         assemble_a(g, DeltaParams(warm[0]), warm[1])
-        before = (cache.misses, dict(cache.series))
+        before = (cache.hits, cache.misses)
         assert before[1]
         assert assemble_a(g, dp, 3).a == runs[0], (n, warm)
-        assert (cache.misses, cache.series) == before, (n, warm)
+        assert (cache.hits, cache.misses) == (before[0] + 1, before[1]), (n, warm)
 
 
 def test_small_e_delta_zero_weighs_nothing():
@@ -501,10 +526,10 @@ def test_small_e_delta_zero_weighs_nothing():
     clear_caches()
     g = random_connected_graph(10, 3, seed=2, max_degree=3)
     cache = default_cache()
-    before = (cache.misses, dict(cache.series))
+    before = (cache.hits, cache.misses, cache.whole)
     e = small_e(g, DeltaParams(Fraction(0)), g.n - 1)
     assert e == (1,) + (0,) * (g.n - 1)
-    assert (cache.misses, cache.series) == before
+    assert (cache.hits, cache.misses, cache.whole) == before
 
 
 def test_small_e_labels_no_polymer(monkeypatch):
