@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import time
@@ -60,15 +59,6 @@ def _add_common(p: argparse.ArgumentParser, graph: bool = True) -> None:
     p.add_argument("--output", choices=("json", "text"), default="json")
 
 
-def _add_threads(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="Monte Carlo worker threads (results do not depend on it)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="forestvol",
@@ -91,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", required=True)
     p.add_argument("--samples", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=0)
-    _add_threads(p)
 
     p = sub.add_parser("coeffs", help="Taylor coefficients and pattern table")
     _add_common(p)
@@ -113,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="built-in cross-checks")
     _add_common(p, graph=False)
     p.add_argument("--samples", type=int, default=200_000)
-    _add_threads(p)
 
     return parser
 
@@ -174,7 +162,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
     delta = _rational(args.delta, "delta")
     if args.samples < 1:
         raise ValueError("samples must be >= 1")
-    est = mc_volume(g, delta, args.samples, seed=args.seed, threads=args.threads)
+    est = mc_volume(g, delta, args.samples, seed=args.seed)
     payload = {
         "mean": est.mean,
         "stderr": est.stderr,
@@ -292,7 +280,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
     for g, name in ((path_graph(4), "P4"), (cycle_graph(5), "C5"), (complete_graph(4), "K4")):
         ex = exact_volume(g, dp4)
-        est = mc_volume(g, Fraction(1, 4), args.samples, seed=17, threads=args.threads)
+        est = mc_volume(g, Fraction(1, 4), args.samples, seed=17)
         z = abs(est.mean - float(ex)) / est.stderr if est.stderr else 0.0
         check(f"mc vs exact {name}", z < 4.0, f"z={z:.2f}")
 
@@ -321,7 +309,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         )
     pet = petersen_graph()
     res = approximate_volume(pet, delta, Fraction(1, 4))
-    est = mc_volume(pet, delta, args.samples, seed=23, threads=args.threads)
+    est = mc_volume(pet, delta, args.samples, seed=23)
     overlap = (
         est.mean - 4 * est.stderr <= float(res.upper)
         and float(res.lower) <= est.mean + 4 * est.stderr

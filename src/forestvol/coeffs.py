@@ -253,11 +253,14 @@ def _classes(by_code: dict[tuple[int, ...], int]) -> dict[bytes, int]:
 def _log_series(E: Sequence[Sequence[int]], K: int) -> tuple[tuple[int, ...], ...]:
     """B with b_k = k a_k = t^k sum_r B[k][r] (t/D)^r, from Newton's identity
     b_k = k e_k - sum_{j<k} b_j e_{k-j}: the t^k factors multiply out and
-    the (t/D)^r series convolve, so B stays integer."""
+    the (t/D)^r series convolve, so B stays integer.  A class of s vertices
+    has no forest of s or more edges, so E is zero past row s-1 and only
+    the j with k-j up to E's last nonzero row contribute."""
+    top = max((j for j, row in enumerate(E) if any(row)), default=0)
     B = [(0,) * (K + 1)]
     for k in range(1, K + 1):
         row = [k * v for v in E[k]]
-        for j in range(1, k):
+        for j in range(max(1, k - top), k):
             ekj = E[k - j]
             for r1, x in enumerate(B[j]):
                 if x:

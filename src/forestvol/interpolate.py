@@ -161,7 +161,10 @@ def tail_bound(n: int, radius: Fraction, K: int) -> Fraction:
 def truncation_order(n: int, eps: Fraction, radius: Fraction) -> int:
     """Minimal K >= 1 with (n-1) * sum_{k>K} R^-k / k <= ln(1+eps).
 
-    Raises CertificateError when no K up to _MAX_ORDER meets the budget.
+    Raises CertificateError when no K up to _MAX_ORDER meets the budget,
+    or as soon as a step leaves the tail's upper end where it was: the term
+    subtracted has fallen below what 160 bits resolve, it only shrinks from
+    there, so no later K can meet the budget either.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -172,11 +175,19 @@ def truncation_order(n: int, eps: Fraction, radius: Fraction) -> int:
         return 1
     with _iv_prec(160):
         budget = iv.log(1 + _iv_frac(eps)) / (n - 1)
+        prev = None
         for K, tail in enumerate(_tails(radius)):
             if K >= 1 and tail.b <= budget.a:
                 return K
+            if prev is not None and tail.b >= prev:
+                raise CertificateError(
+                    f"truncation order: the tail bound stopped falling at K={K}, "
+                    f"above the budget for eps={eps}; 160-bit interval "
+                    f"arithmetic cannot certify an eps this small, raise eps"
+                )
             if K > _MAX_ORDER:
                 raise CertificateError("truncation order did not converge")
+            prev = tail.b
 
 
 def guard_order(n: int, K: int) -> None:

@@ -1,27 +1,27 @@
 """Checks on the certified pipeline: Monte Carlo volume, the exact volume,
 the interval-partition property of broken-edge sets, and root location.
 
-mc_volume and exact_volume share no code with the interpolation pipeline:
-exact_volume integrates over the independent set of coordinates above 1/2
-and needs no trees, canonical forms or poset integrals, so it checks the
-tree weights and class weights as well as the interpolation.  exact_p1 is
-exact_volume over the box volume.  root_check needs every coefficient e_k
-of p, so it expands p with small_e, the pipeline's own polymer DP.
-penrose_check uses the graph module's spanning-tree and broken-edge
-routines.
+mc_volume and exact_volume share no code with the interpolation pipeline.
+mc_volume draws fixed chunks of Philox samples in one loop on one thread,
+so its estimate depends only on the graph, delta, the sample count and the
+seed.  exact_volume integrates over the independent set of coordinates
+above 1/2 and needs no trees, canonical forms or poset integrals, so it
+checks the tree weights and class weights as well as the interpolation.
+exact_p1 is exact_volume over the box volume.  root_check needs every
+coefficient e_k of p, so it expands p with small_e, the pipeline's own
+polymer DP.  penrose_check uses the graph module's spanning-tree and
+broken-edge routines.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 
 from .coeffs import small_e
 from .errors import SizeGuardError
-from .graphs import Graph, spanning_trees, broken_edges
+from .graphs import Graph, bits, spanning_trees, broken_edges
 from .treeweight import DeltaParams
 
 MC_CHUNK = 1 << 16
@@ -40,25 +40,16 @@ class McEstimate:
     accepted: int
     box_volume: float
 
-    @property
-    def acceptance_rate(self) -> float:
-        return self.accepted / self.samples if self.samples else 0.0
 
-
-def mc_volume(
-    g: Graph,
-    delta: Fraction,
-    samples: int,
-    seed: int = 0,
-    threads: int = 1,
-) -> McEstimate:
+def mc_volume(g: Graph, delta: Fraction, samples: int, seed: int = 0) -> McEstimate:
     """Monte Carlo volume estimate with a fixed chunked sample layout.
 
-    Chunk i draws from Philox(key=seed) at counter block i, so the accepted
-    count (hence the estimate) is independent of thread count.  threads
-    must be >= 1; the pool holds at most min(threads, chunks, CPU count)
-    workers.  delta must lie in [0, 1/2), as everywhere else (a
-    ValueError from DeltaParams otherwise).
+    Chunk i holds min(MC_CHUNK, samples left) points and draws them from
+    Philox(key=seed) at counter block i, so the accepted count (hence the
+    estimate) depends only on g, delta, samples and seed.  The chunks are
+    drawn one after another on one thread and never listed up front, so
+    memory stays at one chunk whatever samples is.  delta must lie in
+    [0, 1/2), as everywhere else (a ValueError from DeltaParams otherwise).
     """
     # imported here, not at module level: numpy is most of the import
     # time and memory of the package, and only the oracles use it
@@ -67,31 +58,18 @@ def mc_volume(
     hi = float(DeltaParams(delta).box_hi)
     if samples <= 0:
         raise ValueError("samples must be positive")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     n = g.n
     edges = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
-    chunks = [
-        (i, min(MC_CHUNK, samples - i * MC_CHUNK))
-        for i in range((samples + MC_CHUNK - 1) // MC_CHUNK)
-    ]
-
-    def run(chunk: tuple[int, int]) -> int:
-        idx, count = chunk
+    accepted = 0
+    for idx in range((samples + MC_CHUNK - 1) // MC_CHUNK):
+        count = min(MC_CHUNK, samples - idx * MC_CHUNK)
         bitgen = np.random.Philox(key=seed, counter=[0, 0, idx, 0])
         rng = np.random.Generator(bitgen)
         x = rng.random((count, n)) * hi if n else np.zeros((count, 0))
         ok = np.ones(count, dtype=bool)
         for u, v in edges:
             ok &= x[:, u] + x[:, v] <= 1.0
-        return int(ok.sum())
-
-    workers = min(threads, len(chunks), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            accepted = sum(pool.map(run, chunks))
-    else:
-        accepted = sum(run(c) for c in chunks)
+        accepted += int(ok.sum())
     box_volume = hi**n
     rate = accepted / samples
     return McEstimate(
@@ -229,11 +207,11 @@ def penrose_check(g: Graph, edge_order: tuple[int, ...] | None = None) -> Penros
         while True:
             f = base | _spread(sub, extra)
             if f in marked:
-                duplicates.append(_mask_to_ranks(f))
+                duplicates.append(tuple(bits(f)))
             else:
                 marked[f] = base
             if _min_spanning_tree(g, f) != base:
-                mst_violations.append(_mask_to_ranks(f))
+                mst_violations.append(tuple(bits(f)))
             if sub == (1 << len(extra)) - 1:
                 break
             sub += 1
@@ -245,8 +223,8 @@ def penrose_check(g: Graph, edge_order: tuple[int, ...] | None = None) -> Penros
         marked=len(marked),
         connected_spanning=len(target),
         duplicates=tuple(duplicates),
-        missed=tuple(_mask_to_ranks(f) for f in missed),
-        extras=tuple(_mask_to_ranks(f) for f in extras),
+        missed=tuple(tuple(bits(f)) for f in missed),
+        extras=tuple(tuple(bits(f)) for f in extras),
         mst_violations=tuple(mst_violations),
     )
 
@@ -280,15 +258,6 @@ def _spread(sub: int, ranks: tuple[int, ...]) -> int:
         if (sub >> i) & 1:
             out |= 1 << r
     return out
-
-
-def _mask_to_ranks(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 def _connected_spanning_masks(g: Graph):

@@ -458,6 +458,34 @@ def test_graph_series_matches_recursive_table(g, K):
     assert coeffs._graph_series(g, K) == _recursive_graph_series(g, K)
 
 
+def _reference_log_series(E, K):
+    """Newton's identity over every j < k, zero rows of E included."""
+    B = [(0,) * (K + 1)]
+    for k in range(1, K + 1):
+        row = [k * v for v in E[k]]
+        for j in range(1, k):
+            ekj = E[k - j]
+            for r1, x in enumerate(B[j]):
+                if x:
+                    for r2, y in enumerate(ekj[: k + 1 - r1]):
+                        if y:
+                            row[r1 + r2] -= x * y
+        B.append(tuple(row))
+    return tuple(B)
+
+
+@pytest.mark.parametrize(
+    "g,K",
+    [(complete_graph(3), 200), (petersen_graph(), 7), (path_graph(2), 5)],
+    ids=["K3-K200", "petersen-K7", "K2-K5"],
+)
+def test_log_series_skips_zero_rows(g, K):
+    """B from the rows of E below the class's vertex count alone equals B
+    from every row."""
+    E, _ = coeffs.polymer_series(g, K)
+    assert coeffs._log_series(E, K) == _reference_log_series(E, K)
+
+
 def test_component_route_enumerates_nothing(monkeypatch):
     """With n <= 2K a cold query weighs G's components and enumerates no
     connected set."""

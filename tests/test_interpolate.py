@@ -122,6 +122,44 @@ def test_truncation_order_reference_points():
     assert truncation_order(1, Fraction(1, 100), r3) == 1
 
 
+def _reference_truncation_order(n: int, eps: Fraction, radius: Fraction) -> int:
+    """truncation_order's search without the stalled-tail stop: it walks
+    to interpolate._MAX_ORDER before it gives up."""
+    with interpolate._iv_prec(160):
+        budget = iv.log(1 + interpolate._iv_frac(eps)) / (n - 1)
+        for K, tail in enumerate(interpolate._tails(radius)):
+            if K >= 1 and tail.b <= budget.a:
+                return K
+            if K > interpolate._MAX_ORDER:
+                raise CertificateError("truncation order did not converge")
+
+
+def test_truncation_order_same_k_down_to_160_bit_floor():
+    """Stopping at the first step that leaves the tail's upper end in place
+    keeps every K the full search finds, down to eps = 10^-46 at n = 2, 3
+    (10^-47 is the last decade 160 bits resolve for most radii here), and
+    stops at 10^-48 where the full search walks to _MAX_ORDER."""
+    radii = [
+        Fraction(11, 10),
+        Fraction(204, 100),
+        zero_free_radius(Fraction(1, 100), 2).radius,
+        Fraction(10),
+        Fraction(1000),
+    ]
+    for r in radii:
+        for n in (2, 3, 1000):
+            for e in (1, 2, 6, 20, 40, 43):
+                eps = Fraction(1, 10**e)
+                assert truncation_order(n, eps, r) == _reference_truncation_order(
+                    n, eps, r
+                ), (r, n, e)
+        for n in (2, 3):
+            eps = Fraction(1, 10**46)
+            assert truncation_order(n, eps, r) == _reference_truncation_order(n, eps, r)
+            with pytest.raises(CertificateError, match="160-bit"):
+                truncation_order(n, Fraction(1, 10**48), r)
+
+
 # --- end-to-end -----------------------------------------------------------------
 
 

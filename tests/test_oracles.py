@@ -34,58 +34,37 @@ K2 = Graph(2, [(0, 1)])
 
 
 def test_mc_deterministic_and_thread_invariant():
+    """Same seed, same estimate; the accepted count is pinned, so the chunk
+    layout, and with it every estimate, cannot drift."""
     g = path_graph(4)
     # 150000 samples straddles chunk boundaries (chunk = 65536)
-    a = mc_volume(g, Fraction(1, 4), 150_000, seed=5, threads=1)
-    b = mc_volume(g, Fraction(1, 4), 150_000, seed=5, threads=4)
-    c = mc_volume(g, Fraction(1, 4), 150_000, seed=5, threads=8)
-    assert a == b == c
+    a = mc_volume(g, Fraction(1, 4), 150_000, seed=5)
+    assert a == mc_volume(g, Fraction(1, 4), 150_000, seed=5)
+    assert a.accepted == 81000
     d = mc_volume(g, Fraction(1, 4), 150_000, seed=6)
     assert d.accepted != a.accepted  # different seed, different stream
 
 
-def test_mc_rejects_nonpositive_threads():
-    for threads in (0, -1):
-        with pytest.raises(ValueError, match="threads"):
-            mc_volume(path_graph(3), Fraction(1, 4), 1000, threads=threads)
+def test_mc_memory_independent_of_samples(monkeypatch):
+    """The chunks are walked lazily: with 10**10 samples (152,588 chunks)
+    nothing proportional to the chunk count is allocated before the first
+    draw, which Philox is patched to refuse."""
+    import tracemalloc
 
+    import numpy as np
 
-@pytest.mark.parametrize(
-    "samples,threads,cpus,workers",
-    [
-        # 10**9 samples are 15,259 chunks: the CPU count caps the pool
-        (10**9, 100_000, 64, 64),
-        # three chunks cap it below the CPU count
-        (3 * 65536, 100_000, 64, 3),
-        (10**9, 5, 64, 5),
-    ],
-)
-def test_mc_pool_size_capped(monkeypatch, samples, threads, cpus, workers):
-    """The pool never exceeds the chunk count or the CPU count.  The
-    executor is replaced by one that records its size and runs nothing, so
-    no thread starts and no sample is drawn."""
-    from forestvol import oracles
+    def refuse(*args, **kwargs):
+        raise RuntimeError("first draw")
 
-    sizes = []
-
-    class Recorder:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, chunks):
-            return [0 for _ in chunks]
-
-    monkeypatch.setattr(oracles, "ThreadPoolExecutor", Recorder)
-    monkeypatch.setattr(oracles.os, "cpu_count", lambda: cpus)
-    est = mc_volume(path_graph(3), Fraction(1, 4), samples, threads=threads)
-    assert sizes == [workers]
-    assert est.accepted == 0
+    monkeypatch.setattr(np.random, "Philox", refuse)
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError, match="first draw"):
+            mc_volume(path_graph(3), Fraction(1, 4), 10**10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_mc_edgeless_exact():
