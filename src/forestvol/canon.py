@@ -14,9 +14,16 @@ one per automorphism: Petersen takes 10 leaves for |Aut| = 120.
 code_key labels a plain graph given by its row code (graphs.row_code),
 the format in which graphs.enumerate_connected_sets describes each
 connected set: it fills the color matrix straight from the code, so a set
-is classified without building its induced subgraph or any Graph.  Nothing
-is cached here: coeffs sums set weights per code before labelling, so each
-code of one {code: weight} table is labelled once.
+is classified without building its induced subgraph or any Graph.
+
+One class owns many codes, since a set's code depends on the order in
+which it was grown, and almost every code is a tree or has one cycle.
+peel_key gives such a code an exact string by leaf peeling and rooted
+tree strings (Aho, Hopcroft and Ullman 1974), at a fraction of the cost of
+code_key.  coeffs sums set weights per code, puts the codes into buckets
+by that string (every other code on its own), and labels one code per
+bucket, so a class of trees or one-cycle codes is labelled once.  Nothing
+is cached here.
 """
 
 from __future__ import annotations
@@ -40,6 +47,82 @@ def code_key(code: tuple[int, ...]) -> bytes:
         for j in bits(row):
             flat[i * n + j] = flat[j * n + i] = 1
     return kernel.canon_key(n, bytes(flat))
+
+
+def peel_key(code: tuple[int, ...]) -> str | None:
+    """Exact isomorphism string of a connected code with at most as many
+    edges as vertices, or None for any other code.
+
+    Leaves are peeled layer by layer, and each peeled vertex hands the
+    neighbour it hangs from its rooted string, "(" + the strings handed to
+    it, sorted and joined, + ")" (Aho, Hopcroft and Ullman 1974).  A tree
+    is peeled down to its centre, whose string is the key, or to its two
+    centres, whose strings sorted and joined by "-" are the key.  A
+    one-cycle code is peeled down to its cycle, and the key is "C" + the
+    least rotation or reflection of the cycle's strings, joined.  Two codes
+    get equal strings exactly when they are isomorphic.  A disconnected
+    code, or one with two or more independent cycles, gets None.  A
+    malformed code raises ValueError, as in code_key.
+    """
+    n = len(code)
+    if n > MAX_VERTICES:
+        raise ValueError(f"canonical form supports at most {MAX_VERTICES} vertices")
+    m = 0
+    for i, row in enumerate(code):
+        if row >> i:
+            raise ValueError(f"bad row code entry {row} at position {i}")
+        m += row.bit_count()
+    if not n or not n - 1 <= m <= n:
+        return None
+    adj = list(code)
+    for i, row in enumerate(code):
+        for j in bits(row):
+            adj[j] |= 1 << i
+    deg = [a.bit_count() for a in adj]
+    kids: list[list[str]] = [[] for _ in range(n)]
+
+    def rooted(v: int) -> str:
+        return "(" + "".join(sorted(kids[v])) + ")"
+
+    tree = m < n
+    alive = (1 << n) - 1
+    layer = [v for v in range(n) if deg[v] == 1]
+    # a tree stops at its one or two centres, a one-cycle code at its cycle
+    while layer and (not tree or alive.bit_count() > 2):
+        nxt = []
+        for v in layer:
+            u = adj[v].bit_length() - 1
+            if u < 0:
+                return None  # v and its neighbour made up a component
+            kids[u].append(rooted(v))
+            adj[u] ^= 1 << v
+            deg[u] -= 1
+            if deg[u] == 1:
+                nxt.append(u)
+            alive ^= 1 << v
+        layer = nxt
+    rest = list(bits(alive))
+    if tree:
+        # peeling a forest leaves at most two vertices; a cycle stops it
+        if len(rest) > 2:
+            return None
+        return "-".join(sorted(map(rooted, rest)))
+    # as many edges as vertices are left, and no leaf: one cycle when every
+    # degree is 2 and the walk round it meets every vertex
+    if any(deg[v] != 2 for v in rest):
+        return None
+    start = prev = rest[0]
+    ring = [start]
+    cur = adj[start].bit_length() - 1
+    while cur != start:
+        ring.append(cur)
+        prev, cur = cur, (adj[cur] ^ (1 << prev)).bit_length() - 1
+    if len(ring) != len(rest):
+        return None
+    seq = [rooted(v) for v in ring]
+    return "C" + min(
+        "".join(s[i:] + s[:i]) for s in (seq, seq[::-1]) for i in range(len(s))
+    )
 
 
 def canonical_form(g: Graph) -> bytes:

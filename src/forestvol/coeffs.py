@@ -68,7 +68,9 @@ w(C) a_k(G[C]), with two weight rules: the boundary weight w(C) above over
 the sets of at most c vertices of G (assemble_a), and (-1)^{|U|-|C|} over
 the sets of h = G[U] with N[C] = U (pattern_gamma).  Both take one route:
 the weights are summed per row code into a {code: weight} table, codes
-whose sum is 0 are dropped, and each remaining code is mapped once to its
+whose sum is 0 are dropped, the rest are put into buckets by their exact
+peeled string (canon.peel_key: trees and one-cycle codes; any other code
+is its own bucket), and the first code of each bucket is mapped to its
 plain canonical key (canon.code_key), which names the class (_classes);
 then w B of every class series with a nonzero summed weight w is added
 over the common denominator into a delta-free table (N, L) (_class_sum),
@@ -85,7 +87,7 @@ from typing import Sequence
 
 # canonical_form is not called here: perfbench/tracer.py traces
 # coeffs.canonical_form and raises on a missing target
-from .canon import canonical_form, code_key, graph_from_key  # noqa: F401
+from .canon import canonical_form, code_key, graph_from_key, peel_key  # noqa: F401
 from .graphs import Graph, enumerate_connected_sets, row_code
 from .treeweight import DeltaParams, default_cache, polymer_weights
 
@@ -240,13 +242,25 @@ def pattern_counts(g: Graph, max_size: int) -> dict[bytes, tuple[int, Graph]]:
 
 def _classes(by_code: dict[tuple[int, ...], int]) -> dict[bytes, int]:
     """Fold a {row code: integer weight} table into {plain canonical key:
-    summed weight}.  A code whose weight is 0 is dropped unlabelled; every
-    other code is labelled once (canon.code_key)."""
-    out: dict[bytes, int] = {}
+    summed weight}.  A code whose weight is 0 is dropped unlabelled.  The
+    other codes are put into buckets: trees and one-cycle codes by their
+    exact peeled string (canon.peel_key), every other code on its own.
+    Each bucket's weights are summed and its first code is labelled
+    (canon.code_key), so a class of trees or one-cycle codes is labelled
+    once however many codes it has."""
+    buckets: dict[str | tuple[int, ...], list] = {}
     for code, w in by_code.items():
         if w:
-            key = code_key(code)
-            out[key] = out.get(key, 0) + w
+            # a code with no peeled string is its own bucket
+            name = peel_key(code) or code
+            if name in buckets:
+                buckets[name][1] += w
+            else:
+                buckets[name] = [code, w]
+    out: dict[bytes, int] = {}
+    for code, w in buckets.values():
+        key = code_key(code)
+        out[key] = out.get(key, 0) + w
     return out
 
 
@@ -402,7 +416,9 @@ def assemble_a(g: Graph, dp: DeltaParams, K: int) -> TaylorCoeffs:
     (_graph_series), evaluated at t.
 
     Sets are classified by the row code the enumerator carries: w(C) is
-    summed per code, and each code with a nonzero sum is labelled once.
+    summed per code, and one code with a nonzero sum is labelled per
+    bucket (_classes), which is one per class for trees and one-cycle
+    codes.
 
     (N, L) is kept in the default WeightCache's whole-graph slot.  A later
     query on an equal graph at any delta and any order up to the slot's K

@@ -102,6 +102,7 @@ def random_connected_graph(
 def connected_graphs_upto(
     max_n: int,
     max_degree: int | None = None,
+    max_cycle_rank: int | None = None,
 ) -> Iterator[Graph]:
     """All connected graphs with at most max_n vertices, one per
     isomorphism class, by vertex augmentation.
@@ -110,6 +111,10 @@ def connected_graphs_upto(
     arises from a connected graph on n-1 vertices by attaching one new
     vertex to a nonempty subset of the old ones; deduplication by
     canonical form makes the sweep exhaustive and irredundant.
+
+    max_cycle_rank bounds m - n + 1 (0 gives the trees, 1 the trees and
+    one-cycle graphs).  Attaching a vertex to s old ones raises the rank
+    by s - 1, so every graph within the bound has a parent within it.
     """
     if max_n < 1:
         return
@@ -119,8 +124,11 @@ def connected_graphs_upto(
         seen: set[bytes] = set()
         nxt: list[Graph] = []
         for g in layer:
+            rank = len(g.edges) - g.n + 1
             for size in range(1, n):
                 if max_degree is not None and size > max_degree:
+                    break
+                if max_cycle_rank is not None and rank + size - 1 > max_cycle_rank:
                     break
                 for subset in combinations(range(n - 1), size):
                     if max_degree is not None and any(

@@ -3,14 +3,16 @@ import random
 import pytest
 
 from forestvol import kernel
-from forestvol.canon import canonical_form, code_key, colored_canonical_form
-from forestvol.graphs import Graph, row_code
+from forestvol.canon import canonical_form, code_key, colored_canonical_form, peel_key
+from forestvol.graphs import Graph, enumerate_connected_sets, row_code
 from forestvol.families import (
     complete_graph,
+    connected_graphs_upto,
     cycle_graph,
     graphs_upto,
     path_graph,
     petersen_graph,
+    random_connected_graph,
     random_graph,
 )
 
@@ -274,3 +276,90 @@ def test_code_key_matches_colored_form():
     for g in list(_SYMMETRIC.values()) + [_frucht_graph(), path_graph(5)]:
         plain = colored_canonical_form(g.n, [(u, v, 1) for u, v in g.edges])
         assert code_key(row_code(g)) == plain
+
+
+def _same_partition(codes) -> int:
+    """Assert that peel_key names every code and that two codes get equal
+    strings exactly when their code_keys are equal; return the classes."""
+    by_peel: dict[str, set[bytes]] = {}
+    by_key: dict[bytes, set[str]] = {}
+    for code in codes:
+        peeled, key = peel_key(code), code_key(code)
+        assert peeled is not None, code
+        by_peel.setdefault(peeled, set()).add(key)
+        by_key.setdefault(key, set()).add(peeled)
+    assert all(len(keys) == 1 for keys in by_peel.values())
+    assert all(len(strings) == 1 for strings in by_key.values())
+    return len(by_key)
+
+
+def test_peel_key_exact_on_trees_and_one_cycle_graphs():
+    """Every connected graph of at most 8 vertices with m <= n, under 4
+    relabellings each: 48 trees and 143 one-cycle graphs (OEIS A000055 and
+    A001429 summed over n <= 8), one peeled string per class."""
+    graphs = list(connected_graphs_upto(8, max_cycle_rank=1))
+    assert len(graphs) == 191
+    assert sum(len(g.edges) < g.n for g in graphs) == 48
+    codes = [
+        row_code(_permuted(g, random.Random(seed).sample(range(g.n), g.n)))
+        for g in graphs
+        for seed in range(4)
+    ]
+    assert _same_partition(codes) == 191
+
+
+def test_connected_graphs_upto_cycle_rank_filter():
+    """max_cycle_rank prunes the augmentation without losing a class."""
+    for rank in (0, 1, 2):
+        pruned = {canonical_form(g) for g in connected_graphs_upto(6, max_cycle_rank=rank)}
+        full = {
+            canonical_form(g)
+            for g in connected_graphs_upto(6)
+            if len(g.edges) - g.n + 1 <= rank
+        }
+        assert pruned == full
+
+
+@pytest.mark.parametrize(
+    "g, cap",
+    [
+        (random_connected_graph(1000, 300, seed=0, max_degree=3), 7),
+        (random_connected_graph(16, 3, seed=3, max_degree=3), 9),
+    ],
+    ids=["sparse1000", "dense16"],
+)
+def test_peel_key_exact_on_enumerated_codes(g, cap):
+    """Every code the enumerator gives with at most as many edges as
+    vertices gets a string, and the strings split the codes as code_key
+    does; every other code gets None."""
+    codes = {code for _, _, code in enumerate_connected_sets(g, cap, min_size=2)}
+    low = [c for c in codes if sum(r.bit_count() for r in c) <= len(c)]
+    assert all(peel_key(c) is None for c in codes.difference(low))
+    assert _same_partition(low) > 0
+
+
+def test_peel_key_none_past_one_cycle_or_disconnected():
+    """Codes with two or more independent cycles, and disconnected codes,
+    get no string."""
+    bowtie = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+    theta = Graph(5, [(0, 1), (1, 2), (0, 3), (2, 3), (0, 4), (2, 4)])
+    two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    split = [
+        Graph(4, [(0, 1), (1, 2), (0, 2)]),  # a triangle and a lone vertex
+        Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)]),  # a triangle and an edge
+        Graph(3, [(0, 1)]),
+    ]
+    for g in [complete_graph(4), bowtie, theta, two_triangles, *split]:
+        for seed in range(3):
+            perm = random.Random(seed).sample(range(g.n), g.n)
+            assert peel_key(row_code(_permuted(g, perm))) is None, g.edges
+    assert peel_key(()) is None
+
+
+def test_peel_key_refuses_malformed_code():
+    """peel_key checks each row as code_key does, so a bad code raises."""
+    with pytest.raises(ValueError, match="at most 32"):
+        peel_key((0,) * 33)
+    for bad in ((0, 0b10), (0, 1, 0b101), (0, -1)):
+        with pytest.raises(ValueError, match="bad row code"):
+            peel_key(bad)

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from forestvol.canon import canonical_form
+from forestvol.canon import canonical_form, peel_key
 from forestvol.coeffs import (
     assemble_a,
     lambda_coeff,
@@ -19,6 +19,7 @@ from forestvol.graphs import (
     Graph,
     bits,
     enumerate_connected_sets,
+    row_code,
     spanning_trees,
     tree_from_edges,
 )
@@ -236,12 +237,14 @@ def test_gamma_vanishes_beyond_k_plus_one():
     assert zeros == 12 * (2 + 3 + 4 + 5)
 
 
-def test_pattern_gamma_labels_each_code_once(monkeypatch):
-    """pattern_gamma sums its signs per row code, so K4's 11 dominating
-    connected sets (6 edges, 4 triangles, K4 itself) are labelled through
-    3 code_key calls, one per distinct code; each gamma_k still equals the
-    per-set definition, the sum over connected C with N[C] = V(h) of
-    (-1)^{|h|-|C|} a_k(h[C]), with a(h[C]) from newton_log(small_e(h[C]))."""
+def test_pattern_gamma_labels_each_bucket_once(monkeypatch):
+    """pattern_gamma sums its signs per row code and labels one code per
+    bucket, so K4's 11 dominating connected sets (6 edges, 4 triangles, K4
+    itself) are labelled through 3 code_key calls, one per class, and no
+    two labelled codes with a peeled string share a class; each gamma_k
+    still equals the per-set definition, the sum over connected C with
+    N[C] = V(h) of (-1)^{|h|-|C|} a_k(h[C]), with a(h[C]) from
+    newton_log(small_e(h[C]))."""
     dp = DeltaParams(Fraction(1, 10))
     labelled = []
     code_key = coeffs.code_key
@@ -261,6 +264,8 @@ def test_pattern_gamma_labels_each_code_once(monkeypatch):
         if calls is not None:
             assert len(labelled) == calls
         assert len(labelled) == len(set(labelled)), h.edges
+        peeled = [code_key(c) for c in labelled if peel_key(c) is not None]
+        assert len(peeled) == len(set(peeled)), h.edges
         expected = [Fraction(0)] * (K + 1)
         for size in range(2, h.n + 1):
             for combo in itertools.combinations(range(h.n), size):
@@ -590,9 +595,9 @@ def test_small_e_labels_no_polymer(monkeypatch):
 
 def test_assembly_classifies_sets_by_code(monkeypatch):
     """With n > 2K a cold query classifies every connected set by the row
-    code the enumerator carries: it builds no induced subgraph, labels each
-    distinct code at most once, and returns the bounds that classifying by
-    induced subgraphs gave."""
+    code the enumerator carries: it builds no induced subgraph, labels one
+    code per class (22 calls, where the sets have 91 codes), and
+    returns the bounds that classifying by induced subgraphs gave."""
     g = random_connected_graph(16, 3, seed=3, max_degree=3)
     codes = {code for _, _, code in enumerate_connected_sets(g, 6, min_size=2)}
 
@@ -613,7 +618,61 @@ def test_assembly_classifies_sets_by_code(monkeypatch):
     assert res.K == 5 and g.n > 2 * res.K
     assert res.lower == Fraction(5747138500914243, 295147905179352825856)
     assert res.upper == Fraction(3237765961500075, 147573952589676412928)
-    assert 0 < len(labelled) <= len(codes)
+    assert len(codes) == 91 and len(labelled) == 22
+
+
+@pytest.mark.parametrize(
+    "g, delta, K, calls",
+    [
+        (random_connected_graph(1000, 300, seed=0, max_degree=3), Fraction(1, 200), 6, 28),
+        (petersen_graph(), Fraction(1, 100), 7, 1),
+    ],
+    ids=["sparse1000", "petersen"],
+)
+def test_cold_query_label_calls_pinned(monkeypatch, g, delta, K, calls):
+    """A cold query at eps = 1/100 runs kernel.canon_key once per class:
+    28 times for the 482 codes of sparse1000 at c = 7, and once for the
+    whole Petersen graph (n <= 2K)."""
+    labelled = []
+    canon_key = kernel.canon_key
+
+    def counted(n, flat):
+        labelled.append(n)
+        return canon_key(n, flat)
+
+    monkeypatch.setattr(kernel, "canon_key", counted)
+    clear_caches()
+    res = approximate_volume(g, delta, Fraction(1, 100))
+    assert res.K == K
+    assert len(labelled) == calls
+
+
+def test_classes_label_codes_past_one_cycle_each(monkeypatch):
+    """Codes with two or more independent cycles get no peeled string, so
+    _classes labels each of them, while the trees of one class are labelled
+    once; a malformed code raises instead of joining a good code's
+    bucket."""
+    theta = Graph(5, [(0, 1), (1, 2), (0, 3), (2, 3), (0, 4), (2, 4)])
+    thetas = {row_code(relabelled(theta, seed)) for seed in range(6)}
+    paths = {row_code(relabelled(path_graph(5), seed)) for seed in range(6)}
+    assert len(thetas) > 1 and len(paths) > 1
+    labelled = []
+    code_key = coeffs.code_key
+
+    def counted(code):
+        labelled.append(code)
+        return code_key(code)
+
+    monkeypatch.setattr(coeffs, "code_key", counted)
+    out = coeffs._classes({c: 1 for c in thetas | paths})
+    assert out == {
+        canonical_form(theta): len(thetas),
+        canonical_form(path_graph(5)): len(paths),
+    }
+    assert len(labelled) == len(thetas) + 1
+    path = (0, 0b1, 0b10)
+    with pytest.raises(ValueError, match="bad row code"):
+        coeffs._classes({path: 1, (0, 0b1, 0b110): 1})
 
 
 def test_relabelled_cold_runs_same_answer_and_misses():
