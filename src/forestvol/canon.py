@@ -20,10 +20,13 @@ One class owns many codes, since a set's code depends on the order in
 which it was grown, and almost every code is a tree or has one cycle.
 peel_key gives such a code an exact string by leaf peeling and rooted
 tree strings (Aho, Hopcroft and Ullman 1974), at a fraction of the cost of
-code_key.  coeffs sums set weights per code, puts the codes into buckets
-by that string (every other code on its own), and labels one code per
-bucket, so a class of trees or one-cycle codes is labelled once.  Nothing
-is cached here.
+code_key.  coeffs sums set weights per code and names each class of such
+codes by that string, so it never labels one.  A code with no peeled
+string is labelled only when its table holds another such code, since
+two may then be isomorphic; a lone one names itself.  Class series are
+expanded from a class's own code (graphs.graph_from_code), so
+graph_from_key only gives the representatives of the pattern rows of
+forestvol coeffs.  Nothing is cached here.
 """
 
 from __future__ import annotations

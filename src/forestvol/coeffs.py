@@ -50,13 +50,14 @@ Newton's identity for b_k = k a_k, b_k = k e_k - sum_{j<k} b_j e_{k-j},
 multiplies t^j by t^{k-j} and convolves the (t/D)^r series, so
     B[k] = k E[k] - sum_{j<k} B[j] * E[k-j]   (convolution over r)
 stays integer, with no division, and a_k(t) = sum_r B[k][r] t^{k+r} / (k D^r).
-Each class's (B, D) is expanded on the representative decoded from its key
-into a {key: (B, D)} dict that the caller of _class_sum owns, so nothing of
-a class outlives the call that made the dict.  The weighted sum of the
-class series is itself an integer table (N, L) for the input graph, a_k(G)
-= sum_r N[k][r] t^{k+r} / (k L^r), kept in WeightCache.whole for the last
-graph asked: a query on that graph at another delta enumerates, labels and
-expands nothing and only evaluates it at the new t.
+Each class's (B, D) is expanded on the graph of one of its own codes
+(graph_from_code) into a {class name: (B, D)} dict that the caller of
+_class_sum owns, so nothing of a class outlives the call that made the
+dict.  The weighted sum of the class series is itself an integer table
+(N, L) for the input graph, a_k(G) = sum_r N[k][r] t^{k+r} / (k L^r),
+kept in WeightCache.whole for the last graph asked: a query on that graph
+at another delta enumerates, labels and expands nothing and only
+evaluates it at the new t.
 
 Connected sets are classified without building their induced subgraphs:
 graphs.enumerate_connected_sets carries each set's neighbourhood (for the
@@ -68,14 +69,18 @@ w(C) a_k(G[C]), with two weight rules: the boundary weight w(C) above over
 the sets of at most c vertices of G (assemble_a), and (-1)^{|U|-|C|} over
 the sets of h = G[U] with N[C] = U (pattern_gamma).  Both take one route:
 the weights are summed per row code into a {code: weight} table, codes
-whose sum is 0 are dropped, the rest are put into buckets by their exact
-peeled string (canon.peel_key: trees and one-cycle codes; any other code
-is its own bucket), and the first code of each bucket is mapped to its
-plain canonical key (canon.code_key), which names the class (_classes);
-then w B of every class series with a nonzero summed weight w is added
-over the common denominator into a delta-free table (N, L) (_class_sum),
-which is evaluated once at t (_taylor).  pattern_counts folds its per-code
-set counts into classes by the same _classes step.
+whose sum is 0 are dropped, and the rest are folded into classes, each
+named by what already identifies it (_classes): a tree or one-cycle code
+by its exact peeled string (canon.peel_key), and any other code by its
+plain canonical key (canon.code_key) when the table holds another such
+code, or by itself when it is the only one.  Almost every code with a
+nonzero weight is a tree or has one cycle, so a query seldom labels
+anything (the dense16, sparse1000 and Petersen queries label nothing).
+Then w B of every class series with a nonzero summed weight w, expanded
+from the class's first code, is added over the common denominator into a
+delta-free table (N, L) (_class_sum), which is evaluated once at t
+(_taylor).  pattern_counts folds its per-code set counts into classes by the same
+_classes step and labels each class's first code once for its key.
 """
 
 from __future__ import annotations
@@ -88,7 +93,7 @@ from typing import Sequence
 # canonical_form is not called here: perfbench/tracer.py traces
 # coeffs.canonical_form and raises on a missing target
 from .canon import canonical_form, code_key, graph_from_key, peel_key  # noqa: F401
-from .graphs import Graph, enumerate_connected_sets, row_code
+from .graphs import Graph, enumerate_connected_sets, graph_from_code, row_code
 from .treeweight import DeltaParams, default_cache, polymer_weights
 
 
@@ -233,35 +238,41 @@ def pattern_counts(g: Graph, max_size: int) -> dict[bytes, tuple[int, Graph]]:
     """Connected induced patterns of size 2..max_size: key -> (count,
     representative).  Sets are counted per row code and the codes folded
     into classes by _classes, the step assemble_a and pattern_gamma use;
-    the representative is the one the key encodes (graph_from_key)."""
+    each class's first code is then labelled once (canon.code_key) for its
+    plain canonical key, and the representative is the one the key
+    encodes (graph_from_key)."""
     by_code: dict[tuple[int, ...], int] = {}
     for _, _, code in enumerate_connected_sets(g, max_size, min_size=2):
         by_code[code] = by_code.get(code, 0) + 1
-    return {key: (count, graph_from_key(key)) for key, count in _classes(by_code).items()}
-
-
-def _classes(by_code: dict[tuple[int, ...], int]) -> dict[bytes, int]:
-    """Fold a {row code: integer weight} table into {plain canonical key:
-    summed weight}.  A code whose weight is 0 is dropped unlabelled.  The
-    other codes are put into buckets: trees and one-cycle codes by their
-    exact peeled string (canon.peel_key), every other code on its own.
-    Each bucket's weights are summed and its first code is labelled
-    (canon.code_key), so a class of trees or one-cycle codes is labelled
-    once however many codes it has."""
-    buckets: dict[str | tuple[int, ...], list] = {}
-    for code, w in by_code.items():
-        if w:
-            # a code with no peeled string is its own bucket
-            name = peel_key(code) or code
-            if name in buckets:
-                buckets[name][1] += w
-            else:
-                buckets[name] = [code, w]
-    out: dict[bytes, int] = {}
-    for code, w in buckets.values():
+    out: dict[bytes, tuple[int, Graph]] = {}
+    for code, count in _classes(by_code).values():
         key = code_key(code)
-        out[key] = out.get(key, 0) + w
+        out[key] = (count, graph_from_key(key))
     return out
+
+
+# a class's name: its peeled string, its plain canonical key or its own code
+Name = str | bytes | tuple[int, ...]
+
+
+def _classes(by_code: dict[tuple[int, ...], int]) -> dict[Name, list]:
+    """Fold a {row code: integer weight} table into {name: [first code,
+    summed weight]}, one entry per class.  A code whose weight is 0 is
+    dropped.  A tree or one-cycle code is named by its exact peeled string
+    (canon.peel_key).  The other codes are named by their plain canonical
+    key (canon.code_key) when there are two or more of them, since two may
+    then be isomorphic; a lone one names itself, an exact labelled graph
+    that no other code of the table can share a class with.  So only codes
+    with no peeled string are labelled, and never a lone one.  Peeled
+    strings and canonical keys name a class exactly across tables too."""
+    weighed = [(code, w, peel_key(code)) for code, w in by_code.items() if w]
+    lone = sum(name is None for _, _, name in weighed) == 1
+    classes: dict[Name, list] = {}
+    for code, w, name in weighed:
+        if name is None:
+            name = code if lone else code_key(code)
+        classes.setdefault(name, [code, 0])[1] += w
+    return classes
 
 
 def _log_series(E: Sequence[Sequence[int]], K: int) -> tuple[tuple[int, ...], ...]:
@@ -288,22 +299,25 @@ def _log_series(E: Sequence[Sequence[int]], K: int) -> tuple[tuple[int, ...], ..
 def _class_sum(
     by_code: dict[tuple[int, ...], int],
     K: int,
-    series: dict[bytes, tuple[tuple[tuple[int, ...], ...], int]],
+    series: dict[Name, tuple[tuple[tuple[int, ...], ...], int]],
 ) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(N, L) with sum over codes C of by_code[C] a_k(class of C) =
     sum_r N[k][r] t^{k+r} / (k L^r) for k <= K: the codes folded into
-    classes (_classes), then w B[k][r] / (k D^r) of every class series with
-    a nonzero summed weight w, kept as the integer N[k][r] over the common
-    denominator L.  A class missing from the caller's series {key: (B, D)}
-    is expanded into it, one miss of the default WeightCache."""
+    named classes (_classes), then w B[k][r] / (k D^r) of every class
+    series with a nonzero summed weight w, kept as the integer N[k][r] over
+    the common denominator L.  A class missing from the caller's series
+    {name: (B, D)} is expanded into it from the graph of its first code
+    (graph_from_code), one miss of the default WeightCache: (E, D) and B
+    are isomorphism invariants, so any code of the class gives the same
+    series."""
     terms = []
-    for key, w in _classes(by_code).items():
+    for name, (code, w) in _classes(by_code).items():
         if w:
-            hit = series.get(key)
+            hit = series.get(name)
             if hit is None:
                 default_cache().misses += 1
-                E, D = polymer_series(graph_from_key(key), K)
-                hit = series[key] = (_log_series(E, K), D)
+                E, D = polymer_series(graph_from_code(code), K)
+                hit = series[name] = (_log_series(E, K), D)
             terms.append((w, *hit))
     L = lcm(*(D for _, _, D in terms))
     N = [[0] * (K + 1) for _ in range(K + 1)]
@@ -357,8 +371,12 @@ def pattern_table(
     """Rows (key, count, representative, pattern_gamma) of the classes in
     pattern_counts(g, min(K+1, n)), sorted by key, and a = sum of count *
     gamma over them, which is assemble_a's a (module docstring).  g is
-    enumerated once and each class expanded once for the whole table."""
-    series: dict[bytes, tuple[tuple[tuple[int, ...], ...], int]] = {}
+    enumerated once, and the rows' class sums share one {name: (B, D)}
+    dict, so a class named by its peeled string or its canonical key is
+    expanded once for the whole table; one named by its own code, in a
+    table where it is the only code with no peeled string, may be expanded
+    again under another name in another row."""
+    series: dict[Name, tuple[tuple[tuple[int, ...], ...], int]] = {}
     rows = []
     a = [Fraction(0)] * (K + 1)
     for key, (count, rep) in sorted(pattern_counts(g, min(K + 1, g.n)).items()):
@@ -416,9 +434,10 @@ def assemble_a(g: Graph, dp: DeltaParams, K: int) -> TaylorCoeffs:
     (_graph_series), evaluated at t.
 
     Sets are classified by the row code the enumerator carries: w(C) is
-    summed per code, and one code with a nonzero sum is labelled per
-    bucket (_classes), which is one per class for trees and one-cycle
-    codes.
+    summed per code, the codes with a nonzero sum are folded into named
+    classes (_classes), and each class series is expanded from the graph
+    of the class's first code.  A code is labelled only when it has no
+    peeled string and another such code shares its table.
 
     (N, L) is kept in the default WeightCache's whole-graph slot.  A later
     query on an equal graph at any delta and any order up to the slot's K

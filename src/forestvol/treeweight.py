@@ -100,8 +100,8 @@ class WeightCache:
         key = (nv, tedges, bedges)
         w = self.normalized.get(key)
         if w is None:
-            full = (1 << nv) - 1
-            w = Fraction(_region_counts(nv, tedges, bedges)(full), factorial(nv))
+            count, _ = _region_counts(nv, tedges, bedges)
+            w = Fraction(count((1 << nv) - 1), factorial(nv))
             self.normalized[key] = w
         return w
 
@@ -181,11 +181,13 @@ def polymer_weights(h: Graph, size: int) -> list[tuple[int, Fraction]]:
     c(h[S]) = U(S)/|S|!, and U vanishes unless h[T] is connected.  Such a T
     is a connected set below S in mask order, so it is solved before S.
     """
-    count = _region_counts(h.n, (), h.edges)
+    count, memo = _region_counts(h.n, (), h.edges)
+    binom = [[comb(n, j) for j in range(n + 1)] for n in range(size + 1)]
     mayer: dict[int, int] = {}
     out = []
     for s in sorted(mask for mask, _, _ in enumerate_connected_sets(h, size)):
         root, rest, n = s & -s, s & (s - 1), s.bit_count()
+        row = binom[n]
         u = count(s)
         sub = rest
         while sub:
@@ -193,7 +195,11 @@ def polymer_weights(h: Graph, size: int) -> list[tuple[int, Fraction]]:
             sub = (sub - 1) & rest
             ut = mayer.get(sub | root)
             if ut:
-                u -= comb(n, sub.bit_count() + 1) * ut * count(rest ^ sub)
+                # most masks are filled by now: look before calling count
+                nt = memo.get(rest ^ sub)
+                if nt is None:
+                    nt = count(rest ^ sub)
+                u -= row[sub.bit_count() + 1] * ut * nt
         mayer[s] = u
         if n >= 2:
             out.append((s, Fraction(u, factorial(n))))
@@ -204,10 +210,12 @@ def _region_counts(
     nv: int,
     tedges: tuple[tuple[int, int], ...],
     bedges: tuple[tuple[int, int], ...],
-) -> Callable[[int], int]:
+) -> tuple[Callable[[int], int], dict[int, int]]:
     """Memoized region counts N[U] of the edges inside a vertex mask U, by a
     recurrence over the order of |z|; W = N[V] / nv! with
-    hat_w = delta^nv * W.
+    hat_w = delta^nv * W.  Returns (count, memo): count(U) gives N[U], and
+    memo holds the N[U] filled so far, for callers that look a mask up
+    before calling count.
 
     With x = 1/2 + delta*z, every vertex has a tree edge, so every z lies in
     (-1, 1]; z_u + z_v then has the sign of the endpoint of larger |z|.  A
@@ -248,4 +256,4 @@ def _region_counts(
             memo[umask] = c
         return c
 
-    return count
+    return count, memo

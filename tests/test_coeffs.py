@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from forestvol.canon import canonical_form, peel_key
+from forestvol.canon import canonical_form, graph_from_key, peel_key
 from forestvol.coeffs import (
     assemble_a,
     lambda_coeff,
@@ -19,6 +19,7 @@ from forestvol.graphs import (
     Graph,
     bits,
     enumerate_connected_sets,
+    graph_from_code,
     row_code,
     spanning_trees,
     tree_from_edges,
@@ -238,10 +239,11 @@ def test_gamma_vanishes_beyond_k_plus_one():
 
 
 def test_pattern_gamma_labels_each_bucket_once(monkeypatch):
-    """pattern_gamma sums its signs per row code and labels one code per
-    bucket, so K4's 11 dominating connected sets (6 edges, 4 triangles, K4
-    itself) are labelled through 3 code_key calls, one per class, and no
-    two labelled codes with a peeled string share a class; each gamma_k
+    """pattern_gamma sums its signs per row code and labels only codes with
+    no peeled string that share their table with another such code, each
+    once: K4's 11 dominating connected sets (6 edges, 4 triangles, K4
+    itself) make no code_key call, since the edges and triangles have
+    peeled strings and K4 is the only code without one.  Each gamma_k
     still equals the per-set definition, the sum over connected C with
     N[C] = V(h) of (-1)^{|h|-|C|} a_k(h[C]), with a(h[C]) from
     newton_log(small_e(h[C]))."""
@@ -255,7 +257,7 @@ def test_pattern_gamma_labels_each_bucket_once(monkeypatch):
 
     monkeypatch.setattr(coeffs, "code_key", counted)
     for h, K, calls in (
-        (complete_graph(4), 3, 3),
+        (complete_graph(4), 3, 0),
         (path_graph(4), 3, None),
         (random_connected_graph(6, 3, seed=2), 5, None),
     ):
@@ -264,8 +266,8 @@ def test_pattern_gamma_labels_each_bucket_once(monkeypatch):
         if calls is not None:
             assert len(labelled) == calls
         assert len(labelled) == len(set(labelled)), h.edges
-        peeled = [code_key(c) for c in labelled if peel_key(c) is not None]
-        assert len(peeled) == len(set(peeled)), h.edges
+        assert all(peel_key(c) is None for c in labelled), h.edges
+        assert len(labelled) != 1, h.edges
         expected = [Fraction(0)] * (K + 1)
         for size in range(2, h.n + 1):
             for combo in itertools.combinations(range(h.n), size):
@@ -595,9 +597,10 @@ def test_small_e_labels_no_polymer(monkeypatch):
 
 def test_assembly_classifies_sets_by_code(monkeypatch):
     """With n > 2K a cold query classifies every connected set by the row
-    code the enumerator carries: it builds no induced subgraph, labels one
-    code per class (22 calls, where the sets have 91 codes), and
-    returns the bounds that classifying by induced subgraphs gave."""
+    code the enumerator carries: it builds no induced subgraph, labels no
+    code (the sets' 91 codes fold into 22 classes by their peeled
+    strings), and returns the bounds that classifying by induced subgraphs
+    gave."""
     g = random_connected_graph(16, 3, seed=3, max_degree=3)
     codes = {code for _, _, code in enumerate_connected_sets(g, 6, min_size=2)}
 
@@ -618,21 +621,23 @@ def test_assembly_classifies_sets_by_code(monkeypatch):
     assert res.K == 5 and g.n > 2 * res.K
     assert res.lower == Fraction(5747138500914243, 295147905179352825856)
     assert res.upper == Fraction(3237765961500075, 147573952589676412928)
-    assert len(codes) == 91 and len(labelled) == 22
+    assert len(codes) == 91 and len(labelled) == 0
 
 
 @pytest.mark.parametrize(
-    "g, delta, K, calls",
+    "g, delta, K, misses",
     [
         (random_connected_graph(1000, 300, seed=0, max_degree=3), Fraction(1, 200), 6, 28),
         (petersen_graph(), Fraction(1, 100), 7, 1),
     ],
     ids=["sparse1000", "petersen"],
 )
-def test_cold_query_label_calls_pinned(monkeypatch, g, delta, K, calls):
-    """A cold query at eps = 1/100 runs kernel.canon_key once per class:
-    28 times for the 482 codes of sparse1000 at c = 7, and once for the
-    whole Petersen graph (n <= 2K)."""
+def test_cold_query_label_calls_pinned(monkeypatch, g, delta, K, misses):
+    """A cold query at eps = 1/100 runs kernel.canon_key on no code and
+    expands one class series per class: the 482 weighed codes of
+    sparse1000 at c = 7 are trees or one-cycle codes, named by their peeled
+    strings (28 classes), and the whole Petersen graph (n <= 2K) is the
+    only code of its table, so it names itself."""
     labelled = []
     canon_key = kernel.canon_key
 
@@ -644,14 +649,16 @@ def test_cold_query_label_calls_pinned(monkeypatch, g, delta, K, calls):
     clear_caches()
     res = approximate_volume(g, delta, Fraction(1, 100))
     assert res.K == K
-    assert len(labelled) == calls
+    assert len(labelled) == 0
+    assert default_cache().misses == misses
 
 
 def test_classes_label_codes_past_one_cycle_each(monkeypatch):
     """Codes with two or more independent cycles get no peeled string, so
-    _classes labels each of them, while the trees of one class are labelled
-    once; a malformed code raises instead of joining a good code's
-    bucket."""
+    when a table holds several of them _classes labels each and merges the
+    isomorphic ones into one class, while the trees of one class are named
+    by their peeled string and not labelled; a malformed code raises
+    instead of joining a good code's class."""
     theta = Graph(5, [(0, 1), (1, 2), (0, 3), (2, 3), (0, 4), (2, 4)])
     thetas = {row_code(relabelled(theta, seed)) for seed in range(6)}
     paths = {row_code(relabelled(path_graph(5), seed)) for seed in range(6)}
@@ -665,21 +672,131 @@ def test_classes_label_codes_past_one_cycle_each(monkeypatch):
 
     monkeypatch.setattr(coeffs, "code_key", counted)
     out = coeffs._classes({c: 1 for c in thetas | paths})
-    assert out == {
+    assert {name: w for name, (_, w) in out.items()} == {
         canonical_form(theta): len(thetas),
-        canonical_form(path_graph(5)): len(paths),
+        peel_key(row_code(path_graph(5))): len(paths),
     }
-    assert len(labelled) == len(thetas) + 1
+    assert out[canonical_form(theta)][0] in thetas
+    assert sorted(labelled) == sorted(thetas)
     path = (0, 0b1, 0b10)
     with pytest.raises(ValueError, match="bad row code"):
         coeffs._classes({path: 1, (0, 0b1, 0b110): 1})
 
 
+def test_classes_name_a_lone_unpeeled_code_by_itself(monkeypatch):
+    """A code with no peeled string that is the only one of its table is
+    not labelled: it names its class itself.  Two or more such codes are
+    each labelled, so isomorphic ones merge into one class and the others
+    stay apart; codes with a peeled string never add a label."""
+    theta = Graph(5, [(0, 1), (1, 2), (0, 3), (2, 3), (0, 4), (2, 4)])
+    t1, t2 = (row_code(relabelled(theta, seed)) for seed in (1, 2))
+    k4 = row_code(complete_graph(4))
+    path = row_code(path_graph(4))
+    assert t1 != t2 and peel_key(t1) is peel_key(k4) is None
+    labelled = []
+    code_key = coeffs.code_key
+
+    def counted(code):
+        labelled.append(code)
+        return code_key(code)
+
+    monkeypatch.setattr(coeffs, "code_key", counted)
+    assert coeffs._classes({t1: 3, path: 2, t2: 0}) == {
+        t1: [t1, 3],
+        peel_key(path): [path, 2],
+    }
+    assert labelled == []
+    assert coeffs._classes({t1: 1, t2: 2, path: 1}) == {
+        peel_key(path): [path, 1],
+        canonical_form(theta): [t1, 3],
+    }
+    assert labelled == [t1, t2]
+    labelled.clear()
+    assert coeffs._classes({t1: 1, k4: -1}) == {
+        canonical_form(theta): [t1, 1],
+        canonical_form(complete_graph(4)): [k4, -1],
+    }
+    assert labelled == [t1, k4]
+
+
+@pytest.mark.parametrize(
+    "g, K",
+    [
+        (random_connected_graph(16, 3, seed=3, max_degree=3), 5),
+        (petersen_graph(), 7),
+        (random_connected_graph(1000, 300, seed=0, max_degree=3), 6),
+    ],
+    ids=["dense16-K5", "petersen-K7", "sparse1000-K6"],
+)
+def test_class_series_from_first_code_match_key_representative(monkeypatch, g, K):
+    """Every class a cold assemble_a folds is expanded from its first code;
+    its (B, D) equals the (B, D) of the representative its plain canonical
+    key encodes, and no two classes share a key."""
+    tables = []
+    classes = coeffs._classes
+
+    def kept(by_code):
+        out = classes(by_code)
+        tables.append(out)
+        return out
+
+    monkeypatch.setattr(coeffs, "_classes", kept)
+    clear_caches()
+    assemble_a(g, DeltaParams(Fraction(1, 100)), K)
+    [table] = tables
+    keys = set()
+    for code, _ in table.values():
+        key = canonical_form(graph_from_code(code))
+        keys.add(key)
+        series = []
+        for h in (graph_from_code(code), graph_from_key(key)):
+            E, D = coeffs.polymer_series(h, K)
+            series.append((coeffs._log_series(E, K), D))
+        assert series[0] == series[1], code
+    assert len(keys) == len(table)
+
+
+if HAVE_HYPOTHESIS:
+
+    @given(
+        st.integers(min_value=2, max_value=7),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    def test_polymer_series_invariant_under_relabelling(n, extra, seed, perm):
+        """(E, D) of a small connected graph is the same under any
+        relabelling, so a class series may be expanded from any code of
+        the class."""
+        g = random_connected_graph(n, extra, seed=seed)
+        K = n - 1
+        assert coeffs.polymer_series(relabelled(g, perm), K) == coeffs.polymer_series(g, K)
+
+
+def test_pattern_table_labels_once_per_row(monkeypatch):
+    """forestvol coeffs on sparse1000 at delta = 1/300 (K = 5) labels one
+    code per pattern row, for the row's key: the rows' gamma tables name
+    their classes by peeled strings, or by a lone code itself."""
+    g = random_connected_graph(1000, 300, seed=0, max_degree=3)
+    labelled = []
+    code_key = coeffs.code_key
+
+    def counted(code):
+        labelled.append(code)
+        return code_key(code)
+
+    monkeypatch.setattr(coeffs, "code_key", counted)
+    clear_caches()
+    rows, _ = coeffs.pattern_table(g, DeltaParams(Fraction(1, 300)), 5)
+    assert len(rows) == 18 and len(labelled) == 18
+
+
 def test_relabelled_cold_runs_same_answer_and_misses():
-    """Class series are keyed by the plain canonical key and expanded on the
-    representative decoded from it, so a relabelling (which also reorders
-    the edge ranks) changes neither the answer nor the memo misses, which
-    count the class series expanded."""
+    """Class series are named by exact class names (peeled strings, plain
+    canonical keys, or a lone code's own code) and expanded from one code
+    of the class, whose series is an isomorphism invariant, so a
+    relabelling (which also reorders the edge ranks) changes neither the
+    answer nor the memo misses, which count the class series expanded."""
     g = random_connected_graph(8, 3, seed=1, max_degree=3)
     delta, eps = Fraction(1, 100), Fraction(1, 10)
     seen = []
@@ -787,7 +904,7 @@ def test_whole_graph_slot_holds_one_graph(monkeypatch):
 
     # a failed query leaves the slot as it was
     held = cache.whole
-    monkeypatch.setattr(coeffs, "code_key", _boom)
+    monkeypatch.setattr(coeffs, "polymer_series", _boom)
     with pytest.raises(AssertionError, match="delta-free work"):
         assemble_a(other, dp, 4)
     assert cache.whole is held
