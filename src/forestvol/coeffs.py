@@ -36,9 +36,10 @@ which is 1 when b = 0 and (-1)^m binom(b-1, m) otherwise; it is 0 when
 m = b, i.e. when the whole boundary fits under the size cap.  A set of
 exactly c vertices has m = 0 and so weighs 1 whatever its boundary; most
 sets are of that size, and their boundary is never counted.  With c = n
-every boundary fits, so only the components of G keep a weight (of 1):
-they are taken from G.components() and coded by row_code, one class per
-component of at least two vertices, with no set enumerated.
+every boundary fits, so only the components of G keep a weight (of 1),
+and their a_k sum to a_k(G): G is expanded whole as one class, coded by
+row_code, with no set enumerated.  polymer_series needs no split, since
+no polymer crosses two components.
 
 All delta-dependence enters through t.  A family of r disjoint polymers of
 total degree j covers j + r vertices, so (polymer_series)
@@ -181,28 +182,6 @@ def small_e(g: Graph, dp: DeltaParams, K: int) -> tuple[Fraction, ...]:
         return (Fraction(1),) + (Fraction(0),) * K
     E, D = polymer_series(g, K)
     return tuple(_at(E[j], D, t, j) for j in range(K + 1))
-
-
-def lambda_coeff(h: Graph, k: int, dp: DeltaParams) -> Fraction:
-    """Coefficient of the induced count of h in the forest expansion.
-
-    Nonzero only when |V(h)| = k + #components and every component has at
-    least two vertices; then it is the product over components C of the
-    polymer weight phi(C) = c(C) t^{|C|}, the sum of w_T over spanning
-    trees T of C.  c(C) is the entry of C, a connected set of h, in
-    polymer_weights(h, h.n).
-    """
-    comps = h.components()
-    if any(c.bit_count() < 2 for c in comps):
-        return Fraction(0)
-    if h.n != k + len(comps):
-        return Fraction(0)
-    t = dp.delta / dp.box_hi
-    weights = dict(polymer_weights(h, h.n))
-    total = Fraction(1)
-    for comp in comps:
-        total *= weights[comp] * t ** comp.bit_count()
-    return total
 
 
 def newton_log(e: Sequence[Fraction], K: int) -> TaylorCoeffs:
@@ -393,22 +372,20 @@ def _graph_series(g: Graph, K: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     row code over the connected sets C of at most c vertices (assemble_a),
     and then the class sum (_class_sum).
 
-    With c = n only the components of g with at least two vertices keep a
-    weight, 1 each, so they are coded straight from g.components() and no
-    set is enumerated.  With c = K+1 every set is enumerated, and a set of
-    exactly c vertices has m = 0, so it weighs 1 whatever its boundary."""
+    With c = n only the components of g keep a weight, 1 each, and their
+    a_k sum to a_k(g), so g's own row code is the one entry of the table
+    and no set is enumerated.  With c = K+1 every set is enumerated, and a
+    set of exactly c vertices has m = 0, so it weighs 1 whatever its
+    boundary."""
     cache = default_cache()
     whole = cache.whole
     if whole is not None and whole[1] >= K and whole[0] == g:
         cache.hits += 1
         return whole[2], whole[3]
-    by_code: dict[tuple[int, ...], int] = {}
     if g.n <= 2 * K:
-        for comp in g.components():
-            if comp.bit_count() >= 2:
-                code = row_code(g.induced_subgraph(comp)[0])
-                by_code[code] = by_code.get(code, 0) + 1
+        by_code = {row_code(g): 1}
     else:
+        by_code = {}
         cap = K + 1
         for mask, nbr, code in enumerate_connected_sets(g, cap, min_size=2):
             w = 1
@@ -448,12 +425,15 @@ def assemble_a(g: Graph, dp: DeltaParams, K: int) -> TaylorCoeffs:
 
     Any cap c with K+1 <= c <= n gives the same a.  When n > 2K, c = K+1.
     When n <= 2K, c = n, which leaves a weight of 1 only on the components
-    of G with at least two vertices: each is read off G.components() and
-    expanded whole as its own class, with no set enumerated.  A graph that
-    small is cheaper whole than as the many classes of at most K+1 vertices:
-    random_connected_graph(16, 3, seed=3, max_degree=3) at K = 8 expands
-    113 classes with c = 9 in 0.38 s, against 0.13 s whole (CPython 3.11.7,
-    one core, cold caches).  Above 2K it turns: at K = 6,
+    of G, whose a_k sum to a_k(G): G is expanded whole from its own row
+    code as one class, with no set enumerated, whether it is connected or
+    not.  Its class is named as any other (_classes), so a G of more than
+    32 vertices, which takes this route only at K >= 17, raises peel_key's
+    ValueError.  A graph that small is cheaper whole than as the many
+    classes of at most K+1 vertices: random_connected_graph(16, 3, seed=3,
+    max_degree=3) at K = 8 expands 113 classes with c = 9 in 0.38 s,
+    against 0.13 s whole (CPython 3.11.7, one core, cold caches).  Above
+    2K it turns: at K = 6,
     random_connected_graph(20, 5, seed=0, max_degree=3) takes 0.08 s with
     c = 7 (33 classes) and 0.74 s whole."""
     if K < 1:

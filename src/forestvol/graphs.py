@@ -35,26 +35,23 @@ class Graph:
     edge's rank.  Parallel edges and loops are rejected.
     """
 
-    __slots__ = ("n", "edges", "adj_mask", "edge_index", "_hash")
+    __slots__ = ("n", "edges", "adj_mask", "_hash")
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         edges = tuple((int(u), int(v)) for u, v in edges)
         adj_mask = [0] * n
-        edge_index: dict[tuple[int, int], int] = {}
-        for rank, (u, v) in enumerate(edges):
+        for u, v in edges:
             if not (0 <= u < v < n):
                 raise ValueError(f"bad edge ({u}, {v}) for n={n}")
-            if (u, v) in edge_index:
+            if (adj_mask[u] >> v) & 1:
                 raise ValueError(f"duplicate edge ({u}, {v})")
-            edge_index[(u, v)] = rank
             adj_mask[u] |= 1 << v
             adj_mask[v] |= 1 << u
         self.n = n
         self.edges = edges
         self.adj_mask = tuple(adj_mask)
-        self.edge_index = edge_index
         self._hash = hash((n, edges))
 
     @property
@@ -102,13 +99,12 @@ class Graph:
         """
         old_ids = tuple(bits(vset))
         new_id = {v: i for i, v in enumerate(old_ids)}
-        ranked = [
-            (self.edge_index[(u, v)], new_id[u], new_id[v])
-            for u in old_ids
-            for v in bits(self.adj_mask[u] & vset & -(2 << u))
+        edges = [
+            (new_id[u], new_id[v])
+            for u, v in self.edges
+            if (vset >> u) & 1 and (vset >> v) & 1
         ]
-        ranked.sort()
-        return Graph(len(old_ids), [(u, v) for _, u, v in ranked]), old_ids
+        return Graph(len(old_ids), edges), old_ids
 
     def is_connected(self) -> bool:
         if self.n <= 1:
@@ -270,7 +266,7 @@ def enumerate_connected_sets(
     straight from their parent's candidates without being pushed.  The
     order is that of a recursive search (each set before the sets grown
     from it, candidates by ascending vertex).  No caller relies on it: coeffs
-    sums per code and names each class by its canonical key.
+    sums the sets' weights per code before it names any class.
 
     nbr is the OR of the adjacency masks over mask, so the set's outer
     boundary is nbr & ~mask and its closed neighbourhood is mask | nbr.

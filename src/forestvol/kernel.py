@@ -1,6 +1,11 @@
-"""Two integer kernels, in pure Python: edge-colored canonical labeling, hot
-on the certified path, and an exact chain-order integration DP.  BACKEND
-names the implementation (forestvol.KERNEL_BACKEND).
+"""Two integer kernels, in pure Python: edge-colored canonical labeling and
+an exact chain-order integration DP.  BACKEND names the implementation
+(forestvol.KERNEL_BACKEND).
+
+A query labels only a row code that no peeled string names and that shares
+its table with another such code (canon.code_key), so the cold queries of
+the four perfbench workloads label nothing; pattern_counts, behind
+forestvol coeffs, labels one code per pattern class.
 
 Nothing in the package calls poset_integral_packed any more: the certified
 path weighs polymers by the |z|-order recurrence in treeweight, and

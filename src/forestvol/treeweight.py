@@ -79,7 +79,9 @@ class WeightCache:
     graph.  It is the only memo of the coefficient path that outlives a
     query: class series live in a dict the caller of coeffs._class_sum owns.
     A miss is one class series expanded (coeffs._class_sum); a hit is one
-    whole-graph series read from the slot, which expands nothing.
+    whole-graph series read from the slot, which expands nothing.  A G of
+    at most 2K vertices is expanded whole as one class, so a cold query on
+    it counts one miss whether G is connected, disconnected or edgeless.
     """
 
     def __init__(self):

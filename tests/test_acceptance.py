@@ -23,12 +23,10 @@ from forestvol import (
     tree_weight,
     zero_free_radius,
 )
-from forestvol.coeffs import lambda_coeff
 from forestvol.families import (
     complete_graph,
     connected_graphs_upto,
     cycle_graph,
-    graphs_upto,
     path_graph,
     petersen_graph,
     random_graph,
@@ -39,10 +37,11 @@ from forestvol.graphs import (
     spanning_trees,
     tree_from_edges,
 )
+from forestvol.treeweight import polymer_weights
 
 import pytest
 
-from conftest import clear_caches
+from conftest import clear_caches, shuffled_edges
 
 
 def _finish(num, label, failures, wall=None, budget=None):
@@ -223,25 +222,19 @@ def test_criterion_09_coefficient_paths_agree():
         direct = small_e(g, dp, 4)
         if tuple(assembled) != tuple(direct):
             failures.append(f"e_k mismatch on seed {900 + i}")
-    for h in graphs_upto(6):
-        comps = h.components()
-        k = h.n - len(comps)
-        lam = lambda_coeff(h, k, dp)
-        if any(c.bit_count() < 2 for c in comps):
-            if lam != 0:
-                failures.append(f"lambda not gated, n={h.n} m={h.m}")
+    # each polymer weight against its spanning-tree sum, in the graph's own
+    # edge order and in one shuffled order
+    t = delta / dp.box_hi
+    for seed, h in enumerate(connected_graphs_upto(6)):
+        if h.n < 2:
             continue
-        product = Fraction(1)
-        for comp in comps:
-            sub, _ = h.induced_subgraph(comp)
-            local_ranks = h.edges_within(comp)
+        weight = dict(polymer_weights(h, h.n))[h.vertex_mask()] * t**h.n
+        for g in (h, shuffled_edges(h, seed)):
             total = Fraction(0)
-            for tree in spanning_trees(sub):
-                ranks = [local_ranks[r] for r in tree.edge_ranks]
-                total += tree_weight(h, tree_from_edges(h, ranks), dp).w
-            product *= total
-        if lam != product:
-            failures.append(f"lambda mismatch on n={h.n} m={h.m}")
+            for tree in spanning_trees(g):
+                total += tree_weight(g, tree, dp).w
+            if weight != total:
+                failures.append(f"polymer weight mismatch on {g.edges}")
     _finish(9, "coefficient assembly equals enumeration", failures)
 
 

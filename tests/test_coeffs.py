@@ -8,7 +8,6 @@ import pytest
 from forestvol.canon import canonical_form, graph_from_key, peel_key
 from forestvol.coeffs import (
     assemble_a,
-    lambda_coeff,
     newton_exp,
     newton_log,
     pattern_counts,
@@ -37,7 +36,13 @@ from forestvol.families import (
 from forestvol.interpolate import approximate_volume
 from forestvol.oracles import exact_volume
 from forestvol import coeffs, kernel, treeweight
-from forestvol.treeweight import DeltaParams, WeightCache, default_cache, tree_weight
+from forestvol.treeweight import (
+    DeltaParams,
+    WeightCache,
+    default_cache,
+    polymer_weights,
+    tree_weight,
+)
 
 from conftest import (
     clear_caches,
@@ -151,54 +156,35 @@ def test_newton_log_requires_unit_constant():
         newton_log((Fraction(2), Fraction(1)), 1)
 
 
-# --- lambda ------------------------------------------------------------------
+# --- polymer weights -----------------------------------------------------------
 
 
-def test_lambda_values(delta_quarter):
+def _polymer_weight(h: Graph, dp: DeltaParams) -> Fraction:
+    """c(h) t^{|h|}: the weight of the polymer V(h) of a connected h."""
+    t = dp.delta / dp.box_hi
+    return dict(polymer_weights(h, h.n))[h.vertex_mask()] * t**h.n
+
+
+def test_polymer_weight_values(delta_quarter):
     dp = DeltaParams(delta_quarter)
-    assert lambda_coeff(Graph(2, [(0, 1)]), 1, dp) == Fraction(-2, 9)
-    assert lambda_coeff(path_graph(3), 2, dp) == Fraction(8, 81)
-    two_k2 = Graph(4, [(0, 1), (2, 3)])
-    assert lambda_coeff(two_k2, 2, dp) == Fraction(4, 81)
+    assert _polymer_weight(Graph(2, [(0, 1)]), dp) == Fraction(-2, 9)
+    assert _polymer_weight(path_graph(3), dp) == Fraction(8, 81)
 
 
-def test_lambda_gates(delta_quarter):
-    dp = DeltaParams(delta_quarter)
-    # wrong vertex count for the index
-    assert lambda_coeff(path_graph(3), 1, dp) == 0
-    # isolated vertex kills it
-    iso = Graph(3, [(0, 1)])
-    assert lambda_coeff(iso, 2, dp) == 0
-    assert lambda_coeff(iso, 1, dp) == 0
-
-
-def test_lambda_equals_component_product():
-    """lambda_coeff reads each component's class weight from the region-count
-    DP, which builds no tree.  Check it against the product over components
-    of the w_T summed over spanning trees, each component weighed in its own
-    edge order and in one shuffled order: the broken edges of a tree follow
-    the edge ranks, so the two tree sums split the cycles differently and
-    must still agree."""
+def test_polymer_weight_equals_spanning_tree_sum():
+    """polymer_weights reads a connected graph's class weight from the
+    region-count DP, which builds no tree.  Check it against the w_T summed
+    over the spanning trees, in the graph's own edge order and in one
+    shuffled order: the broken edges of a tree follow the edge ranks, so
+    the two tree sums split the cycles differently and must still agree."""
     dp = DeltaParams(Fraction(1, 10))
-    for seed, h in enumerate(graphs_upto(6)):
+    for seed, h in enumerate(connected_graphs_upto(6)):
         if h.n < 2:
             continue
-        comps = h.components()
-        k = h.n - len(comps)
-        expected = [Fraction(1), Fraction(1)]
-        valid = all(c.bit_count() >= 2 for c in comps) and k >= 1
-        if valid:
-            for cmask in comps:
-                sub, _ = h.induced_subgraph(cmask)
-                for i, g in enumerate((sub, shuffled_edges(sub, seed))):
-                    expected[i] *= sum(
-                        (tree_weight(g, t, dp).w for t in spanning_trees(g)),
-                        Fraction(0),
-                    )
-        else:
-            expected = [Fraction(0), Fraction(0)]
-        if k >= 1:
-            assert lambda_coeff(h, k, dp) == expected[0] == expected[1], h.edges
+        weight = _polymer_weight(h, dp)
+        for g in (h, shuffled_edges(h, seed)):
+            trees = (tree_weight(g, t, dp).w for t in spanning_trees(g))
+            assert weight == sum(trees, Fraction(0)), g.edges
 
 
 # --- gamma and assembly --------------------------------------------------------
@@ -459,7 +445,7 @@ def _recursive_graph_series(g: Graph, K: int):
 )
 def test_graph_series_matches_recursive_table(g, K):
     """The class table built from the flat enumerator (weight 1 at the cap,
-    the sign from the parity of m) or, when n <= 2K, from G's components
+    the sign from the parity of m) or, when n <= 2K, from G's own row code
     equals the one built from the recursive enumerator by the first rule."""
     clear_caches()
     assert coeffs._graph_series(g, K) == _recursive_graph_series(g, K)
@@ -494,8 +480,8 @@ def test_log_series_skips_zero_rows(g, K):
 
 
 def test_component_route_enumerates_nothing(monkeypatch):
-    """With n <= 2K a cold query weighs G's components and enumerates no
-    connected set."""
+    """With n <= 2K a cold query expands G whole, as one class even when G
+    is disconnected, and enumerates no connected set."""
 
     def boom(*args, **kwargs):
         raise AssertionError("enumerated connected sets")
@@ -506,7 +492,43 @@ def test_component_route_enumerates_nothing(monkeypatch):
     clear_caches()
     a = assemble_a(g, dp, 5).a
     assert a == newton_log(small_e(g, dp, 5), 5).a
-    assert default_cache().misses == 2
+    assert default_cache().misses == 1
+
+
+def test_whole_graph_route_splits_nothing(monkeypatch):
+    """With n <= 2K nothing on the coefficient side splits G into
+    components or builds an induced subgraph: a cold Petersen query (K = 7)
+    and assemble_a on two triangles, an edge and an isolated vertex still
+    give their answers."""
+
+    def boom(*args, **kwargs):
+        raise AssertionError("split a graph")
+
+    monkeypatch.setattr(Graph, "components", boom)
+    monkeypatch.setattr(Graph, "induced_subgraph", boom)
+    clear_caches()
+    res = approximate_volume(petersen_graph(), Fraction(1, 100), Fraction(1, 100))
+    assert res.K == 7
+    assert res.lower == Fraction(5394260437330575, 4611686018427387904)
+    assert res.upper == Fraction(5465763133293247, 4611686018427387904)
+    dp = DeltaParams(Fraction(1, 100))
+    g = Graph(9, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (6, 7)])
+    clear_caches()
+    assert assemble_a(g, dp, 5).a == newton_log(small_e(g, dp, 5), 5).a
+    assert default_cache().misses == 1
+
+
+def test_whole_graph_route_refuses_more_than_32_vertices():
+    """A disconnected G of more than 32 vertices with n <= 2K is expanded
+    whole, so its code is refused as a connected one of that size is:
+    nine disjoint K4 at K = 18, like C40 at K = 20."""
+    k4 = complete_graph(4).edges
+    k4s = Graph(36, [(4 * i + u, 4 * i + v) for i in range(9) for u, v in k4])
+    dp = DeltaParams(Fraction(1, 100))
+    for g, K in ((k4s, 18), (cycle_graph(40), 20)):
+        clear_caches()
+        with pytest.raises(ValueError, match="at most 32"):
+            assemble_a(g, dp, K)
 
 
 def test_sparse1000_connected_set_counts():
@@ -519,18 +541,24 @@ def test_sparse1000_connected_set_counts():
 
 
 def test_assembly_additive_over_disjoint_union():
+    """a_k of a disjoint union is the sum over its parts, both when the
+    union's connected sets are enumerated (n > 2K) and when it is expanded
+    whole (n <= 2K, here with two isomorphic components)."""
     dp = DeltaParams(Fraction(1, 10))
-    g1 = cycle_graph(4)
-    g2 = path_graph(3)
-    union = Graph(
-        7, list(g1.edges) + [(u + 4, v + 4) for u, v in g2.edges]
-    )
-    K = 3
-    a1 = assemble_a(g1, dp, K).a
-    a2 = assemble_a(g2, dp, K).a
-    au = assemble_a(union, dp, K).a
-    for k in range(1, K + 1):
-        assert au[k] == a1[k] + a2[k]
+    for parts, K in (
+        ((cycle_graph(4), path_graph(3)), 3),
+        ((complete_graph(3), path_graph(3), complete_graph(3)), 5),
+    ):
+        edges = []
+        n = 0
+        for part in parts:
+            edges += [(u + n, v + n) for u, v in part.edges]
+            n += part.n
+        union = Graph(n, edges)
+        assert (n <= 2 * K) == (len(parts) == 3)
+        au = assemble_a(union, dp, K).a
+        for k in range(1, K + 1):
+            assert au[k] == sum(assemble_a(part, dp, K).a[k] for part in parts)
 
 
 def test_assemble_repeat_cold_deterministic():

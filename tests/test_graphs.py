@@ -76,6 +76,21 @@ def test_format_parse_roundtrip():
     assert parse_graph(format_graph(g)).edges == g.edges
 
 
+@pytest.mark.parametrize(
+    "n,edges,match",
+    [
+        (3, [(0, 1), (1, 2), (0, 1)], "duplicate edge"),
+        (4, [(2, 3), (0, 1), (2, 3)], "duplicate edge"),
+        (3, [(1, 0)], "bad edge"),
+        (3, [(1, 1)], "bad edge"),
+        (3, [(0, 3)], "bad edge"),
+    ],
+)
+def test_graph_rejects_repeated_and_bad_edges(n, edges, match):
+    with pytest.raises(ValueError, match=match):
+        Graph(n, edges)
+
+
 def test_degree_and_components():
     g = Graph(5, [(0, 1), (1, 2), (3, 4)])
     assert g.degree(1) == 2 and g.max_degree() == 2
