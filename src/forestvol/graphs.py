@@ -1,9 +1,11 @@
 """Undirected simple graphs with ranked edges, plus the connected vertex
 sets the volume engine is built on (each with its neighbourhood and row
-code), and the spanning trees and fundamental-cycle bookkeeping behind
-tree_weight and the Penrose check.
+code), and the spanning trees and broken edges behind tree_weight and the
+Penrose check.
 
-Vertex sets are plain int bitmasks throughout.  Edges carry a rank (their
+Vertex sets are plain int bitmasks throughout, and so are the components
+of a partial forest: each vertex maps to the mask of its component, which
+answers "same component?" with one bit test.  Edges carry a rank (their
 position in the input edge list); several routines depend on that order, so
 it is preserved by parsing and by induced subgraphs.
 """
@@ -83,14 +85,6 @@ class Graph:
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def edges_within(self, vset: int) -> list[int]:
-        """Ranks of edges with both endpoints in the vertex mask, in rank order."""
-        return [
-            r
-            for r, (u, v) in enumerate(self.edges)
-            if (vset >> u) & 1 and (vset >> v) & 1
-        ]
-
     def induced_subgraph(self, vset: int) -> tuple["Graph", tuple[int, ...]]:
         """Subgraph induced by the vertex mask.
 
@@ -155,30 +149,35 @@ class Tree:
 
 
 def tree_from_edges(g: Graph, edge_ranks: Sequence[int]) -> Tree:
-    """Validated Tree from host edge ranks (must be connected and acyclic)."""
+    """Validated Tree from host edge ranks.
+
+    Every rank must name an edge of g (0 <= rank < g.m) and appear once,
+    and the edges must be connected and acyclic; a ValueError says which
+    fails.  Edges are joined in rank order with per-vertex component masks:
+    an edge whose ends already share a mask closes a cycle, and an acyclic
+    set of k edges is connected exactly when its last merged component has
+    k + 1 vertices.
+    """
     ranks = tuple(sorted(edge_ranks))
     if not ranks:
         raise ValueError("a tree needs at least one vertex; pass a singleton vset instead")
-    vset = 0
+    bad = [r for r in ranks if not 0 <= r < g.m]
+    if bad:
+        raise ValueError(f"edge ranks out of range: {bad}")
+    if len(set(ranks)) != len(ranks):
+        raise ValueError(f"repeated edge rank in {list(ranks)}")
+    comp: dict[int, int] = {}
     for r in ranks:
         u, v = g.edges[r]
-        vset |= (1 << u) | (1 << v)
-    if vset.bit_count() != len(ranks) + 1:
-        raise ValueError("edge set is not a tree (wrong vertex count)")
-    sub = Graph(
-        vset.bit_count(),
-        _relabel_edges(g, ranks, vset),
-    )
-    if not sub.is_connected():
+        cu = comp.get(u, 1 << u)
+        if (cu >> v) & 1:
+            raise ValueError("edge set has a cycle")
+        joined = cu | comp.get(v, 1 << v)
+        for w in bits(joined):
+            comp[w] = joined
+    if joined.bit_count() != len(ranks) + 1:
         raise ValueError("edge set is not connected")
-    return Tree(vset, ranks)
-
-
-def _relabel_edges(
-    g: Graph, ranks: Sequence[int], vset: int
-) -> list[tuple[int, int]]:
-    new_id = {v: i for i, v in enumerate(bits(vset))}
-    return [(new_id[g.edges[r][0]], new_id[g.edges[r][1]]) for r in ranks]
+    return Tree(joined, ranks)
 
 
 def parse_graph(text: str) -> Graph:
@@ -348,73 +347,41 @@ def graph_from_code(code: Sequence[int]) -> Graph:
     )
 
 
-class _UnionFind:
-    """Union-find without path compression so unions can be undone."""
-
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def union(self, ru: int, rv: int) -> tuple[int, int]:
-        """Merge roots ru != rv; returns (winner, loser) for undo."""
-        if self.size[ru] < self.size[rv]:
-            ru, rv = rv, ru
-        self.parent[rv] = ru
-        self.size[ru] += self.size[rv]
-        return ru, rv
-
-    def undo(self, winner: int, loser: int) -> None:
-        self.size[winner] -= self.size[loser]
-        self.parent[loser] = loser
-
-
 def spanning_trees(g: Graph) -> Iterator[Tree]:
-    """Spanning trees of a connected graph, lexicographic in rank sequence."""
+    """Spanning trees of a connected graph, lexicographic in rank sequence.
+
+    A depth-first search adds edges in rank order and skips an edge whose
+    ends already share a component; each level holds its own list of
+    per-vertex component masks, so backtracking has nothing to undo.  The
+    trees come out in the order of itertools.combinations(range(g.m),
+    g.n - 1), restricted to the subsets that form a tree.
+    """
     n = g.n
     if n == 0:
         return
     if not g.is_connected():
         raise ValueError("spanning_trees requires a connected graph")
-    if n == 1:
-        yield Tree(1, ())
-        return
     need = n - 1
     m = g.m
-    uf = _UnionFind(n)
-    chosen: list[int] = []
     ends = g.edges
     full = g.vertex_mask()
 
-    def rec(start: int) -> Iterator[Tree]:
+    def rec(start: int, comp: list[int], chosen: tuple[int, ...]) -> Iterator[Tree]:
         if len(chosen) == need:
-            yield Tree(full, tuple(chosen))
+            yield Tree(full, chosen)
             return
-        # not enough edges left to finish
-        if m - start < need - len(chosen):
-            return
-        for i in range(start, m):
-            if m - i < need - len(chosen):
-                break
+        # i stops where too few edges are left to finish the tree
+        for i in range(start, m - need + len(chosen) + 1):
             u, v = ends[i]
-            ru = uf.find(u)
-            rv = uf.find(v)
-            if ru == rv:
+            if (comp[u] >> v) & 1:
                 continue
-            undo = uf.union(ru, rv)
-            chosen.append(i)
-            yield from rec(i + 1)
-            chosen.pop()
-            uf.undo(*undo)
+            joined = comp[u] | comp[v]
+            merged = comp.copy()
+            for w in bits(joined):
+                merged[w] = joined
+            yield from rec(i + 1, merged, chosen + (i,))
 
-    yield from rec(0)
+    yield from rec(0, [1 << v for v in range(n)], ())
 
 
 def broken_edges(g: Graph, tree: Tree) -> tuple[int, ...]:
@@ -423,38 +390,27 @@ def broken_edges(g: Graph, tree: Tree) -> tuple[int, ...]:
 
     The tree must span g[V(tree)] for fundamental cycles to exist; callers
     pass either a spanning tree of g or a component tree with g restricted.
+
+    One sweep over g's edges in rank order: a tree edge merges the
+    component masks of its ends, and a chord uv inside V(tree) is broken
+    exactly when u and v already share a mask.  The tree edges met so far
+    are those of lower rank, and they join u and v exactly when the whole
+    tree path between u and v has lower rank than uv, that is, when uv is
+    the maximum of its fundamental cycle.
     """
-    tset = set(tree.edge_ranks)
-    # parent pointers from an arbitrary root of the tree
-    root = (tree.vset & -tree.vset).bit_length() - 1
-    parent: dict[int, tuple[int, int]] = {root: (-1, -1)}
-    nbr: dict[int, list[tuple[int, int]]] = {v: [] for v in bits(tree.vset)}
+    vset = tree.vset
+    in_tree = 0
     for r in tree.edge_ranks:
-        u, v = g.edges[r]
-        nbr[u].append((v, r))
-        nbr[v].append((u, r))
-    stack = [root]
-    depth = {root: 0}
-    while stack:
-        x = stack.pop()
-        for y, r in nbr[x]:
-            if y not in parent:
-                parent[y] = (x, r)
-                depth[y] = depth[x] + 1
-                stack.append(y)
+        in_tree |= 1 << r
+    comp = {v: 1 << v for v in bits(vset)}
     out = []
-    for r in g.edges_within(tree.vset):
-        if r in tset:
+    for r, (u, v) in enumerate(g.edges):
+        if not ((vset >> u) & 1 and (vset >> v) & 1):
             continue
-        u, v = g.edges[r]
-        # max tree-edge rank on the u..v path
-        path_max = -1
-        a, b = u, v
-        while a != b:
-            if depth[a] < depth[b]:
-                a, b = b, a
-            a, pr = parent[a]
-            path_max = max(path_max, pr)
-        if r > path_max:
+        if (in_tree >> r) & 1:
+            joined = comp[u] | comp[v]
+            for w in bits(joined):
+                comp[w] = joined
+        elif (comp[u] >> v) & 1:
             out.append(r)
     return tuple(out)

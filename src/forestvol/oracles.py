@@ -9,8 +9,9 @@ above 1/2 and needs no trees, canonical forms or poset integrals, so it
 checks the tree weights and class weights as well as the interpolation.
 exact_p1 is exact_volume over the box volume.  root_check needs every
 coefficient e_k of p, so it expands p with small_e, the pipeline's own
-polymer DP.  penrose_check uses the graph module's spanning-tree and
-broken-edge routines.
+polymer DP.  penrose_check checks the graph module's spanning-tree and
+broken-edge routines against its own Kruskal, which shares no code with
+them.
 """
 
 from __future__ import annotations
@@ -182,6 +183,14 @@ def penrose_check(g: Graph, edge_order: tuple[int, ...] | None = None) -> Penros
 
     edge_order permutes the edge ranks before the check (the partition is
     order-dependent; the property holds for every order).
+
+    The intervals come from graphs.spanning_trees and graphs.broken_edges;
+    the reference is the oracle's own Kruskal, run once on every edge
+    subset f: f is connected spanning exactly when its minimum spanning
+    tree has n - 1 edges, and that tree is the one a marked f must retract
+    onto.  A subset marked by two trees is listed under duplicates and
+    compared only with the first tree that marked it; missed, extras and
+    mst_violations are in ascending subset-mask order.
     """
     if not g.is_connected():
         raise ValueError("penrose_check requires a connected graph")
@@ -195,7 +204,6 @@ def penrose_check(g: Graph, edge_order: tuple[int, ...] | None = None) -> Penros
         g = Graph(g.n, [g.edges[i] for i in edge_order])
     marked: dict[int, int] = {}
     duplicates: list[tuple[int, ...]] = []
-    mst_violations: list[tuple[int, ...]] = []
     tree_count = 0
     for tree in spanning_trees(g):
         tree_count += 1
@@ -203,35 +211,44 @@ def penrose_check(g: Graph, edge_order: tuple[int, ...] | None = None) -> Penros
         for r in tree.edge_ranks:
             base |= 1 << r
         extra = broken_edges(g, tree)
-        sub = 0
-        while True:
+        for sub in range(1 << len(extra)):
             f = base | _spread(sub, extra)
             if f in marked:
                 duplicates.append(tuple(bits(f)))
             else:
                 marked[f] = base
-            if _min_spanning_tree(g, f) != base:
-                mst_violations.append(tuple(bits(f)))
-            if sub == (1 << len(extra)) - 1:
-                break
-            sub += 1
-    target = set(_connected_spanning_masks(g))
-    missed = sorted(target - marked.keys())
-    extras = sorted(marked.keys() - target)
+    connected_spanning = 0
+    missed: list[tuple[int, ...]] = []
+    extras: list[tuple[int, ...]] = []
+    mst_violations: list[tuple[int, ...]] = []
+    for f in range(1 << g.m):
+        mst = _min_spanning_tree(g, f)
+        spanning = mst.bit_count() == g.n - 1
+        connected_spanning += spanning
+        base = marked.get(f)
+        if base is None:
+            if spanning:
+                missed.append(tuple(bits(f)))
+            continue
+        if not spanning:
+            extras.append(tuple(bits(f)))
+        if base != mst:
+            mst_violations.append(tuple(bits(f)))
     return PenroseReport(
         tree_count=tree_count,
         marked=len(marked),
-        connected_spanning=len(target),
+        connected_spanning=connected_spanning,
         duplicates=tuple(duplicates),
-        missed=tuple(tuple(bits(f)) for f in missed),
-        extras=tuple(tuple(bits(f)) for f in extras),
+        missed=tuple(missed),
+        extras=tuple(extras),
         mst_violations=tuple(mst_violations),
     )
 
 
 def _min_spanning_tree(g: Graph, mask: int) -> int:
     """Kruskal over the edges in mask with rank as weight; returns the
-    tree's edge mask (ranks are distinct, so it is unique)."""
+    edge mask of its spanning forest (ranks are distinct, so it is unique),
+    a spanning tree exactly when mask connects all n vertices."""
     parent = list(range(g.n))
 
     def find(x: int) -> int:
@@ -241,9 +258,7 @@ def _min_spanning_tree(g: Graph, mask: int) -> int:
         return x
 
     out = 0
-    for r in range(g.m):
-        if not (mask >> r) & 1:
-            continue
+    for r in bits(mask):
         u, v = g.edges[r]
         ru, rv = find(u), find(v)
         if ru != rv:
@@ -258,32 +273,6 @@ def _spread(sub: int, ranks: tuple[int, ...]) -> int:
         if (sub >> i) & 1:
             out |= 1 << r
     return out
-
-
-def _connected_spanning_masks(g: Graph):
-    n, m = g.n, g.m
-    ends = g.edges
-    for f in range(1 << m):
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        parts = n
-        mask = f
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            u, v = ends[low.bit_length() - 1]
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                parts -= 1
-        if parts == 1:
-            yield f
 
 
 @dataclass(frozen=True)

@@ -168,7 +168,11 @@ def test_criterion_07_weight_bound():
             if vset.bit_count() < 2:
                 continue
             sub, _ = g.induced_subgraph(vset)
-            local_ranks = g.edges_within(vset)
+            local_ranks = [
+                r
+                for r, (u, v) in enumerate(g.edges)
+                if (vset >> u) & 1 and (vset >> v) & 1
+            ]
             for tree in spanning_trees(sub):
                 ranks = [local_ranks[r] for r in tree.edge_ranks]
                 host_trees.append(tree_from_edges(g, ranks))

@@ -21,6 +21,7 @@ from forestvol.graphs import (
 )
 from forestvol.families import (
     complete_graph,
+    connected_graphs_upto,
     cycle_graph,
     path_graph,
     petersen_graph,
@@ -195,7 +196,27 @@ def test_row_code_roundtrip():
     ],
 )
 def test_spanning_tree_counts(g, count):
-    assert sum(1 for _ in spanning_trees(g)) == count
+    ranks = [t.edge_ranks for t in spanning_trees(g)]
+    assert len(ranks) == count
+    assert ranks == _brute_force_trees(g)
+
+
+def _brute_force_trees(g: Graph) -> list[tuple[int, ...]]:
+    """The (n-1)-subsets of edge ranks whose edges form a connected graph,
+    in itertools.combinations order."""
+    return [
+        sub
+        for sub in itertools.combinations(range(g.m), g.n - 1)
+        if Graph(g.n, [g.edges[r] for r in sub]).is_connected()
+    ]
+
+
+def test_spanning_trees_lexicographic_on_small_graphs():
+    """Every connected graph on at most 6 vertices, in its own edge order
+    and reversed: the trees are the brute-force subsets, in their order."""
+    for g in connected_graphs_upto(6):
+        for h in (g, Graph(g.n, g.edges[::-1])):
+            assert [t.edge_ranks for t in spanning_trees(h)] == _brute_force_trees(h)
 
 
 def test_spanning_trees_requires_connected():
@@ -209,6 +230,23 @@ def test_tree_from_edges_validates():
     assert t.size == 3
     with pytest.raises(ValueError):
         tree_from_edges(g, (0, 1, 3))  # 0-1, 0-2, 1-2 is a triangle
+    with pytest.raises(ValueError, match="cycle"):
+        tree_from_edges(g, (0, 1, 3, 4))  # that triangle plus 1-3
+    with pytest.raises(ValueError, match="not connected"):
+        tree_from_edges(Graph(4, [(0, 1), (2, 3)]), (0, 1))
+
+
+def test_tree_from_edges_rejects_ranks_naming_no_edge():
+    """-1 would index the last edge and m would raise IndexError; a repeated
+    rank names one edge twice.  Each is a ValueError."""
+    k2 = Graph(2, [(0, 1)])
+    for ranks in ((-1,), (1,), (0, 0)):
+        with pytest.raises(ValueError):
+            tree_from_edges(k2, ranks)
+    with pytest.raises(ValueError, match=r"out of range: \[-1, 6\]"):
+        tree_from_edges(complete_graph(4), (-1, 0, 6))
+    with pytest.raises(ValueError, match="repeated"):
+        tree_from_edges(complete_graph(4), (0, 1, 1))
 
 
 def _fundamental_cycle(g: Graph, tree: Tree, rank: int) -> list[int]:
@@ -234,21 +272,18 @@ def _fundamental_cycle(g: Graph, tree: Tree, rank: int) -> list[int]:
 
 @pytest.mark.parametrize("seed", range(8))
 def test_broken_edges_are_cycle_maxima(seed):
-    rng = random.Random(seed)
     g = random_graph(7, 0.5, seed=seed + 100)
     if not g.is_connected():
         pytest.skip("disconnected draw")
-    trees = list(spanning_trees(g))
-    tree = trees[rng.randrange(len(trees))]
-    broken = set(broken_edges(g, tree))
-    in_tree = set(tree.edge_ranks)
-    for rank in range(g.m):
-        u, v = g.edges[rank]
-        if rank in in_tree or not (tree.vset >> u) & 1 or not (tree.vset >> v) & 1:
-            continue
-        cycle = _fundamental_cycle(g, tree, rank)
-        is_max = all(rank > r for r in cycle)
-        assert (rank in broken) == is_max
+    for tree in spanning_trees(g):
+        broken = set(broken_edges(g, tree))
+        in_tree = set(tree.edge_ranks)
+        for rank in range(g.m):
+            if rank in in_tree:
+                continue
+            cycle = _fundamental_cycle(g, tree, rank)
+            is_max = all(rank > r for r in cycle)
+            assert (rank in broken) == is_max
 
 
 def test_graph_validation():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from forestvol import oracles
 from forestvol.errors import SizeGuardError
 from forestvol.families import (
     complete_graph,
@@ -214,6 +215,25 @@ def test_penrose_order_must_be_permutation():
 def test_penrose_guard():
     with pytest.raises(SizeGuardError):
         penrose_check(complete_graph(7))
+
+
+@pytest.mark.parametrize("g", [complete_graph(4), petersen_graph()], ids=["K4", "Petersen"])
+def test_penrose_catches_wrong_broken_edges(monkeypatch, g):
+    """The check fails when broken_edges is wrong: dropping each tree's last
+    broken edge leaves subsets unmarked, and calling every chord broken
+    makes intervals overlap."""
+    right = oracles.broken_edges
+
+    monkeypatch.setattr(oracles, "broken_edges", lambda h, tree: right(h, tree)[:-1])
+    rep = penrose_check(g)
+    assert rep.missed and not rep.ok
+
+    def every_chord(h, tree):
+        return tuple(r for r in range(h.m) if r not in tree.edge_ranks)
+
+    monkeypatch.setattr(oracles, "broken_edges", every_chord)
+    rep = penrose_check(g)
+    assert (rep.duplicates or rep.mst_violations) and not rep.ok
 
 
 # --- roots ------------------------------------------------------------------------
