@@ -26,12 +26,7 @@ from .errors import (
     SizeGuardError,
 )
 from .graphs import Graph, parse_graph, tree_from_edges
-from .interpolate import (
-    approximate_volume,
-    guard_order,
-    truncation_order,
-    zero_free_radius,
-)
+from .interpolate import approximate_volume, truncation_order, zero_free_radius
 from .oracles import exact_volume, mc_volume, penrose_check, root_check
 from .treeweight import DeltaParams, tree_weight
 
@@ -192,7 +187,6 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
         cert = zero_free_radius(delta, max(g.max_degree(), 2))
         radius = cert.radius
         K = truncation_order(g.n, eps, cert.radius)
-    guard_order(g.n, K)
     rows, a = pattern_table(g, dp, K)
     patterns = [
         {

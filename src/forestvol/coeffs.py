@@ -93,7 +93,8 @@ from typing import Sequence
 
 # canonical_form is not called here: perfbench/tracer.py traces
 # coeffs.canonical_form and raises on a missing target
-from .canon import canonical_form, code_key, graph_from_key, peel_key  # noqa: F401
+from .canon import MAX_VERTICES, canonical_form, code_key, graph_from_key, peel_key  # noqa: F401
+from .errors import SizeGuardError
 from .graphs import Graph, enumerate_connected_sets, graph_from_code, row_code
 from .treeweight import DeltaParams, default_cache, polymer_weights
 
@@ -344,6 +345,21 @@ def _gamma_codes(h: Graph) -> dict[tuple[int, ...], int]:
     return by_code
 
 
+def guard_order(n: int, K: int) -> None:
+    """Raise SizeGuardError when coefficients of order K on an n-vertex
+    graph need patterns above MAX_VERTICES: min(2K, n) > 32, i.e. K > 16
+    on a graph of more than 32 vertices.  The patterns would still fit the
+    cap up to K = 31, but nothing yet bounds the work of enumerating them,
+    so assemble_a and pattern_table refuse such an order before they
+    enumerate a connected set."""
+    if min(2 * K, n) > MAX_VERTICES:
+        raise SizeGuardError(
+            f"truncation order K={K} is refused on a graph of {n} > "
+            f"{MAX_VERTICES} vertices: orders above {MAX_VERTICES // 2} have "
+            f"no bound on their work yet; use a smaller order (raise eps or lower delta)"
+        )
+
+
 def pattern_table(
     g: Graph, dp: DeltaParams, K: int
 ) -> tuple[list[tuple[bytes, int, Graph, tuple[Fraction, ...]]], TaylorCoeffs]:
@@ -354,7 +370,9 @@ def pattern_table(
     dict, so a class named by its peeled string or its canonical key is
     expanded once for the whole table; one named by its own code, in a
     table where it is the only code with no peeled string, may be expanded
-    again under another name in another row."""
+    again under another name in another row.  Raises SizeGuardError first
+    when guard_order refuses K on g."""
+    guard_order(g.n, K)
     series: dict[Name, tuple[tuple[tuple[int, ...], ...], int]] = {}
     rows = []
     a = [Fraction(0)] * (K + 1)
@@ -427,15 +445,19 @@ def assemble_a(g: Graph, dp: DeltaParams, K: int) -> TaylorCoeffs:
     When n <= 2K, c = n, which leaves a weight of 1 only on the components
     of G, whose a_k sum to a_k(G): G is expanded whole from its own row
     code as one class, with no set enumerated, whether it is connected or
-    not.  Its class is named as any other (_classes), so a G of more than
-    32 vertices, which takes this route only at K >= 17, raises peel_key's
-    ValueError.  A graph that small is cheaper whole than as the many
-    classes of at most K+1 vertices: random_connected_graph(16, 3, seed=3,
+    not.  A graph that small is cheaper whole than as the many classes of
+    at most K+1 vertices: random_connected_graph(16, 3, seed=3,
     max_degree=3) at K = 8 expands 113 classes with c = 9 in 0.38 s,
     against 0.13 s whole (CPython 3.11.7, one core, cold caches).  Above
     2K it turns: at K = 6,
     random_connected_graph(20, 5, seed=0, max_degree=3) takes 0.08 s with
-    c = 7 (33 classes) and 0.74 s whole."""
+    c = 7 (33 classes) and 0.74 s whole.
+
+    Raises SizeGuardError first, before any set is enumerated, when
+    guard_order refuses K on G: any order above 16 on a graph of more than
+    32 vertices, which covers every G of more than 32 vertices that the
+    whole-graph route (n <= 2K) would take."""
+    guard_order(g.n, K)
     if K < 1:
         raise ValueError("K must be >= 1")
     return _taylor(dp, K, lambda: _graph_series(g, K))

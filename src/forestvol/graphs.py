@@ -117,17 +117,6 @@ class Graph:
             seen |= frontier
         return seen
 
-    def components(self) -> list[int]:
-        """Connected components as bitmasks, ordered by smallest vertex."""
-        out = []
-        remaining = self.vertex_mask()
-        while remaining:
-            v = (remaining & -remaining).bit_length() - 1
-            comp = self.component_of(v)
-            out.append(comp)
-            remaining &= ~comp
-        return out
-
 
 @dataclass(frozen=True)
 class Tree:
@@ -180,8 +169,20 @@ def tree_from_edges(g: Graph, edge_ranks: Sequence[int]) -> Tree:
     return Tree(joined, ranks)
 
 
+def _decimals(tokens: list[str], lineno: int, what: str) -> tuple[int, int]:
+    """The two tokens of a line as ints.  Only ASCII digits are accepted:
+    int() would also take a sign, underscores and non-ASCII digits."""
+    if all(tok.isascii() and tok.isdigit() for tok in tokens):
+        try:
+            return int(tokens[0]), int(tokens[1])
+        except ValueError:  # more digits than int() converts
+            pass
+    raise GraphParseError(lineno, f"{what} must be written with the digits 0-9 only")
+
+
 def parse_graph(text: str) -> Graph:
-    """Parse "n m" header plus m "u v" edge lines (0 <= u < v < n).
+    """Parse "n m" header plus m "u v" edge lines (0 <= u < v < n), every
+    number written with the ASCII digits 0-9 alone.
 
     Lines starting with '#' and blank lines are skipped; CRLF is accepted.
     A header with more than MAX_GRAPH_VERTICES vertices is refused before
@@ -201,12 +202,7 @@ def parse_graph(text: str) -> Graph:
         if header is None:
             if len(tokens) != 2:
                 raise GraphParseError(lineno, "header must be 'n m'")
-            try:
-                n, m = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise GraphParseError(lineno, "header must be two integers") from None
-            if n < 0 or m < 0:
-                raise GraphParseError(lineno, "header counts must be nonnegative")
+            n, m = _decimals(tokens, lineno, "header counts")
             if n > MAX_GRAPH_VERTICES:
                 raise GraphParseError(
                     lineno, f"{n} vertices exceed the limit of {MAX_GRAPH_VERTICES}"
@@ -218,10 +214,7 @@ def parse_graph(text: str) -> Graph:
             raise GraphParseError(lineno, f"more than {m} edge lines")
         if len(tokens) != 2:
             raise GraphParseError(lineno, "edge line must be 'u v'")
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise GraphParseError(lineno, "edge endpoints must be integers") from None
+        u, v = _decimals(tokens, lineno, "edge endpoints")
         if u == v:
             raise GraphParseError(lineno, f"loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):

@@ -24,9 +24,8 @@ from typing import Iterator
 import mpmath
 from mpmath import iv
 
-from .canon import MAX_VERTICES
-from .coeffs import TaylorCoeffs, assemble_a
-from .errors import CertificateError, DeltaTooLargeError, SizeGuardError
+from .coeffs import assemble_a
+from .errors import CertificateError, DeltaTooLargeError
 from .graphs import Graph
 from .treeweight import DeltaParams
 
@@ -106,23 +105,25 @@ def zero_free_radius(delta: Fraction, max_degree: int) -> RadiusCertificate:
     """Certified zero-free disk radius R > 1 for the family of graphs with
     maximum degree <= max_degree at truncation delta.
 
-    The returned radius is re-verified in outward-rounded interval
-    arithmetic against the sufficient condition
+    R = max_admissible_delta(max_degree) / delta, which is
+    (1 - 1/Delta) * safety / (4 e_hi Delta delta): the one formula for the
+    radius, so R > 1 exactly when delta is below that delta_max.  The
+    radius is re-verified in outward-rounded interval arithmetic against
+    the sufficient condition
         4 * delta * R <= log(a) * (1 - 1/Delta) / (a * Delta)
-    with a rational witness a < e.  Raises DeltaTooLargeError when no radius
-    above 1 is certifiable, and CertificateError when the interval re-check
+    with a rational witness a < e.  Raises ValueError when max_degree < 2
+    or delta is outside (0, 1/2), DeltaTooLargeError when no radius above
+    1 is certifiable, and CertificateError when the interval re-check
     fails.
     """
     delta = Fraction(delta)
-    if max_degree < 2:
-        raise ValueError("certificate requires max degree >= 2")
+    delta_max = max_admissible_delta(max_degree)
     if not (0 < delta < Fraction(1, 2)):
         raise ValueError("certificate requires delta in (0, 1/2)")
-    e_lo, e_hi = _e_bounds()
-    frac = Fraction(max_degree - 1, max_degree)
-    radius = frac * _SAFETY / (4 * e_hi * max_degree * delta)
+    radius = delta_max / delta
     if radius <= 1:
-        raise DeltaTooLargeError(delta, max_degree, max_admissible_delta(max_degree))
+        raise DeltaTooLargeError(delta, max_degree, delta_max)
+    e_lo, _ = _e_bounds()
     with _iv_prec(160):
         lhs = 4 * _iv_frac(delta) * _iv_frac(radius)
         if not lhs.b <= _radius_rhs(e_lo, max_degree):
@@ -190,20 +191,6 @@ def truncation_order(n: int, eps: Fraction, radius: Fraction) -> int:
             prev = tail.b
 
 
-def guard_order(n: int, K: int) -> None:
-    """Raise SizeGuardError when coefficients of order K on an n-vertex
-    graph need patterns above MAX_VERTICES: min(2K, n) > 32, i.e. K > 16
-    on a graph of more than 32 vertices.  The patterns would still fit the
-    cap up to K = 31, but nothing yet bounds the work of enumerating them,
-    so every caller checks this before it enumerates a connected set."""
-    if min(2 * K, n) > MAX_VERTICES:
-        raise SizeGuardError(
-            f"truncation order K={K} is refused on a graph of {n} > "
-            f"{MAX_VERTICES} vertices: orders above {MAX_VERTICES // 2} have "
-            f"no bound on their work yet; use a smaller order (raise eps or lower delta)"
-        )
-
-
 @dataclass(frozen=True)
 class InterpolationResult:
     n: int
@@ -229,98 +216,75 @@ def approximate_volume(
 ) -> InterpolationResult:
     """Volume of the truncated polytope within a factor (1 +- eps).
 
-    Exact for edgeless graphs, delta = 0, and graphs of maximum degree <= 1;
-    otherwise runs the certificate + truncated-series pipeline.  max_degree,
-    when given, requests the certificate of that degree family and rejects
-    denser inputs.
+    max_degree, when given, requests the certificate of that degree family
+    and rejects denser inputs.
 
-    The first K coefficients are assembled from the connected sets of at
-    most K+1 vertices, or from G whole when n <= 2K (coeffs.assemble_a).
-    Their delta-free table is kept for the last graph asked, so a sweep
-    over delta on one graph expands it once: a later point whose K is no
-    larger only evaluates the table.  The certificate's constants (the
-    bounds on e, and the radius condition's right-hand side per degree)
-    are likewise computed once; the interval re-check runs on every call.
-    Raises SizeGuardError before any enumeration when guard_order refuses
-    K on this graph.
+    Exact when delta = 0 or G has maximum degree <= 1: then
+        lower = upper = box^(n - 2m) * (box^2 - 2 delta^2)^m,  box = 1/2 + delta.
+    A graph of maximum degree <= 1 is m disjoint edges, each contributing
+    box^2 - 2 delta^2 (the square less its corner x_u + x_v > 1, a
+    triangle of legs 2 delta), and n - 2m isolated vertices of box each,
+    so an edgeless graph is just the case m = 0.  At delta = 0 every
+    factor is a power of 1/2 and the product is (1/2)^n for any graph;
+    the exponent n - 2m may then be negative, which Fraction keeps exact.
+
+    Otherwise it runs the certificate (zero_free_radius), the least
+    truncation order K (truncation_order) and the first K coefficients of
+    log p (coeffs.assemble_a), which come from the connected sets of at
+    most K+1 vertices, or from G whole when n <= 2K.  Their delta-free
+    table is kept for the last graph asked, so a sweep over delta on one
+    graph expands it once: a later point whose K is no larger only
+    evaluates the table.  The certificate's constants (the bounds on e,
+    and the radius condition's right-hand side per degree) are likewise
+    computed once; the interval re-check runs on every call.  assemble_a
+    raises SizeGuardError before any enumeration when K is too large for
+    G (coeffs.guard_order).
     """
     t0 = time.monotonic()
-    delta = Fraction(delta)
+    dp = DeltaParams(delta)
+    delta = dp.delta
     eps = Fraction(eps)
-    if not (0 <= delta < Fraction(1, 2)):
-        raise ValueError("delta must lie in [0, 1/2)")
     if eps <= 0:
         raise ValueError("eps must be positive")
     actual = g.max_degree()
-    if max_degree is not None:
-        if actual > max_degree:
-            raise ValueError(
-                f"graph has maximum degree {actual} > requested bound {max_degree}"
-            )
-        degree = max_degree
-    else:
-        degree = actual
-    box = Fraction(1, 2) + delta
-
-    exact_val: Fraction | None = None
-    if g.m == 0 or delta == 0:
-        exact_val = box**g.n if g.m == 0 else Fraction(1, 2) ** g.n
-    elif actual <= 1:
-        exact_val = Fraction(1)
-        for comp in g.components():
-            if comp.bit_count() == 1:
-                exact_val *= box
-            else:
-                exact_val *= box**2 - 2 * delta**2
-    if exact_val is not None:
-        with mpmath.workprec(96):
-            xi = mpmath.mpf(exact_val.numerator) / exact_val.denominator
-        return InterpolationResult(
-            n=g.n,
-            m=g.m,
-            delta=delta,
-            eps=eps,
-            degree=degree,
-            exact=True,
-            radius=None,
-            K=0,
-            a=(),
-            xi=xi,
-            lower=exact_val,
-            upper=exact_val,
-            wall_ms=(time.monotonic() - t0) * 1000,
+    if max_degree is not None and actual > max_degree:
+        raise ValueError(
+            f"graph has maximum degree {actual} > requested bound {max_degree}"
         )
-
-    cert = zero_free_radius(delta, degree)
-    K = truncation_order(g.n, eps, cert.radius)
-    guard_order(g.n, K)
-    coeffs = assemble_a(g, DeltaParams(delta), K)
-    total = sum(coeffs.a, Fraction(0))
-
-    with _iv_prec(192):
-        tail = next(islice(_tails(cert.radius), K, None)) * max(g.n - 1, 0)
-        # outer endpoints of s +- tail enclose [S - T_true, S + T_true]
-        box_iv = _iv_frac(box) ** g.n
-        s_iv = _iv_frac(total)
-        lower_iv = box_iv * iv.exp(s_iv - tail)
-        upper_iv = box_iv * iv.exp(s_iv + tail)
-        lower = _frac_from_mpf(mpmath.mpf(lower_iv.a))
-        upper = _frac_from_mpf(mpmath.mpf(upper_iv.b))
-    with mpmath.workprec(192):
-        xi = (
-            mpmath.mpf(box.numerator)
-            / box.denominator
-        ) ** g.n * mpmath.exp(mpmath.mpf(total.numerator) / total.denominator)
+    degree = actual if max_degree is None else max_degree
+    box = dp.box_hi
+    exact = delta == 0 or actual <= 1
+    if exact:
+        radius, K, a = None, 0, ()
+        lower = upper = box ** (g.n - 2 * g.m) * (box**2 - 2 * delta**2) ** g.m
+        with mpmath.workprec(96):
+            xi = mpmath.mpf(lower.numerator) / lower.denominator
+    else:
+        radius = zero_free_radius(delta, degree).radius
+        K = truncation_order(g.n, eps, radius)
+        a = tuple(assemble_a(g, dp, K).a[1:])
+        total = sum(a, Fraction(0))
+        with _iv_prec(192):
+            tail = next(islice(_tails(radius), K, None)) * (g.n - 1)
+            # outer endpoints of s +- tail enclose [S - T_true, S + T_true]
+            box_iv = _iv_frac(box) ** g.n
+            s_iv = _iv_frac(total)
+            lower = _frac_from_mpf(mpmath.mpf((box_iv * iv.exp(s_iv - tail)).a))
+            upper = _frac_from_mpf(mpmath.mpf((box_iv * iv.exp(s_iv + tail)).b))
+        with mpmath.workprec(192):
+            xi = (mpmath.mpf(box.numerator) / box.denominator) ** g.n * mpmath.exp(
+                mpmath.mpf(total.numerator) / total.denominator
+            )
     return InterpolationResult(
         n=g.n,
         m=g.m,
         delta=delta,
         eps=eps,
         degree=degree,
-        exact=False,
-        radius=cert.radius,
+        exact=exact,
+        radius=radius,
         K=K,
-        a=tuple(coeffs.a[1:]),
+        a=a,
         xi=xi,
         lower=lower,
         upper=upper,

@@ -14,6 +14,7 @@ from forestvol.coeffs import (
     pattern_gamma,
     small_e,
 )
+from forestvol.errors import SizeGuardError
 from forestvol.graphs import (
     Graph,
     bits,
@@ -504,7 +505,6 @@ def test_whole_graph_route_splits_nothing(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("split a graph")
 
-    monkeypatch.setattr(Graph, "components", boom)
     monkeypatch.setattr(Graph, "induced_subgraph", boom)
     clear_caches()
     res = approximate_volume(petersen_graph(), Fraction(1, 100), Fraction(1, 100))
@@ -518,17 +518,27 @@ def test_whole_graph_route_splits_nothing(monkeypatch):
     assert default_cache().misses == 1
 
 
-def test_whole_graph_route_refuses_more_than_32_vertices():
-    """A disconnected G of more than 32 vertices with n <= 2K is expanded
-    whole, so its code is refused as a connected one of that size is:
-    nine disjoint K4 at K = 18, like C40 at K = 20."""
+def test_whole_graph_route_refuses_more_than_32_vertices(monkeypatch):
+    """An order above 16 on a graph of more than 32 vertices is refused by
+    assemble_a and pattern_table themselves, with SizeGuardError and before
+    any connected set is enumerated, whether G would be expanded whole
+    (n <= 2K: nine disjoint K4 at K = 18, C40 at K = 20) or enumerated."""
+
+    def boom(*args, **kwargs):
+        raise AssertionError("enumerated connected sets")
+
+    monkeypatch.setattr(coeffs, "enumerate_connected_sets", boom)
     k4 = complete_graph(4).edges
     k4s = Graph(36, [(4 * i + u, 4 * i + v) for i in range(9) for u, v in k4])
     dp = DeltaParams(Fraction(1, 100))
-    for g, K in ((k4s, 18), (cycle_graph(40), 20)):
+    for build, K, n in (
+        (lambda: assemble_a(k4s, dp, 18), 18, 36),
+        (lambda: assemble_a(cycle_graph(40), dp, 20), 20, 40),
+        (lambda: coeffs.pattern_table(cycle_graph(40), dp, 20), 20, 40),
+    ):
         clear_caches()
-        with pytest.raises(ValueError, match="at most 32"):
-            assemble_a(g, dp, K)
+        with pytest.raises(SizeGuardError, match=f"K={K} .* {n} > 32"):
+            build()
 
 
 def test_sparse1000_connected_set_counts():

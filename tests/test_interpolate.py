@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from forestvol.families import (
     connected_graphs_upto,
     cycle_graph,
     path_graph,
+    petersen_graph,
     random_connected_graph,
     star_graph,
 )
@@ -83,6 +85,19 @@ def test_max_admissible_delta_formula():
         got = float(max_admissible_delta(d))
         want = (1 - 1 / d) / (4 * math.e * d)
         assert want * 0.999 < got <= want
+    # zero_free_radius takes its radius from the same formula, and reports
+    # the same delta_max when it refuses
+    for delta, d in (
+        (Fraction(1, 100), 2),
+        (Fraction(1, 100), 3),
+        (Fraction(1, 1000), 7),
+        (Fraction(1, 50), 2),
+    ):
+        assert zero_free_radius(delta, d).radius == max_admissible_delta(d) / delta
+    for delta, d in ((Fraction(1, 10), 3), (Fraction(1, 37), 2), (Fraction(1, 20), 10)):
+        with pytest.raises(DeltaTooLargeError) as exc:
+            zero_free_radius(delta, d)
+        assert exc.value.delta_max == max_admissible_delta(d)
 
 
 def test_radius_requires_degree_two():
@@ -175,6 +190,30 @@ def test_exact_branches():
     res = approximate_volume(g, Fraction(1, 4), Fraction(1, 100))
     assert res.exact
     assert res.lower == k2_volume(Fraction(1, 4)) ** 2 * Fraction(3, 4)
+    # the one closed form box^(n-2m) (box^2 - 2 delta^2)^m against the exact
+    # volume, on every labelled graph of maximum degree <= 1 on <= 6 vertices
+    for n in range(7):
+        pairs = list(itertools.combinations(range(n), 2))
+        for m in range(n // 2 + 1):
+            for edges in itertools.combinations(pairs, m):
+                if len({v for e in edges for v in e}) < 2 * m:
+                    continue
+                g = Graph(n, edges)
+                for delta in (Fraction(1, 100), Fraction(1, 4), Fraction(2, 5)):
+                    res = approximate_volume(g, delta, Fraction(1, 100))
+                    assert res.exact and res.K == 0 and res.a == () and res.radius is None
+                    want = exact_volume(g, DeltaParams(delta))
+                    assert res.lower == res.upper == want, (n, edges, delta)
+    # at delta = 0 it is (1/2)^n, also where the exponent n - 2m is negative
+    for g in (
+        complete_graph(4),
+        petersen_graph(),
+        random_connected_graph(16, 3, seed=3, max_degree=3),
+    ):
+        assert g.n - 2 * g.m < 0
+        res = approximate_volume(g, Fraction(0), Fraction(1, 100))
+        assert res.exact and res.K == 0 and res.a == () and res.radius is None
+        assert res.lower == res.upper == Fraction(1, 2) ** g.n
 
 
 def test_containment_and_width_small_graphs():
