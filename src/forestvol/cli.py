@@ -26,7 +26,7 @@ from .errors import (
     SizeGuardError,
 )
 from .graphs import Graph, parse_graph, tree_from_edges
-from .interpolate import approximate_volume, truncation_order, zero_free_radius
+from .interpolate import approximate_volume, certified_order, zero_free_radius
 from .oracles import exact_volume, mc_volume, penrose_check, root_check
 from .treeweight import DeltaParams, tree_weight
 
@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--delta", required=True)
     order = p.add_mutually_exclusive_group()
-    order.add_argument("--eps", default="1/100", help="pick K from the certificate (default 1/100)")
+    order.add_argument("--eps", default="1/100", help="pick K and R as volume does (default 1/100)")
     order.add_argument("--order", type=int, default=None, help="explicit K instead of --eps")
 
     p = sub.add_parser("weights", help="weight of one tree inside its host")
@@ -155,8 +155,6 @@ def cmd_exact(args: argparse.Namespace) -> int:
 def cmd_mc(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     delta = _rational(args.delta, "delta")
-    if args.samples < 1:
-        raise ValueError("samples must be >= 1")
     est = mc_volume(g, delta, args.samples, seed=args.seed)
     payload = {
         "mean": est.mean,
@@ -183,10 +181,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
         K = args.order
         radius = None
     else:
-        eps = _rational(args.eps, "eps")
-        cert = zero_free_radius(delta, max(g.max_degree(), 2))
-        radius = cert.radius
-        K = truncation_order(g.n, eps, cert.radius)
+        _, radius, K = certified_order(g, dp, _rational(args.eps, "eps"))
     rows, a = pattern_table(g, dp, K)
     patterns = [
         {
@@ -309,8 +304,8 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     rep = penrose_check(pet)
     check("penrose Petersen", rep.ok, f"marked={rep.marked}")
 
-    rr = root_check(path_graph(4), DeltaParams(delta), radius=cert.radius)
-    check("roots clear radius P4", rr.clears(slack=0.01), f"min={rr.min_modulus:.3f}")
+    rr = root_check(path_graph(4), DeltaParams(delta))
+    check("roots clear radius P4", rr.clears(cert.radius, slack=0.01), f"min={rr.min_modulus:.3f}")
 
     failed = [c for c in checks if not c[1]]
     if args.output == "json":

@@ -106,10 +106,6 @@ class TaylorCoeffs:
     def __getitem__(self, k: int) -> Fraction:
         return self.a[k]
 
-    @property
-    def order(self) -> int:
-        return len(self.a) - 1
-
 
 def polymer_series(g: Graph, K: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The delta-free table (E, D) with e_j(t) = sum_r E[j][r] D^{-r} t^{j+r}

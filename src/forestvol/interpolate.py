@@ -191,6 +191,37 @@ def truncation_order(n: int, eps: Fraction, radius: Fraction) -> int:
             prev = tail.b
 
 
+def certified_order(
+    g: Graph, dp: DeltaParams, eps: Fraction, max_degree: int | None = None
+) -> tuple[int, Fraction | None, int]:
+    """The plan behind a (1 +- eps) answer for G at dp.delta: the degree
+    certified, the zero-free radius R and the truncation order K.
+
+    max_degree, when given, is the degree certified, and a graph of larger
+    maximum degree is refused (ValueError); otherwise G's own maximum
+    degree is.  When delta = 0 or G has maximum degree <= 1 the volume has
+    a closed form (approximate_volume), so no radius is needed and the
+    plan is (degree, None, 0).  Otherwise R = zero_free_radius(delta,
+    degree).radius and K = truncation_order(n, eps, R), which raise
+    DeltaTooLargeError or CertificateError when no certificate exists.
+    eps must be positive in every case.  approximate_volume and
+    `forestvol coeffs --eps` both take their K from here.
+    """
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    actual = g.max_degree()
+    if max_degree is not None and actual > max_degree:
+        raise ValueError(
+            f"graph has maximum degree {actual} > requested bound {max_degree}"
+        )
+    degree = actual if max_degree is None else max_degree
+    if dp.delta == 0 or actual <= 1:
+        return degree, None, 0
+    radius = zero_free_radius(dp.delta, degree).radius
+    return degree, radius, truncation_order(g.n, eps, radius)
+
+
 @dataclass(frozen=True)
 class InterpolationResult:
     n: int
@@ -216,10 +247,12 @@ def approximate_volume(
 ) -> InterpolationResult:
     """Volume of the truncated polytope within a factor (1 +- eps).
 
+    certified_order(g, dp, eps, max_degree) decides the degree, R and K;
     max_degree, when given, requests the certificate of that degree family
     and rejects denser inputs.
 
-    Exact when delta = 0 or G has maximum degree <= 1: then
+    Exact when that plan has no radius (delta = 0 or G has maximum degree
+    <= 1): then
         lower = upper = box^(n - 2m) * (box^2 - 2 delta^2)^m,  box = 1/2 + delta.
     A graph of maximum degree <= 1 is m disjoint edges, each contributing
     box^2 - 2 delta^2 (the square less its corner x_u + x_v > 1, a
@@ -228,9 +261,8 @@ def approximate_volume(
     factor is a power of 1/2 and the product is (1/2)^n for any graph;
     the exponent n - 2m may then be negative, which Fraction keeps exact.
 
-    Otherwise it runs the certificate (zero_free_radius), the least
-    truncation order K (truncation_order) and the first K coefficients of
-    log p (coeffs.assemble_a), which come from the connected sets of at
+    Otherwise it takes the first K coefficients of log p
+    (coeffs.assemble_a), which come from the connected sets of at
     most K+1 vertices, or from G whole when n <= 2K.  Their delta-free
     table is kept for the last graph asked, so a sweep over delta on one
     graph expands it once: a later point whose K is no larger only
@@ -243,25 +275,15 @@ def approximate_volume(
     t0 = time.monotonic()
     dp = DeltaParams(delta)
     delta = dp.delta
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    actual = g.max_degree()
-    if max_degree is not None and actual > max_degree:
-        raise ValueError(
-            f"graph has maximum degree {actual} > requested bound {max_degree}"
-        )
-    degree = actual if max_degree is None else max_degree
+    degree, radius, K = certified_order(g, dp, eps, max_degree)
     box = dp.box_hi
-    exact = delta == 0 or actual <= 1
+    exact = radius is None
     if exact:
-        radius, K, a = None, 0, ()
+        a = ()
         lower = upper = box ** (g.n - 2 * g.m) * (box**2 - 2 * delta**2) ** g.m
         with mpmath.workprec(96):
             xi = mpmath.mpf(lower.numerator) / lower.denominator
     else:
-        radius = zero_free_radius(delta, degree).radius
-        K = truncation_order(g.n, eps, radius)
         a = tuple(assemble_a(g, dp, K).a[1:])
         total = sum(a, Fraction(0))
         with _iv_prec(192):
@@ -279,7 +301,7 @@ def approximate_volume(
         n=g.n,
         m=g.m,
         delta=delta,
-        eps=eps,
+        eps=Fraction(eps),
         degree=degree,
         exact=exact,
         radius=radius,

@@ -278,30 +278,19 @@ def _spread(sub: int, ranks: tuple[int, ...]) -> int:
 @dataclass(frozen=True)
 class RootReport:
     degree: int
-    radius: Fraction | None
     min_modulus: float
     roots: tuple[complex, ...]
 
-    def margin(self, radius: Fraction | None = None) -> float:
-        r = self._radius(radius)
-        return self.min_modulus / float(r) - 1.0
+    def margin(self, radius: Fraction) -> float:
+        return self.min_modulus / float(radius) - 1.0
 
-    def clears(self, radius: Fraction | None = None, slack: float = 0.0) -> bool:
+    def clears(self, radius: Fraction, slack: float = 0.0) -> bool:
         """min root modulus exceeds the radius; slack relaxes the bar to
         (1 - slack)*R to keep double-precision root finding from flaking."""
-        r = self._radius(radius)
-        return self.degree == 0 or self.min_modulus > float(r) * (1.0 - slack)
-
-    def _radius(self, radius: Fraction | None) -> Fraction:
-        r = radius if radius is not None else self.radius
-        if r is None:
-            raise ValueError("no radius to compare against")
-        return r
+        return self.degree == 0 or self.min_modulus > float(radius) * (1.0 - slack)
 
 
-def root_check(
-    g: Graph, dp: DeltaParams, radius: Fraction | None = None
-) -> RootReport:
+def root_check(g: Graph, dp: DeltaParams) -> RootReport:
     """Locate the roots of the exact forest polynomial of g numerically
     (companion-matrix solve plus a few Newton polishing steps).  p is
     expanded whole with small_e, so g is capped at ROOT_VERTEX_LIMIT
@@ -316,13 +305,12 @@ def root_check(
         coeffs.pop()
     degree = len(coeffs) - 1 if coeffs else 0
     if degree < 1:
-        return RootReport(degree=0, radius=radius, min_modulus=float("inf"), roots=())
+        return RootReport(degree=0, min_modulus=float("inf"), roots=())
     import numpy as np
 
     roots = [_polish(complex(r), coeffs) for r in np.roots(coeffs[::-1])]
     return RootReport(
         degree=degree,
-        radius=radius,
         min_modulus=float(min(abs(r) for r in roots)),
         roots=tuple(roots),
     )

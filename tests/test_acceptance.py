@@ -201,10 +201,10 @@ def test_criterion_08_roots_outside_certified_disk():
     for i in range(200):
         g = random_graph(rng.randint(2, 8), 0.5, seed=800 + i, max_degree=4)
         cert = zero_free_radius(delta, max(g.max_degree(), 2))
-        rep = root_check(g, dp, radius=cert.radius)
+        rep = root_check(g, dp)
         checked += 1
         # 1% slack absorbs double-precision root-finding error
-        if not rep.clears(slack=0.01):
+        if not rep.clears(cert.radius, slack=0.01):
             failures.append(
                 f"seed {800 + i}: min |root| = {rep.min_modulus:.4f} "
                 f"inside R = {float(cert.radius):.4f}"

@@ -20,6 +20,9 @@ def graphs(tmp_path):
         "k2": "2 1\n0 1\n",
         "p3": "3 2\n0 1\n1 2\n",
         "tri": "3 3\n0 1\n0 2\n1 2\n",
+        "matching": "4 2\n0 1\n2 3\n",
+        "edgeless": "3 0\n",
+        "petersen": format_graph(petersen_graph()),
         # C20: 15,127 independent sets, above the exact DP's limit
         "c20": "20 20\n" + "".join(f"{i} {i+1}\n" for i in range(19)) + "0 19\n",
         "bad": "2 1\n0 5\n",
@@ -61,7 +64,22 @@ def test_volume_json_schema(capsys, graphs):
 
 def test_volume_coeffs_roundtrip(capsys, graphs):
     """Re-feeding the exact coefficients into an offline exp-sum must
-    reproduce xi to printed precision."""
+    reproduce xi to printed precision, and `coeffs --eps` follows the plan
+    `volume` certifies: the same exit code, and on success the same K and
+    R, with K = 0 and R = null in the exact cases (delta = 0, or maximum
+    degree <= 1)."""
+    for name in ("tri", "p3", "matching", "petersen", "edgeless"):
+        for delta in ("0", "1/100", "1/10"):
+            argv = ["--graph", graphs[name], "--delta", delta, "--eps", "1/10"]
+            rc, vol_out, _ = run_cli(capsys, ["volume"] + argv)
+            rc2, coeff_out, _ = run_cli(capsys, ["coeffs"] + argv)
+            assert rc == rc2, (name, delta)
+            if rc == 0:
+                vol, co = json.loads(vol_out), json.loads(coeff_out)
+                assert (co["K"], co["R"]) == (vol["K"], vol["R"]), (name, delta)
+                assert len(co["a"]) == co["K"]
+                if vol["exact"]:
+                    assert co["K"] == 0 and co["R"] is None and co["patterns"] == []
     rc, vol_out, _ = run_cli(
         capsys,
         ["volume", "--graph", graphs["tri"], "--delta", "1/100", "--eps", "1/100"],
@@ -323,6 +341,14 @@ def test_mc_and_selftest_reject_threads_flag(graphs, command):
     with pytest.raises(SystemExit) as exc:
         main([command] + argv)
     assert exc.value.code == 2
+
+
+def test_mc_rejects_zero_samples_exit_2(capsys, graphs):
+    rc, out, err = run_cli(
+        capsys, ["mc", "--graph", graphs["p3"], "--delta", "1/4", "--samples", "0"]
+    )
+    assert rc == 2 and out == ""
+    assert "samples must be positive" in err
 
 
 @pytest.mark.parametrize("delta", ["--delta=1", "--delta=-3/4", "--delta=1/2"])

@@ -256,9 +256,9 @@ def test_root_check_edgeless():
 def test_root_check_cycle_clears_certificate():
     delta = Fraction(1, 100)
     cert = zero_free_radius(delta, 2)
-    rep = root_check(cycle_graph(6), DeltaParams(delta), radius=cert.radius)
-    assert rep.clears()
-    assert rep.margin() > 0
+    rep = root_check(cycle_graph(6), DeltaParams(delta))
+    assert rep.clears(cert.radius)
+    assert rep.margin(cert.radius) > 0
 
 
 def test_root_check_guard():
