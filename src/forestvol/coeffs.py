@@ -44,9 +44,11 @@ no polymer crosses two components.
 All delta-dependence enters through t.  A family of r disjoint polymers of
 total degree j covers j + r vertices, so (polymer_series)
     e_j(t) = sum_r E[j][r] D^{-r} t^{j+r},
-with D the lcm of the denominators of the class weights c of g's polymers
-and E[j][r] = D^r times the sum of prod c(S) over such families, an integer
-table the subset DP fills over the index pair (degree j, polymer count r).
+with D the lcm of the reduced denominators of the class weights c of g's
+polymers and E[j][r] = D^r times the sum of prod c(S) over such families.
+The subset DP fills it in integers only: treeweight.polymer_weights gives
+each |S|! c(S) as an integer, each polymer enters as the integer c(S) D,
+and each DP state keeps only its nonzero (j, r) entries with j <= K.
 Newton's identity for b_k = k a_k, b_k = k e_k - sum_{j<k} b_j e_{k-j},
 multiplies t^j by t^{k-j} and convolves the (t/D)^r series, so
     B[k] = k E[k] - sum_{j<k} B[j] * E[k-j]   (convolution over r)
@@ -88,7 +90,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, factorial, gcd, lcm
 from typing import Sequence
 
 # canonical_form is not called here: perfbench/tracer.py traces
@@ -112,53 +114,62 @@ def polymer_series(g: Graph, K: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     for j <= K, where t = delta/(1/2+delta) and E is integer.
 
     Polymers are connected sets S with 2 <= |S| <= K+1, weighed together by
-    polymer_weights(g, K+1) on g's own vertex masks; a family of r disjoint
-    polymers of total degree j covers j + r vertices, so it carries t^{j+r}
-    and E[j][r] sums D^r prod c(g[S]) over such families, D the lcm of the
-    denominators of the c(g[S]).  The subset DP
+    polymer_weights(g, K+1) on g's own vertex masks as c(g[S]) = U(S)/|S|!;
+    a family of r disjoint polymers of total degree j covers j + r
+    vertices, so it carries t^{j+r} and E[j][r] sums D^r prod c(g[S]) over
+    such families, D the lcm of the reduced denominators of the c(g[S]).
+    The subset DP
     P[W] = P[W - v] + sum over polymers S with v in S, S in W, of
     c(S) D z^{|S|-1} y P[W - S], v = min W, runs over the sets W reachable
-    from V(g), with y counting polymers.
+    from V(g), with y counting polymers.  Each P[W] is a {j (K+1) + r:
+    integer} dict of its nonzero entries with j <= K, built once, after
+    the sets it reads, in a post-order walk from V(g) on an explicit stack:
+    no Python recursion grows with g, and no state is visited that V(g)
+    does not reach.
     """
-    found = polymer_weights(g, K + 1)
-    D = lcm(*(c.denominator for _, c in found))
-    # polymers by their lowest vertex bit, which is where the DP meets them
-    polymers: dict[int, list[tuple[int, int, int]]] = {}
-    for mask, c in found:
-        polymers.setdefault(mask & -mask, []).append(
-            (mask, mask.bit_count() - 1, c.numerator * (D // c.denominator))
-        )
-    # every set the recursion reaches; a state's successors have a higher
-    # lowest vertex, so evaluating by descending lowest bit is bottom-up
-    todo = [g.vertex_mask()]
-    reached = {0}
-    while todo:
-        w = todo.pop()
-        if w in reached:
-            continue
-        reached.add(w)
-        low = w & -w
-        todo.append(w ^ low)
-        todo.extend(w ^ s for s, _, _ in polymers.get(low, ()) if s & w == s)
-    # a state's table is flat, entry (j, r) at j*R + r; r <= j < K when a
-    # polymer is added, so (j + deg, r + 1) stays in range
+    if K < 0:
+        raise ValueError("K must be >= 0")
+    found = [(s, u, factorial(s.bit_count())) for s, u in polymer_weights(g, K + 1)]
+    D = lcm(*(f // gcd(u, f) for _, u, f in found))
+    # slot j*R + r holds E[j][r]; r <= j, so slots end below R*R, and a
+    # polymer of degree deg moves slot x to x + deg*R + 1, which stays
+    # below R*R exactly when j + deg <= K
     R = K + 1
-    poly: dict[int, list[int]] = {0: [1] + [0] * (R * R - 1)}
-    for w in sorted(reached, key=lambda w: w & -w, reverse=True):
-        if not w:
+    # polymers by their lowest vertex bit, which is where the DP meets them,
+    # as (mask, slot shift, slot limit, c(S) D)
+    polymers: dict[int, list[tuple[int, int, int, int]]] = {}
+    for s, u, f in found:
+        if u:
+            shift = (s.bit_count() - 1) * R + 1
+            polymers.setdefault(s & -s, []).append((s, shift, R * R - shift, u * D // f))
+    full = g.vertex_mask()
+    tables: dict[int, dict[int, int]] = {0: {0: 1}}
+    # sets seen but not built yet, with the polymers that fit them
+    fits: dict[int, list[tuple[int, int, int, int]]] = {}
+    stack = [full]
+    while stack:
+        w = stack[-1]
+        fit = fits.pop(w, None)
+        if fit is None:
+            if w in tables:
+                stack.pop()
+                continue
+            # first visit: build the sets w reads, then come back to w
+            low = w & -w
+            fit = fits[w] = [p for p in polymers.get(low, ()) if p[0] & w == p[0]]
+            stack.append(w ^ low)
+            stack.extend([w ^ p[0] for p in fit])
             continue
-        low = w & -w
-        out = list(poly[w ^ low])
-        for s, deg, c in polymers.get(low, ()):
-            if s & w == s:
-                rest = poly[w ^ s]
-                shift = deg * R + 1
-                for i in range((R - deg) * R):
-                    if rest[i]:
-                        out[i + shift] += c * rest[i]
-        poly[w] = out
-    flat = poly[g.vertex_mask()]
-    return tuple(tuple(flat[j * R : (j + 1) * R]) for j in range(R)), D
+        stack.pop()
+        out = dict(tables[w ^ (w & -w)])
+        get = out.get
+        for s, shift, limit, c in fit:
+            for x, v in tables[w ^ s].items():
+                if x < limit:
+                    out[x + shift] = get(x + shift, 0) + c * v
+        tables[w] = out
+    top = tables[full]
+    return tuple(tuple(top.get(j * R + r, 0) for r in range(R)) for j in range(R)), D
 
 
 def _at(row: Sequence[int], D: int, t: Fraction, k: int) -> Fraction:
@@ -174,6 +185,8 @@ def small_e(g: Graph, dp: DeltaParams, K: int) -> tuple[Fraction, ...]:
     """e_j for j <= K, with p(z) summed as a hard-core polymer gas on g:
     the polymer_series table evaluated at t.  At t = 0 every polymer weighs
     0, so e = (1, 0, ..., 0) without enumerating (or weighing) any."""
+    if K < 0:
+        raise ValueError("K must be >= 0")
     t = dp.delta / dp.box_hi
     if not t:
         return (Fraction(1),) + (Fraction(0),) * K
@@ -183,6 +196,8 @@ def small_e(g: Graph, dp: DeltaParams, K: int) -> tuple[Fraction, ...]:
 
 def newton_log(e: Sequence[Fraction], K: int) -> TaylorCoeffs:
     """a_1..a_K with k e_k = sum_{j<=k} j a_j e_{k-j}."""
+    if K < 0:
+        raise ValueError("K must be >= 0")
     evec = list(e)
     if not evec or evec[0] != 1:
         raise ValueError("series must start with e_0 = 1")
@@ -198,6 +213,8 @@ def newton_log(e: Sequence[Fraction], K: int) -> TaylorCoeffs:
 
 def newton_exp(a: TaylorCoeffs | Sequence[Fraction], K: int) -> tuple[Fraction, ...]:
     """Inverse of newton_log: coefficients of exp(sum a_k x^k) up to x^K."""
+    if K < 0:
+        raise ValueError("K must be >= 0")
     avec = list(a.a if isinstance(a, TaylorCoeffs) else a)
     avec += [Fraction(0)] * (K + 1 - len(avec))
     e = [Fraction(0)] * (K + 1)

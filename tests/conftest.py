@@ -4,9 +4,11 @@ dumb so the package's cleverness is checked against something obvious.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
+from math import factorial, lcm
 from typing import Iterator
 
 import pytest
@@ -93,6 +95,46 @@ def recursive_connected_sets(
 
         pos[root] = 0
         yield from grow(1 << root, adj_mask[root], (0,), adj_mask[root] & above, 0)
+
+
+@functools.cache
+def sparse1000() -> Graph:
+    """The 1000-vertex degree-3 graph of the sparse_large workload, built
+    once per test run: Graph is immutable, so every test may share it."""
+    from forestvol.families import random_connected_graph
+
+    return random_connected_graph(1000, 300, seed=0, max_degree=3)
+
+
+def brute_polymer_series(g: Graph, K: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(E, D) of coeffs.polymer_series from its definition: every family of
+    pairwise-disjoint connected sets of 2..K+1 vertices, each weighed by
+    polymer_weights as c(S) = U(S)/|S|!.  D is the lcm of the reduced
+    denominators of the c(S), and E[j][r] = D^r times the sum of prod c(S)
+    over the families of r polymers of total degree j."""
+    from forestvol.treeweight import polymer_weights
+
+    weight = {s: Fraction(u, factorial(s.bit_count())) for s, u in polymer_weights(g, K + 1)}
+    polymers = sorted(brute_connected_sets(g, K + 1, min_size=2))
+    assert sorted(weight) == polymers
+    D = lcm(*(c.denominator for c in weight.values()))
+    E = [[Fraction(0)] * (K + 1) for _ in range(K + 1)]
+    # r polymers of total degree j <= K: each has degree >= 1, so r <= K
+    for r in range(min(K, g.n // 2) + 1):
+        # the other r - 1 polymers take at least 2 vertices each
+        room = [s for s in polymers if s.bit_count() <= g.n - 2 * (r - 1)]
+        for family in itertools.combinations(room, r):
+            cover = sum(s.bit_count() for s in family)
+            if cover != functools.reduce(int.__or__, family, 0).bit_count():
+                continue  # two polymers share a vertex
+            j = cover - r
+            if j <= K:
+                term = Fraction(D**r)
+                for s in family:
+                    term *= weight[s]
+                E[j][r] += term
+    assert all(v.denominator == 1 for row in E for v in row)
+    return tuple(tuple(int(v) for v in row) for row in E), D
 
 
 def is_forest(g: Graph, ranks: tuple[int, ...]) -> bool:

@@ -16,6 +16,8 @@ from forestvol.families import (
     random_graph,
 )
 
+from conftest import sparse1000
+
 
 def _permuted(g: Graph, perm: list[int]) -> Graph:
     edges = sorted(tuple(sorted((perm[u], perm[v]))) for u, v in g.edges)
@@ -323,7 +325,7 @@ def test_connected_graphs_upto_cycle_rank_filter():
 @pytest.mark.parametrize(
     "g, cap",
     [
-        (random_connected_graph(1000, 300, seed=0, max_degree=3), 7),
+        (sparse1000(), 7),
         (random_connected_graph(16, 3, seed=3, max_degree=3), 9),
     ],
     ids=["sparse1000", "dense16"],

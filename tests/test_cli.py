@@ -10,7 +10,7 @@ from forestvol.cli import main
 from forestvol.families import cycle_graph, petersen_graph, random_connected_graph
 from forestvol.graphs import format_graph
 
-from conftest import eps_reaching_order
+from conftest import eps_reaching_order, sparse1000
 
 
 @pytest.fixture
@@ -171,7 +171,7 @@ def test_coeffs_enumerates_graph_once(capsys, monkeypatch, tmp_path):
     from forestvol import coeffs
     from forestvol.treeweight import default_cache
 
-    g = random_connected_graph(1000, 300, seed=0, max_degree=3)
+    g = sparse1000()
     path = tmp_path / "sparse1000.txt"
     path.write_text(format_graph(g))
     sizes = []

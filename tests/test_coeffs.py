@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -46,12 +46,14 @@ from forestvol.treeweight import (
 )
 
 from conftest import (
+    brute_polymer_series,
     clear_caches,
     forest_component_ranks,
     is_forest,
     recursive_connected_sets,
     relabelled,
     shuffled_edges,
+    sparse1000,
 )
 
 try:
@@ -161,9 +163,10 @@ def test_newton_log_requires_unit_constant():
 
 
 def _polymer_weight(h: Graph, dp: DeltaParams) -> Fraction:
-    """c(h) t^{|h|}: the weight of the polymer V(h) of a connected h."""
+    """c(h) t^{|h|}: the weight of the polymer V(h) of a connected h, from
+    polymer_weights' U(V(h)) = |h|! c(h)."""
     t = dp.delta / dp.box_hi
-    return dict(polymer_weights(h, h.n))[h.vertex_mask()] * t**h.n
+    return Fraction(dict(polymer_weights(h, h.n))[h.vertex_mask()], factorial(h.n)) * t**h.n
 
 
 def test_polymer_weight_values(delta_quarter):
@@ -186,6 +189,47 @@ def test_polymer_weight_equals_spanning_tree_sum():
         for g in (h, shuffled_edges(h, seed)):
             trees = (tree_weight(g, t, dp).w for t in spanning_trees(g))
             assert weight == sum(trees, Fraction(0)), g.edges
+
+
+def test_polymer_series_matches_definition():
+    """(E, D), D included, against the sum over every family of disjoint
+    polymers (brute_polymer_series): every connected graph of at most 6
+    vertices at K = 1..5, two triangles joined by an edge at K = 0..6, and
+    the empty graph."""
+    for g in connected_graphs_upto(6):
+        for K in range(1, 6):
+            assert coeffs.polymer_series(g, K) == brute_polymer_series(g, K), (g.edges, K)
+    triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
+    for K in range(7):
+        assert coeffs.polymer_series(triangles, K) == brute_polymer_series(triangles, K), K
+    for K in range(3):
+        assert coeffs.polymer_series(Graph(0, []), K) == brute_polymer_series(Graph(0, []), K)
+    assert coeffs.polymer_series(Graph(0, []), 2) == (((1, 0, 0), (0, 0, 0), (0, 0, 0)), 1)
+
+
+def test_polymer_series_deep_graph_needs_no_recursion():
+    """The subset DP walks its states on an explicit stack: a 1000-vertex
+    path, whose DP chain is 1000 states deep, expands with the default
+    recursion limit.  Its e_1 counts the 999 edges, each weighing c = -2."""
+    path = path_graph(1000)
+    E, D = coeffs.polymer_series(path, 1)
+    assert (E, D) == (((1, 0), (0, -2 * 999)), 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: small_e(path_graph(3), DeltaParams(Fraction(1, 4)), -1),
+        lambda: small_e(path_graph(3), DeltaParams(Fraction(0)), -1),
+        lambda: newton_log((Fraction(1),), -2),
+        lambda: newton_exp((Fraction(0), Fraction(1)), -1),
+        lambda: coeffs.polymer_series(path_graph(3), -1),
+    ],
+    ids=["small_e", "small_e-delta0", "newton_log", "newton_exp", "polymer_series"],
+)
+def test_series_reject_negative_order(call):
+    with pytest.raises(ValueError, match="K must be >= 0"):
+        call()
 
 
 # --- gamma and assembly --------------------------------------------------------
@@ -440,7 +484,7 @@ def _recursive_graph_series(g: Graph, K: int):
         (petersen_graph(), 7),
         # two isomorphic triangles, an edge and two isolated vertices, n <= 2K
         (Graph(10, [(0, 1), (1, 2), (0, 2), (4, 5), (6, 7), (7, 8), (6, 8)]), 5),
-        (random_connected_graph(1000, 300, seed=0, max_degree=3), 2),
+        (sparse1000(), 2),
     ],
     ids=["dense16-K5", "petersen-K7", "disconnected-K5", "sparse1000-K2"],
 )
@@ -544,7 +588,7 @@ def test_whole_graph_route_refuses_more_than_32_vertices(monkeypatch):
 def test_sparse1000_connected_set_counts():
     """The connected sets of 2..c vertices of the sparse_large graph, each
     once: a faster enumerator that skips or repeats a set changes these."""
-    g = random_connected_graph(1000, 300, seed=0, max_degree=3)
+    g = sparse1000()
     for cap, count in ((3, 3596), (4, 8346), (5, 19166)):
         masks = [mask for mask, _, _ in enumerate_connected_sets(g, cap, min_size=2)]
         assert len(masks) == len(set(masks)) == count, cap
@@ -665,7 +709,7 @@ def test_assembly_classifies_sets_by_code(monkeypatch):
 @pytest.mark.parametrize(
     "g, delta, K, misses",
     [
-        (random_connected_graph(1000, 300, seed=0, max_degree=3), Fraction(1, 200), 6, 28),
+        (sparse1000(), Fraction(1, 200), 6, 28),
         (petersen_graph(), Fraction(1, 100), 7, 1),
     ],
     ids=["sparse1000", "petersen"],
@@ -762,7 +806,7 @@ def test_classes_name_a_lone_unpeeled_code_by_itself(monkeypatch):
     [
         (random_connected_graph(16, 3, seed=3, max_degree=3), 5),
         (petersen_graph(), 7),
-        (random_connected_graph(1000, 300, seed=0, max_degree=3), 6),
+        (sparse1000(), 6),
     ],
     ids=["dense16-K5", "petersen-K7", "sparse1000-K6"],
 )
@@ -815,7 +859,7 @@ def test_pattern_table_labels_once_per_row(monkeypatch):
     """forestvol coeffs on sparse1000 at delta = 1/300 (K = 5) labels one
     code per pattern row, for the row's key: the rows' gamma tables name
     their classes by peeled strings, or by a lone code itself."""
-    g = random_connected_graph(1000, 300, seed=0, max_degree=3)
+    g = sparse1000()
     labelled = []
     code_key = coeffs.code_key
 

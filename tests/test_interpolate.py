@@ -29,7 +29,7 @@ from forestvol.interpolate import (
 from forestvol.oracles import exact_volume
 from forestvol.treeweight import DeltaParams
 
-from conftest import clear_caches, eps_reaching_order, k2_volume, p3_volume
+from conftest import clear_caches, eps_reaching_order, k2_volume, p3_volume, sparse1000
 
 
 # --- radius certificate -------------------------------------------------------
@@ -311,7 +311,7 @@ def test_frontier_answer_pinned():
     """The 1000-vertex degree-3 graph at delta = 1/500, eps = 1/100 (K = 4,
     connected sets of at most 5 vertices): sha256 prefix of (delta, a,
     lower, upper), joined as the benchmark's answer digest joins them."""
-    g = random_connected_graph(1000, 300, seed=0, max_degree=3)
+    g = sparse1000()
     delta = Fraction(1, 500)
     res = approximate_volume(g, delta, Fraction(1, 100))
     assert res.K == 4
