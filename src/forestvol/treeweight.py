@@ -13,10 +13,11 @@ delta-free.  Every vertex of T has a tree edge, so every z lies in (-1, 1],
 and z_u + z_v has the sign of the endpoint of larger |z|: a tree edge holds
 iff its later endpoint in |z| order is positive, a broken edge iff that
 endpoint is non-positive.  Each (|z| order, signs) region has volume 1/n!,
-so W is an integer count N[V] over n!, taken by a memoized recurrence over
-the |z| order (_region_count).  tree_weight reads N[V]/n!, memoized under
-the labelled local shape (n, tree edges, broken edges) of (T, E_T), so the
-memo serves every delta at once without labelling the shape canonically.
+so W is an integer count over n!, taken by a memoized recurrence over the
+|z| order (_region_counts), which gives the count N[U] of any mask U.
+tree_weight reads N[V]/n!, memoized under the labelled local shape
+(n, tree edges, broken edges) of (T, E_T), so the memo serves every delta
+at once without labelling the shape canonically.
 The coefficient pipeline reads only polymer_weights, which takes the
 integer |S|! c(h[S]) for every connected S of a graph h from one table of
 the same recurrence with every edge of h broken (proof there): no Fraction,
@@ -33,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Mapping
+from typing import Callable, Mapping
 
 # not called here: perfbench/tracer.py traces treeweight.colored_canonical_form
 # and raises on a missing target
@@ -102,7 +103,8 @@ class WeightCache:
         key = (nv, tedges, bedges)
         w = self.normalized.get(key)
         if w is None:
-            w = Fraction(_region_count(nv, tedges, bedges), factorial(nv))
+            count, _ = _region_counts(nv, tedges, bedges)
+            w = Fraction(count((1 << nv) - 1), factorial(nv))
             self.normalized[key] = w
         return w
 
@@ -166,9 +168,8 @@ def polymer_weights(h: Graph, size: int) -> list[tuple[int, int]]:
     c(H) = sum over spanning trees T of H of (-1)^{|T|} W(T), so the w_T of
     the spanning trees of H sum to c(H) t^{|V(H)|}, t = delta/(1/2+delta).
     Every weight comes from one memoized table of the region counts N of h
-    with every edge broken (_region_count's recurrence with no tree edge:
-    f = 2 when v has no neighbour in U, else 1): N[U]/|U|! is the volume of
-    the z in (-1, 1]^U with z_u + z_v <= 0 on h[U].
+    with every edge broken (_region_counts with no tree edge): N[U]/|U|! is
+    the volume of the z in (-1, 1]^U with z_u + z_v <= 0 on h[U].
 
     By Penrose's identity c(B) integrates over z <= 1 the sum over the
     connected spanning edge sets A of h[B] of prod_{uv in A} f_uv, with
@@ -185,23 +186,7 @@ def polymer_weights(h: Graph, size: int) -> list[tuple[int, int]]:
     integer product, and binom(n, |T|) U(T) is kept per T for each n, so
     the loop over the submasks of S only looks values up.
     """
-    adj = {1 << v: a for v, a in enumerate(h.adj_mask)}
-    memo = {0: 1}
-
-    def count(umask: int) -> int:
-        # N[umask]; callers look umask up in memo first
-        c = 0
-        rest = umask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            n = memo.get(umask ^ low)
-            if n is None:
-                n = count(umask ^ low)
-            c += n if adj[low] & umask else 2 * n
-        memo[umask] = c
-        return c
-
+    count, memo = _region_counts(h.n, (), h.edges)
     # scaled[T][m] = binom(m, |T|) U(T), the factor a set S of m vertices
     # needs; by_size[j][m] = binom(m, j)
     scaled: dict[int, list[int]] = {}
@@ -209,9 +194,7 @@ def polymer_weights(h: Graph, size: int) -> list[tuple[int, int]]:
     out = []
     for s in sorted(mask for mask, _, _ in enumerate_connected_sets(h, size)):
         root, rest, n = s & -s, s & (s - 1), s.bit_count()
-        u = memo.get(s)
-        if u is None:
-            u = count(s)
+        u = count(s)
         sub = rest
         while sub:
             # proper submasks of rest, 0 included
@@ -230,13 +213,16 @@ def polymer_weights(h: Graph, size: int) -> list[tuple[int, int]]:
     return out
 
 
-def _region_count(
+def _region_counts(
     nv: int,
     tedges: tuple[tuple[int, int], ...],
     bedges: tuple[tuple[int, int], ...],
-) -> int:
-    """The region count N[V] of all nv vertices, by a memoized recurrence
-    over the order of |z|; W = N[V] / nv! with hat_w = delta^nv * W.
+) -> tuple[Callable[[int], int], dict[int, int]]:
+    """Memoized region counts N[U] of the edges inside a vertex mask U, by a
+    recurrence over the order of |z|; W = N[V] / nv! with
+    hat_w = delta^nv * W.  Returns (count, memo): count(U) gives N[U], and
+    memo holds the N[U] filled so far, for callers that look a mask up
+    before calling count.
 
     With x = 1/2 + delta*z, every vertex has a tree edge, so every z lies in
     (-1, 1]; z_u + z_v then has the sign of the endpoint of larger |z|.  A
@@ -246,7 +232,7 @@ def _region_count(
     N[U] = sum over v in U, the last of U in |z| order, of N[U - v] * f(v),
     with f = 2 when v has no tree or broken neighbour in U, 1 when its
     neighbours in U are all of one kind (the sign of v is forced), and 0
-    when they are of both kinds.  Only the masks the recurrence reaches are
+    when they are of both kinds.  Only the masks a query reaches are
     filled, never all 2^nv.
     """
     tadj = [0] * nv
@@ -277,4 +263,4 @@ def _region_count(
             memo[umask] = c
         return c
 
-    return count((1 << nv) - 1)
+    return count, memo
