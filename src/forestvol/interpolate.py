@@ -6,23 +6,43 @@ Truncating log p at order K with all roots outside R bounds the dropped tail
 by (n-1) * sum_{k>K} R^-k / k, so choosing the minimal K that pushes the
 tail below ln(1+eps) yields a multiplicative (1 +- eps) guarantee.
 
-Coefficients are exact rationals end to end; only the final exponential is
-evaluated in outward-rounded interval arithmetic, and the returned bounds
-are exact dyadic rationals taken from the interval endpoints.
+Coefficients are exact rationals end to end.  The radius re-check, the
+truncation order and the final exponential are evaluated in outward-rounded
+interval arithmetic on mpmath.libmp interval tuples (lo, hi), each at an
+explicit precision: 160 bits for the radius and K, 192 bits for the
+enclosure of the answer.  No global interval precision is read or set.  The
+steps are the libmp functions mpmath.iv dispatches to, with the operands
+mpmath.iv would build, so every endpoint matches an mpmath.iv evaluation at
+that precision bit for bit.  The returned bounds are the 192-bit
+enclosure's endpoints rounded to nearest at mpmath's global working
+precision (53 bits by default), so they can lie inside that enclosure (see
+approximate_volume).
 """
 
 from __future__ import annotations
 
 import functools
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 from typing import Iterator
 
 import mpmath
-from mpmath import iv
+from mpmath.libmp import (
+    from_int,
+    mpf_le,
+    mpi_add,
+    mpi_div,
+    mpi_exp,
+    mpi_log,
+    mpi_mul,
+    mpi_neg,
+    mpi_pow,
+    mpi_sub,
+    round_ceiling,
+    round_floor,
+)
 
 from .coeffs import assemble_a
 from .errors import CertificateError, DeltaTooLargeError
@@ -32,6 +52,10 @@ from .treeweight import DeltaParams
 _SAFETY = Fraction((1 << 20) - 1, 1 << 20)
 _E_BITS = 48
 _MAX_ORDER = 1_000_000  # truncation_order gives up beyond this K
+_CERT_PREC = 160  # bits of the radius re-check and the truncation order
+_ENCLOSURE_PREC = 192  # bits of the tail, power and exponential of the answer
+
+# An interval is a pair (lo, hi) of libmp mpf tuples with lo <= hi.
 
 
 @functools.cache
@@ -43,31 +67,35 @@ def _e_bounds() -> tuple[Fraction, Fraction]:
     return Fraction(lo, 1 << _E_BITS), Fraction(lo + 1, 1 << _E_BITS)
 
 
-def _iv_frac(q: Fraction):
-    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+def _iv_int(x: int, prec: int) -> tuple:
+    """The integer x as an interval at prec bits, rounded outward as
+    mpmath.iv converts an int."""
+    return from_int(x, prec, round_floor), from_int(x, prec, round_ceiling)
 
 
-@contextmanager
-def _iv_prec(bits: int) -> Iterator[None]:
-    """Run the block with the interval context at `bits` of precision."""
-    old = iv.prec
-    iv.prec = bits
-    try:
-        yield
-    finally:
-        iv.prec = old
+def _iv_frac(q: Fraction, prec: int) -> tuple:
+    """An interval at prec bits enclosing q: its numerator over its
+    denominator."""
+    return mpi_div(_iv_int(q.numerator, prec), _iv_int(q.denominator, prec), prec)
 
 
-def _tails(radius: Fraction) -> Iterator:
+def _tails(radius: Fraction, prec: int) -> Iterator[tuple]:
     """Intervals enclosing sum_{k>K} R^-k / k = -log(1 - 1/R) - sum_{k<=K}
-    R^-k / k for K = 0, 1, 2, ..., at the current interval precision."""
-    rinv = 1 / _iv_frac(radius)
-    tail = -iv.log(1 - rinv)
-    term = iv.mpf(1)
+    R^-k / k for K = 0, 1, 2, ..., at prec bits."""
+    one = _iv_int(1, prec)
+    rinv = mpi_div(one, _iv_frac(radius, prec), prec)
+    tail = mpi_neg(mpi_log(mpi_sub(one, rinv, prec), prec), prec)
+    term = one
     for k in count(1):
         yield tail
-        term = term * rinv
-        tail = tail - term / k
+        term = mpi_mul(term, rinv, prec)
+        tail = mpi_sub(tail, mpi_div(term, _iv_int(k, prec), prec), prec)
+
+
+def _scaled_tail(n: int, radius: Fraction, K: int, prec: int) -> tuple:
+    """An interval at prec bits enclosing (n-1) * sum_{k>K} R^-k / k."""
+    tail = next(islice(_tails(radius, prec), K, None))
+    return mpi_mul(tail, _iv_int(n - 1, prec), prec)
 
 
 @dataclass(frozen=True)
@@ -80,17 +108,18 @@ class RadiusCertificate:
 
 
 @functools.lru_cache(maxsize=64)
-def _radius_rhs(witness: Fraction, max_degree: int):
+def _radius_rhs(witness: Fraction, max_degree: int) -> tuple:
     """Lower endpoint, at 160 bits, of the interval enclosing the radius
     condition's right-hand side log(a) * (1 - 1/Delta) / (a * Delta) at the
-    witness a.  zero_free_radius always takes a = e_lo, so this is computed
-    once per degree."""
-    with _iv_prec(160):
-        av = _iv_frac(witness)
-        rhs = iv.log(av) * _iv_frac(Fraction(max_degree - 1, max_degree)) / (
-            av * max_degree
-        )
-        return rhs.a
+    witness a, as a libmp mpf.  zero_free_radius always takes a = e_lo, so
+    this is computed once per degree."""
+    p = _CERT_PREC
+    av = _iv_frac(witness, p)
+    factor = _iv_frac(Fraction(max_degree - 1, max_degree), p)
+    rhs = mpi_div(
+        mpi_mul(mpi_log(av, p), factor, p), mpi_mul(av, _iv_int(max_degree, p), p), p
+    )
+    return rhs[0]
 
 
 def max_admissible_delta(max_degree: int) -> Fraction:
@@ -98,6 +127,12 @@ def max_admissible_delta(max_degree: int) -> Fraction:
     if max_degree < 2:
         raise ValueError("certificate requires max degree >= 2")
     _, e_hi = _e_bounds()
+    return _delta_max(max_degree, e_hi)
+
+
+@functools.lru_cache(maxsize=64)
+def _delta_max(max_degree: int, e_hi: Fraction) -> Fraction:
+    """max_admissible_delta at this degree and upper bound on e."""
     return Fraction(max_degree - 1, max_degree) * _SAFETY / (4 * e_hi * max_degree)
 
 
@@ -124,10 +159,12 @@ def zero_free_radius(delta: Fraction, max_degree: int) -> RadiusCertificate:
     if radius <= 1:
         raise DeltaTooLargeError(delta, max_degree, delta_max)
     e_lo, _ = _e_bounds()
-    with _iv_prec(160):
-        lhs = 4 * _iv_frac(delta) * _iv_frac(radius)
-        if not lhs.b <= _radius_rhs(e_lo, max_degree):
-            raise CertificateError("interval verification of the radius failed")
+    p = _CERT_PREC
+    lhs = mpi_mul(
+        mpi_mul(_iv_int(4, p), _iv_frac(delta, p), p), _iv_frac(radius, p), p
+    )
+    if not mpf_le(lhs[1], _radius_rhs(e_lo, max_degree)):
+        raise CertificateError("interval verification of the radius failed")
     return RadiusCertificate(
         delta=delta,
         degree=max_degree,
@@ -137,9 +174,9 @@ def zero_free_radius(delta: Fraction, max_degree: int) -> RadiusCertificate:
     )
 
 
-def _frac_from_mpf(x: mpmath.mpf) -> Fraction:
-    """Exact rational value of a finite mpf (mpfs are dyadic)."""
-    sign, man, exp, _ = x._mpf_
+def _frac_from_mpf(x: tuple) -> Fraction:
+    """Exact rational value of a finite libmp mpf tuple (mpfs are dyadic)."""
+    sign, man, exp, _ = x
     if man == 0:
         if exp == 0:
             return Fraction(0)
@@ -149,19 +186,30 @@ def _frac_from_mpf(x: mpmath.mpf) -> Fraction:
 
 
 def tail_bound(n: int, radius: Fraction, K: int) -> Fraction:
-    """Rational upper bound on (n-1) * sum_{k>K} R^-k / k."""
+    """Rational upper bound on (n-1) * sum_{k>K} R^-k / k: the exact upper
+    endpoint of its 160-bit enclosure."""
     if radius <= 1:
         raise ValueError("tail bound needs radius > 1")
     if n <= 1 or K < 0:
         return Fraction(0)
-    with _iv_prec(160):
-        tail = next(islice(_tails(radius), K, None)) * (n - 1)
-        return max(_frac_from_mpf(mpmath.mpf(tail.b)), Fraction(0))
+    tail = _scaled_tail(n, radius, K, _CERT_PREC)
+    return max(_frac_from_mpf(tail[1]), Fraction(0))
+
+
+@functools.lru_cache(maxsize=64)
+def _budget(n: int, eps: Fraction) -> tuple:
+    """Lower endpoint, at 160 bits, of the interval enclosing
+    log(1 + eps) / (n - 1), as a libmp mpf; computed once per (n, eps)."""
+    p = _CERT_PREC
+    log1p = mpi_log(mpi_add(_iv_int(1, p), _iv_frac(eps, p), p), p)
+    return mpi_div(log1p, _iv_int(n - 1, p), p)[0]
 
 
 def truncation_order(n: int, eps: Fraction, radius: Fraction) -> int:
     """Minimal K >= 1 with (n-1) * sum_{k>K} R^-k / k <= ln(1+eps).
 
+    Both sides are enclosed at 160 bits: K is the first whose tail's upper
+    endpoint is at most the lower endpoint of the budget log(1+eps)/(n-1).
     Raises CertificateError when no K up to _MAX_ORDER meets the budget,
     or as soon as a step leaves the tail's upper end where it was: the term
     subtracted has fallen below what 160 bits resolve, it only shrinks from
@@ -174,21 +222,20 @@ def truncation_order(n: int, eps: Fraction, radius: Fraction) -> int:
         raise ValueError("truncation needs radius > 1")
     if n <= 1:
         return 1
-    with _iv_prec(160):
-        budget = iv.log(1 + _iv_frac(eps)) / (n - 1)
-        prev = None
-        for K, tail in enumerate(_tails(radius)):
-            if K >= 1 and tail.b <= budget.a:
-                return K
-            if prev is not None and tail.b >= prev:
-                raise CertificateError(
-                    f"truncation order: the tail bound stopped falling at K={K}, "
-                    f"above the budget for eps={eps}; 160-bit interval "
-                    f"arithmetic cannot certify an eps this small, raise eps"
-                )
-            if K > _MAX_ORDER:
-                raise CertificateError("truncation order did not converge")
-            prev = tail.b
+    budget = _budget(n, eps)
+    prev = None
+    for K, (_, hi) in enumerate(_tails(radius, _CERT_PREC)):
+        if K >= 1 and mpf_le(hi, budget):
+            return K
+        if prev is not None and mpf_le(prev, hi):
+            raise CertificateError(
+                f"truncation order: the tail bound stopped falling at K={K}, "
+                f"above the budget for eps={eps}; 160-bit interval "
+                f"arithmetic cannot certify an eps this small, raise eps"
+            )
+        if K > _MAX_ORDER:
+            raise CertificateError("truncation order did not converge")
+        prev = hi
 
 
 def certified_order(
@@ -267,10 +314,19 @@ def approximate_volume(
     table is kept for the last graph asked, so a sweep over delta on one
     graph expands it once: a later point whose K is no larger only
     evaluates the table.  The certificate's constants (the bounds on e,
-    and the radius condition's right-hand side per degree) are likewise
-    computed once; the interval re-check runs on every call.  assemble_a
-    raises SizeGuardError before any enumeration when K is too large for
-    G (coeffs.guard_order).
+    delta_max and the radius condition's right-hand side per degree, the
+    budget log(1+eps)/(n-1) per (n, eps)) are likewise computed once; the
+    interval re-check runs on every call.  assemble_a raises
+    SizeGuardError before any enumeration when K is too large for G
+    (coeffs.guard_order).
+
+    With S the sum of the a_k and T the tail bound, box^n * exp(S -+ T)
+    is enclosed at 192 bits (_ENCLOSURE_PREC), whatever mpmath's global
+    precision.  lower and upper are that enclosure's outer endpoints
+    passed through mpmath.mpf, which rounds each to nearest at mpmath's
+    global working precision (mp.prec, 53 bits by default): they are
+    exact dyadic rationals, but may lie inside the 192-bit enclosure
+    (ROADMAP).  xi is box^n * exp(S) at 192 bits.
     """
     t0 = time.monotonic()
     dp = DeltaParams(delta)
@@ -286,13 +342,17 @@ def approximate_volume(
     else:
         a = tuple(assemble_a(g, dp, K).a[1:])
         total = sum(a, Fraction(0))
-        with _iv_prec(192):
-            tail = next(islice(_tails(radius), K, None)) * (g.n - 1)
-            # outer endpoints of s +- tail enclose [S - T_true, S + T_true]
-            box_iv = _iv_frac(box) ** g.n
-            s_iv = _iv_frac(total)
-            lower = _frac_from_mpf(mpmath.mpf((box_iv * iv.exp(s_iv - tail)).a))
-            upper = _frac_from_mpf(mpmath.mpf((box_iv * iv.exp(s_iv + tail)).b))
+        p = _ENCLOSURE_PREC
+        tail = _scaled_tail(g.n, radius, K, p)
+        # outer endpoints of s +- tail enclose [S - T_true, S + T_true]
+        box_iv = mpi_pow(_iv_frac(box, p), _iv_int(g.n, p), p)
+        s_iv = _iv_frac(total, p)
+        lo = mpi_mul(box_iv, mpi_exp(mpi_sub(s_iv, tail, p), p), p)[0]
+        hi = mpi_mul(box_iv, mpi_exp(mpi_add(s_iv, tail, p), p), p)[1]
+        # mpmath.mpf rounds each endpoint to nearest at mp.prec, which can
+        # move it inward; kept, since every recorded answer has it (ROADMAP)
+        lower = _frac_from_mpf(mpmath.mpf(lo)._mpf_)
+        upper = _frac_from_mpf(mpmath.mpf(hi)._mpf_)
         with mpmath.workprec(192):
             xi = (mpmath.mpf(box.numerator) / box.denominator) ** g.n * mpmath.exp(
                 mpmath.mpf(total.numerator) / total.denominator

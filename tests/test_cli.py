@@ -392,8 +392,8 @@ def test_eps_below_160_bit_floor_exits_6_quickly(capsys, monkeypatch, graphs):
     steps = []
     tails = interpolate._tails
 
-    def counted(radius):
-        for tail in tails(radius):
+    def counted(radius, prec):
+        for tail in tails(radius, prec):
             steps.append(None)
             yield tail
 

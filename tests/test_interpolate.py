@@ -1,11 +1,15 @@
 import hashlib
 import itertools
 import math
+from contextlib import contextmanager
 from fractions import Fraction
+from itertools import count, islice
 
+import mpmath
 import pytest
 
 from mpmath import iv
+from mpmath.libmp import fzero, to_rational
 
 from forestvol import coeffs, interpolate
 from forestvol.errors import CertificateError, DeltaTooLargeError, SizeGuardError
@@ -32,6 +36,78 @@ from forestvol.treeweight import DeltaParams
 from conftest import clear_caches, eps_reaching_order, k2_volume, p3_volume, sparse1000
 
 
+# --- a reference on mpmath.iv ---------------------------------------------------
+#
+# interpolate works on raw mpmath.libmp interval tuples at explicit
+# precisions.  These helpers redo each of its interval steps through the
+# mpmath.iv context, sharing no helper with interpolate, so the tests below
+# can demand the same endpoints bit for bit.
+
+
+@contextmanager
+def _iv_at(bits: int):
+    """Run the block with mpmath.iv at `bits` of precision."""
+    old = iv.prec
+    iv.prec = bits
+    try:
+        yield
+    finally:
+        iv.prec = old
+
+
+def _iv_frac(q: Fraction):
+    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+
+
+def _iv_tails(radius: Fraction):
+    """sum_{k>K} R^-k / k for K = 0, 1, ... at the current iv precision."""
+    rinv = 1 / _iv_frac(radius)
+    tail = -iv.log(1 - rinv)
+    term = iv.mpf(1)
+    for k in count(1):
+        yield tail
+        term = term * rinv
+        tail = tail - term / k
+
+
+def _reference_truncation_order(
+    n: int, eps: Fraction, radius: Fraction, stall_stop: bool = True
+) -> int | None:
+    """truncation_order's search at 160 bits; None where it gives up.
+    Without the stalled-tail stop it walks to interpolate._MAX_ORDER
+    before it gives up."""
+    with _iv_at(160):
+        budget = iv.log(1 + _iv_frac(eps)) / (n - 1)
+        prev = None
+        for K, tail in enumerate(_iv_tails(radius)):
+            if K >= 1 and tail.b <= budget.a:
+                return K
+            if stall_stop and prev is not None and tail.b >= prev:
+                return None
+            if K > interpolate._MAX_ORDER:
+                return None
+            prev = tail.b
+
+
+def _iv_enclosure(res):
+    """The 192-bit interval ends (lo, hi) of box^n exp(S -+ T) for an
+    approximate_volume result, as mpmath.iv intervals of width 0."""
+    box = DeltaParams(res.delta).box_hi
+    total = sum(res.a, Fraction(0))
+    with _iv_at(192):
+        tail = next(islice(_iv_tails(res.radius), res.K, None)) * (res.n - 1)
+        box_iv = _iv_frac(box) ** res.n
+        s_iv = _iv_frac(total)
+        return (box_iv * iv.exp(s_iv - tail)).a, (box_iv * iv.exp(s_iv + tail)).b
+
+
+def _exact(x) -> Fraction:
+    """The exact rational value of a width-0 mpmath.iv interval."""
+    lo, hi = x._mpi_
+    assert lo == hi
+    return Fraction(*to_rational(lo))
+
+
 # --- radius certificate -------------------------------------------------------
 
 
@@ -55,7 +131,7 @@ def test_radius_recheck_runs_on_every_call(monkeypatch):
     e_lo, _ = interpolate._e_bounds()
     fresh = interpolate._radius_rhs.__wrapped__(e_lo, 3)
     assert interpolate._radius_rhs(e_lo, 3) == fresh
-    monkeypatch.setattr(interpolate, "_radius_rhs", lambda a, degree: iv.mpf(0))
+    monkeypatch.setattr(interpolate, "_radius_rhs", lambda a, degree: fzero)
     with pytest.raises(CertificateError):
         zero_free_radius(Fraction(1, 100), 3)
 
@@ -137,18 +213,6 @@ def test_truncation_order_reference_points():
     assert truncation_order(1, Fraction(1, 100), r3) == 1
 
 
-def _reference_truncation_order(n: int, eps: Fraction, radius: Fraction) -> int:
-    """truncation_order's search without the stalled-tail stop: it walks
-    to interpolate._MAX_ORDER before it gives up."""
-    with interpolate._iv_prec(160):
-        budget = iv.log(1 + interpolate._iv_frac(eps)) / (n - 1)
-        for K, tail in enumerate(interpolate._tails(radius)):
-            if K >= 1 and tail.b <= budget.a:
-                return K
-            if K > interpolate._MAX_ORDER:
-                raise CertificateError("truncation order did not converge")
-
-
 def test_truncation_order_same_k_down_to_160_bit_floor():
     """Stopping at the first step that leaves the tail's upper end in place
     keeps every K the full search finds, down to eps = 10^-46 at n = 2, 3
@@ -166,13 +230,117 @@ def test_truncation_order_same_k_down_to_160_bit_floor():
             for e in (1, 2, 6, 20, 40, 43):
                 eps = Fraction(1, 10**e)
                 assert truncation_order(n, eps, r) == _reference_truncation_order(
-                    n, eps, r
+                    n, eps, r, stall_stop=False
                 ), (r, n, e)
         for n in (2, 3):
             eps = Fraction(1, 10**46)
-            assert truncation_order(n, eps, r) == _reference_truncation_order(n, eps, r)
+            assert truncation_order(n, eps, r) == _reference_truncation_order(
+                n, eps, r, stall_stop=False
+            )
             with pytest.raises(CertificateError, match="160-bit"):
                 truncation_order(n, Fraction(1, 10**48), r)
+
+
+def test_tail_bound_above_exact_partial_sums():
+    """tail_bound is an upper bound on the whole tail, so it is at least
+    every exact partial sum (n-1) * sum_{k=K+1}^{K+M} R^-k / k, and within
+    (n-1) * 2^-150 of it (160-bit rounding; the partial sums' remainder
+    here is below 2^-190).  Rounding the 160-bit endpoint to nearest at 53
+    bits put it below the partial sum in 73 of these 176 cases, e.g.
+    (n, R, K) = (2, 2, 3)."""
+    for r in (Fraction(2), Fraction(204, 100), Fraction(5, 2), Fraction(10)):
+        M = 200
+        for n in (2, 3, 10, 1000):
+            for K in range(1, 12):
+                partial = (n - 1) * sum(
+                    (1 / r**k / k for k in range(K + 1, K + M + 1)), Fraction(0)
+                )
+                bound = tail_bound(n, r, K)
+                assert partial <= bound, (n, r, K)
+                assert bound - partial <= (n - 1) * Fraction(1, 2**150), (n, r, K)
+
+
+# --- raw intervals against mpmath.iv ----------------------------------------------
+
+
+def test_certificate_matches_mpmath_iv():
+    """The radius re-check's right-hand side, every tail interval up to K
+    at 160 and 192 bits, the scaled tail and the truncation order K are
+    what mpmath.iv computes, bit for bit, over degrees, deltas, sizes and
+    eps down to 10^-46."""
+    e_lo, _ = interpolate._e_bounds()
+    for degree in (2, 3, 4, 7):
+        with _iv_at(160):
+            av = _iv_frac(e_lo)
+            rhs = iv.log(av) * _iv_frac(Fraction(degree - 1, degree)) / (av * degree)
+        assert interpolate._radius_rhs(e_lo, degree) == rhs.a._mpi_[0]
+        for delta in (Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10**6)):
+            radius = zero_free_radius(delta, degree).radius
+            with _iv_at(160):
+                assert (4 * _iv_frac(delta) * _iv_frac(radius)).b <= rhs.a
+            for n in (2, 16, 1000, 10**6):
+                for e in (1, 6, 20, 46):
+                    eps = Fraction(1, 10**e)
+                    K = _reference_truncation_order(n, eps, radius)
+                    if K is None:
+                        with pytest.raises(CertificateError):
+                            truncation_order(n, eps, radius)
+                        continue
+                    assert truncation_order(n, eps, radius) == K, (degree, delta, n, e)
+                    for bits in (160, 192):
+                        with _iv_at(bits):
+                            tails = list(islice(_iv_tails(radius), K + 1))
+                            scaled = tails[K] * (n - 1)
+                        got = list(islice(interpolate._tails(radius, bits), K + 1))
+                        assert got == [t._mpi_ for t in tails], (degree, delta, n, e, bits)
+                        assert interpolate._scaled_tail(n, radius, K, bits) == scaled._mpi_
+
+
+_WORKLOAD_QUERIES = [
+    # (graph, delta, eps) of the benchmark's four workloads: cold_dense,
+    # cold_petersen, sparse_large and two delta_sweep points
+    ("dense16", Fraction(1, 100), Fraction(1, 10)),
+    ("petersen", Fraction(1, 100), Fraction(1, 100)),
+    ("sparse1000", Fraction(1, 2000), Fraction(1, 100)),
+    ("dense16", Fraction(99, 10000), Fraction(1, 10)),
+    ("dense16", Fraction(95, 10000), Fraction(1, 10)),
+]
+
+
+def _workload_graph(name: str) -> Graph:
+    if name == "dense16":
+        return random_connected_graph(16, 3, seed=3, max_degree=3)
+    if name == "petersen":
+        return petersen_graph()
+    return sparse1000()
+
+
+def test_enclosure_matches_mpmath_iv():
+    """lower and upper are the 192-bit mpmath.iv enclosure's endpoints
+    passed through mpmath.mpf, bit for bit, on the benchmark's workload
+    queries; also with mpmath.iv left at another precision, which the
+    enclosure no longer reads."""
+    for name, delta, eps in _WORKLOAD_QUERIES:
+        res = approximate_volume(_workload_graph(name), delta, eps)
+        lo, hi = _iv_enclosure(res)
+        assert res.lower == Fraction(*to_rational(mpmath.mpf(lo)._mpf_)), name
+        assert res.upper == Fraction(*to_rational(mpmath.mpf(hi)._mpf_)), name
+        with _iv_at(30):
+            again = approximate_volume(_workload_graph(name), delta, eps)
+        assert (again.lower, again.upper) == (res.lower, res.upper)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="lower and upper are rounded to nearest at mpmath's 53-bit mp.prec, "
+    "which moves upper inside the 192-bit enclosure (ROADMAP)",
+)
+def test_bounds_contain_192_bit_enclosure():
+    """[lower, upper] should contain the 192-bit enclosure [lo, hi] of
+    box^n exp(S -+ T) that approximate_volume computes."""
+    res = approximate_volume(petersen_graph(), Fraction(1, 100), Fraction(1, 100))
+    lo, hi = _iv_enclosure(res)
+    assert res.lower <= _exact(lo) and _exact(hi) <= res.upper
 
 
 # --- end-to-end -----------------------------------------------------------------
