@@ -24,9 +24,10 @@ code_key.  coeffs sums set weights per code and names each class of such
 codes by that string, so it never labels one.  A code with no peeled
 string is labelled only when its table holds another such code, since
 two may then be isomorphic; a lone one names itself.  Class series are
-expanded from a class's own code (graphs.graph_from_code), so
-graph_from_key only gives the representatives of the pattern rows of
-forestvol coeffs.  Nothing is cached here.
+expanded on the vertex masks of the input graph (coeffs.polymer_tables),
+so no graph is built from a code or a key for them, and graph_from_key
+only gives the representatives of the pattern rows of forestvol coeffs.
+Nothing is cached here.
 """
 
 from __future__ import annotations

@@ -38,13 +38,13 @@ exactly c vertices has m = 0 and so weighs 1 whatever its boundary; most
 sets are of that size, and their boundary is never counted.  With c = n
 every boundary fits, so only the components of G keep a weight (of 1),
 and their a_k sum to a_k(G): G is expanded whole as one class, coded by
-row_code, with no set enumerated.  polymer_series needs no split, since
+row_code, with no set enumerated.  polymer_tables needs no split, since
 no polymer crosses two components.
 
 All delta-dependence enters through t.  A family of r disjoint polymers of
-total degree j covers j + r vertices, so (polymer_series)
+total degree j covers j + r vertices, so (polymer_tables)
     e_j(t) = sum_r E[j][r] D^{-r} t^{j+r},
-with D the lcm of the reduced denominators of the class weights c of g's
+with D the lcm of the reduced denominators of the class weights c of the
 polymers and E[j][r] = D^r times the sum of prod c(S) over such families.
 The subset DP fills it in integers only: treeweight.polymer_weights gives
 each |S|! c(S) as an integer, each polymer enters as the integer c(S) D,
@@ -53,10 +53,18 @@ Newton's identity for b_k = k a_k, b_k = k e_k - sum_{j<k} b_j e_{k-j},
 multiplies t^j by t^{k-j} and convolves the (t/D)^r series, so
     B[k] = k E[k] - sum_{j<k} B[j] * E[k-j]   (convolution over r)
 stays integer, with no division, and a_k(t) = sum_r B[k][r] t^{k+r} / (k D^r).
-Each class's (B, D) is expanded on the graph of one of its own codes
-(graph_from_code) into a {class name: (B, D)} dict that the caller of
-_class_sum owns, so nothing of a class outlives the call that made the
-dict.  The weighted sum of the class series is itself an integer table
+The classes of one class sum are expanded together by one kernel on the
+input graph's own vertex masks (polymer_tables): each class as G[M], for
+M the mask of the first connected set that had the class's first code.
+E of G[M] depends on G[M] alone, so any set of the class gives the same
+a_k.  Region counts, polymer weights U(S) and DP states P[W] depend only
+on G[S] or G[W], so each lives in one table keyed by masks of G that all
+the classes share: the classes of one query overlap heavily, and a
+sub-polymer or DP state two classes share is built once.  The classes
+share one D too, the lcm over all their polymers; a_k(t) does not depend
+on D.  Their (B, D) go into a {class name: (B, D)} dict that the caller
+of _class_sum owns, so nothing of a class outlives the call that made
+the dict.  The weighted sum of the class series is itself an integer table
 (N, L) for the input graph, a_k(G) = sum_r N[k][r] t^{k+r} / (k L^r),
 kept in WeightCache.whole for the last graph asked: a query on that graph
 at another delta enumerates, labels and expands nothing and only
@@ -65,25 +73,28 @@ evaluates it at the new t.
 Connected sets are classified without building their induced subgraphs:
 graphs.enumerate_connected_sets carries each set's neighbourhood (for the
 boundary dC and the closed neighbourhood N[C]) and its row code, an exact
-labelled copy of G[C] in the order the set was grown.
+labelled copy of G[C] in the order the set was grown.  No graph is built
+for a class either: the class sum keeps, per row code, the summed weight
+and the mask of the code's first set.
 
 assemble_a and pattern_gamma compute one sum, sum over connected sets C of
 w(C) a_k(G[C]), with two weight rules: the boundary weight w(C) above over
 the sets of at most c vertices of G (assemble_a), and (-1)^{|U|-|C|} over
 the sets of h = G[U] with N[C] = U (pattern_gamma).  Both take one route:
-the weights are summed per row code into a {code: weight} table, codes
-whose sum is 0 are dropped, and the rest are folded into classes, each
-named by what already identifies it (_classes): a tree or one-cycle code
-by its exact peeled string (canon.peel_key), and any other code by its
-plain canonical key (canon.code_key) when the table holds another such
-code, or by itself when it is the only one.  Almost every code with a
-nonzero weight is a tree or has one cycle, so a query seldom labels
-anything (the dense16, sparse1000 and Petersen queries label nothing).
-Then w B of every class series with a nonzero summed weight w, expanded
-from the class's first code, is added over the common denominator into a
-delta-free table (N, L) (_class_sum), which is evaluated once at t
-(_taylor).  pattern_counts folds its per-code set counts into classes by the same
-_classes step and labels each class's first code once for its key.
+the weights are summed per row code into a {code: [weight, first mask]}
+table, codes whose sum is 0 are dropped, and the rest are folded into
+classes, each named by what already identifies it (_classes): a tree or
+one-cycle code by its exact peeled string (canon.peel_key), and any other
+code by its plain canonical key (canon.code_key) when the table holds
+another such code, or by itself when it is the only one.  Almost every
+code with a nonzero weight is a tree or has one cycle, so a query seldom
+labels anything (the dense16, sparse1000 and Petersen queries label
+nothing).  Then w B of every class series with a nonzero summed weight
+w, expanded on the mask of the class's first set, is added over the
+common denominator into a delta-free table (N, L) (_class_sum), which is
+evaluated once at t (_taylor).  pattern_counts folds its per-code set
+counts into classes by the same _classes step and labels each class's
+first code once for its key.
 """
 
 from __future__ import annotations
@@ -97,7 +108,7 @@ from typing import Sequence
 # coeffs.canonical_form and raises on a missing target
 from .canon import MAX_VERTICES, canonical_form, code_key, graph_from_key, peel_key  # noqa: F401
 from .errors import SizeGuardError
-from .graphs import Graph, enumerate_connected_sets, graph_from_code, row_code
+from .graphs import Graph, enumerate_connected_sets, row_code
 from .treeweight import DeltaParams, default_cache, polymer_weights
 
 
@@ -111,25 +122,39 @@ class TaylorCoeffs:
 
 def polymer_series(g: Graph, K: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The delta-free table (E, D) with e_j(t) = sum_r E[j][r] D^{-r} t^{j+r}
-    for j <= K, where t = delta/(1/2+delta) and E is integer.
+    for j <= K, where t = delta/(1/2+delta) and E is integer: polymer_tables
+    with V(g) as the one mask, so D is the lcm of the reduced denominators
+    of the class weights of g's own polymers."""
+    [E], D = polymer_tables(g, (g.vertex_mask(),), K)
+    return E, D
 
-    Polymers are connected sets S with 2 <= |S| <= K+1, weighed together by
-    polymer_weights(g, K+1) on g's own vertex masks as c(g[S]) = U(S)/|S|!;
-    a family of r disjoint polymers of total degree j covers j + r
-    vertices, so it carries t^{j+r} and E[j][r] sums D^r prod c(g[S]) over
-    such families, D the lcm of the reduced denominators of the c(g[S]).
-    The subset DP
+
+def polymer_tables(
+    g: Graph, masks: Sequence[int], K: int
+) -> tuple[list[tuple[tuple[int, ...], ...]], int]:
+    """([E of g[M] for each vertex mask M in masks], D): e_j(t) of g[M] is
+    sum_r E[j][r] D^{-r} t^{j+r} for j <= K, t = delta/(1/2+delta), with E
+    integer over one common denominator D.
+
+    Polymers are connected sets S with 2 <= |S| <= K+1 inside a mask,
+    weighed together by polymer_weights(g, K+1, masks) on g's own vertex
+    masks as c(g[S]) = U(S)/|S|!; a family of r disjoint polymers of total
+    degree j covers j + r vertices, so it carries t^{j+r} and E[j][r] sums
+    D^r prod c(g[S]) over such families, D the lcm of the reduced
+    denominators of the c(g[S]) of every mask's polymers.  The subset DP
     P[W] = P[W - v] + sum over polymers S with v in S, S in W, of
     c(S) D z^{|S|-1} y P[W - S], v = min W, runs over the sets W reachable
-    from V(g), with y counting polymers.  Each P[W] is a {j (K+1) + r:
-    integer} dict of its nonzero entries with j <= K, built once, after
-    the sets it reads, in a post-order walk from V(g) on an explicit stack:
-    no Python recursion grows with g, and no state is visited that V(g)
-    does not reach.
+    from the masks, with y counting polymers.  The polymers inside W are
+    those of any mask that holds W, so P[W] depends on W alone, and one
+    table serves every mask: a state two masks reach is built once.  Each
+    P[W] is a {j (K+1) + r: integer} dict of its nonzero entries with
+    j <= K, built once, after the sets it reads, in a post-order walk from
+    each mask on an explicit stack: no Python recursion grows with g, and
+    no state is visited that no mask reaches.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
-    found = [(s, u, factorial(s.bit_count())) for s, u in polymer_weights(g, K + 1)]
+    found = [(s, u, factorial(s.bit_count())) for s, u in polymer_weights(g, K + 1, masks)]
     D = lcm(*(f // gcd(u, f) for _, u, f in found))
     # slot j*R + r holds E[j][r]; r <= j, so slots end below R*R, and a
     # polymer of degree deg moves slot x to x + deg*R + 1, which stays
@@ -142,34 +167,36 @@ def polymer_series(g: Graph, K: int) -> tuple[tuple[tuple[int, ...], ...], int]:
         if u:
             shift = (s.bit_count() - 1) * R + 1
             polymers.setdefault(s & -s, []).append((s, shift, R * R - shift, u * D // f))
-    full = g.vertex_mask()
     tables: dict[int, dict[int, int]] = {0: {0: 1}}
     # sets seen but not built yet, with the polymers that fit them
     fits: dict[int, list[tuple[int, int, int, int]]] = {}
-    stack = [full]
-    while stack:
-        w = stack[-1]
-        fit = fits.pop(w, None)
-        if fit is None:
-            if w in tables:
-                stack.pop()
+    out = []
+    for full in masks:
+        stack = [full]
+        while stack:
+            w = stack[-1]
+            fit = fits.pop(w, None)
+            if fit is None:
+                if w in tables:
+                    stack.pop()
+                    continue
+                # first visit: build the sets w reads, then come back to w
+                low = w & -w
+                fit = fits[w] = [p for p in polymers.get(low, ()) if p[0] & w == p[0]]
+                stack.append(w ^ low)
+                stack.extend([w ^ p[0] for p in fit])
                 continue
-            # first visit: build the sets w reads, then come back to w
-            low = w & -w
-            fit = fits[w] = [p for p in polymers.get(low, ()) if p[0] & w == p[0]]
-            stack.append(w ^ low)
-            stack.extend([w ^ p[0] for p in fit])
-            continue
-        stack.pop()
-        out = dict(tables[w ^ (w & -w)])
-        get = out.get
-        for s, shift, limit, c in fit:
-            for x, v in tables[w ^ s].items():
-                if x < limit:
-                    out[x + shift] = get(x + shift, 0) + c * v
-        tables[w] = out
-    top = tables[full]
-    return tuple(tuple(top.get(j * R + r, 0) for r in range(R)) for j in range(R)), D
+            stack.pop()
+            row = dict(tables[w ^ (w & -w)])
+            get = row.get
+            for s, shift, limit, c in fit:
+                for x, v in tables[w ^ s].items():
+                    if x < limit:
+                        row[x + shift] = get(x + shift, 0) + c * v
+            tables[w] = row
+        top = tables[full]
+        out.append(tuple(tuple(top.get(j * R + r, 0) for r in range(R)) for j in range(R)))
+    return out, D
 
 
 def _at(row: Sequence[int], D: int, t: Fraction, k: int) -> Fraction:
@@ -234,9 +261,9 @@ def pattern_counts(g: Graph, max_size: int) -> dict[bytes, tuple[int, Graph]]:
     each class's first code is then labelled once (canon.code_key) for its
     plain canonical key, and the representative is the one the key
     encodes (graph_from_key)."""
-    by_code: dict[tuple[int, ...], int] = {}
+    by_code: dict[tuple[int, ...], list] = {}
     for _, _, code in enumerate_connected_sets(g, max_size, min_size=2):
-        by_code[code] = by_code.get(code, 0) + 1
+        by_code.setdefault(code, [0, code])[0] += 1
     out: dict[bytes, tuple[int, Graph]] = {}
     for code, count in _classes(by_code).values():
         key = code_key(code)
@@ -248,23 +275,26 @@ def pattern_counts(g: Graph, max_size: int) -> dict[bytes, tuple[int, Graph]]:
 Name = str | bytes | tuple[int, ...]
 
 
-def _classes(by_code: dict[tuple[int, ...], int]) -> dict[Name, list]:
-    """Fold a {row code: integer weight} table into {name: [first code,
-    summed weight]}, one entry per class.  A code whose weight is 0 is
-    dropped.  A tree or one-cycle code is named by its exact peeled string
-    (canon.peel_key).  The other codes are named by their plain canonical
-    key (canon.code_key) when there are two or more of them, since two may
-    then be isomorphic; a lone one names itself, an exact labelled graph
-    that no other code of the table can share a class with.  So only codes
-    with no peeled string are labelled, and never a lone one.  Peeled
-    strings and canonical keys name a class exactly across tables too."""
-    weighed = [(code, w, peel_key(code)) for code, w in by_code.items() if w]
-    lone = sum(name is None for _, _, name in weighed) == 1
+def _classes(by_code: dict[tuple[int, ...], list]) -> dict[Name, list]:
+    """Fold a {row code: [integer weight, tag]} table into {name: [tag of
+    the class's first code, summed weight]}, one entry per class, where the
+    tag is what the caller kept of the code's first set: its vertex mask
+    (_graph_series, _gamma_codes) or the code itself (pattern_counts).  A
+    code whose weight is 0 is dropped.  A tree or one-cycle code is named
+    by its exact peeled string (canon.peel_key).  The other codes are named
+    by their plain canonical key (canon.code_key) when there are two or
+    more of them, since two may then be isomorphic; a lone one names
+    itself, an exact labelled graph that no other code of the table can
+    share a class with.  So only codes with no peeled string are labelled,
+    and never a lone one.  Peeled strings and canonical keys name a class
+    exactly across tables too."""
+    weighed = [(code, w, tag, peel_key(code)) for code, (w, tag) in by_code.items() if w]
+    lone = sum(name is None for *_, name in weighed) == 1
     classes: dict[Name, list] = {}
-    for code, w, name in weighed:
+    for code, w, tag, name in weighed:
         if name is None:
             name = code if lone else code_key(code)
-        classes.setdefault(name, [code, 0])[1] += w
+        classes.setdefault(name, [tag, 0])[1] += w
     return classes
 
 
@@ -290,28 +320,31 @@ def _log_series(E: Sequence[Sequence[int]], K: int) -> tuple[tuple[int, ...], ..
 
 
 def _class_sum(
-    by_code: dict[tuple[int, ...], int],
+    g: Graph,
+    by_code: dict[tuple[int, ...], list],
     K: int,
     series: dict[Name, tuple[tuple[tuple[int, ...], ...], int]],
 ) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(N, L) with sum over codes C of by_code[C] a_k(class of C) =
-    sum_r N[k][r] t^{k+r} / (k L^r) for k <= K: the codes folded into
-    named classes (_classes), then w B[k][r] / (k D^r) of every class
-    series with a nonzero summed weight w, kept as the integer N[k][r] over
-    the common denominator L.  A class missing from the caller's series
-    {name: (B, D)} is expanded into it from the graph of its first code
-    (graph_from_code), one miss of the default WeightCache: (E, D) and B
-    are isomorphism invariants, so any code of the class gives the same
-    series."""
-    terms = []
-    for name, (code, w) in _classes(by_code).items():
-        if w:
-            hit = series.get(name)
-            if hit is None:
-                default_cache().misses += 1
-                E, D = polymer_series(graph_from_code(code), K)
-                hit = series[name] = (_log_series(E, K), D)
-            terms.append((w, *hit))
+    """(N, L) with sum over codes C of w(C) a_k(class of C) =
+    sum_r N[k][r] t^{k+r} / (k L^r) for k <= K, from a {row code: [w(C),
+    vertex mask of g]} table: the codes folded into named classes
+    (_classes), then w B[k][r] / (k D^r) of every class series with a
+    nonzero summed weight w, kept as the integer N[k][r] over the common
+    denominator L.  The classes missing from the caller's series
+    {name: (B, D)} are expanded into it together, each as g[M] for the
+    mask M of its first set, by one polymer_tables call that shares its
+    region counts, polymer weights and DP states between them; each counts
+    one miss of the default WeightCache.  (E, D) and B are isomorphism
+    invariants, and the a_k they give do not depend on D, so any set of
+    the class gives the same a_k."""
+    classes = [(name, mask, w) for name, (mask, w) in _classes(by_code).items() if w]
+    fresh = [(name, mask) for name, mask, _ in classes if name not in series]
+    if fresh:
+        default_cache().misses += len(fresh)
+        tables, D = polymer_tables(g, [mask for _, mask in fresh], K)
+        for (name, _), E in zip(fresh, tables):
+            series[name] = (_log_series(E, K), D)
+    terms = [(w, *series[name]) for name, _, w in classes]
     L = lcm(*(D for _, _, D in terms))
     N = [[0] * (K + 1) for _ in range(K + 1)]
     for w, B, D in terms:
@@ -344,17 +377,17 @@ def pattern_gamma(h: Graph, dp: DeltaParams, K: int) -> tuple[Fraction, ...]:
     The signs are summed per row code (_gamma_codes) and go through the
     class sum assemble_a uses (_class_sum).  At delta = 0 nothing is
     enumerated, labelled or expanded."""
-    return _taylor(dp, K, lambda: _class_sum(_gamma_codes(h), K, {})).a
+    return _taylor(dp, K, lambda: _class_sum(h, _gamma_codes(h), K, {})).a
 
 
-def _gamma_codes(h: Graph) -> dict[tuple[int, ...], int]:
-    """{row code: summed (-1)^{|h|-|C|}} over the connected sets C of h
-    with 2 <= |C| and N[C] = V(h)."""
+def _gamma_codes(h: Graph) -> dict[tuple[int, ...], list]:
+    """{row code: [summed (-1)^{|h|-|C|}, mask of the code's first set]}
+    over the connected sets C of h with 2 <= |C| and N[C] = V(h)."""
     full = h.vertex_mask()
-    by_code: dict[tuple[int, ...], int] = {}
+    by_code: dict[tuple[int, ...], list] = {}
     for mask, nbr, code in enumerate_connected_sets(h, h.n, min_size=2):
         if mask | nbr == full:
-            by_code[code] = by_code.get(code, 0) + (-1) ** (h.n - len(code))
+            by_code.setdefault(code, [0, mask])[0] += (-1) ** (h.n - len(code))
     return by_code
 
 
@@ -390,7 +423,7 @@ def pattern_table(
     rows = []
     a = [Fraction(0)] * (K + 1)
     for key, (count, rep) in sorted(pattern_counts(g, min(K + 1, g.n)).items()):
-        gamma = _taylor(dp, K, lambda: _class_sum(_gamma_codes(rep), K, series)).a
+        gamma = _taylor(dp, K, lambda: _class_sum(rep, _gamma_codes(rep), K, series)).a
         rows.append((key, count, rep, gamma))
         for k in range(1, K + 1):
             a[k] += count * gamma[k]
@@ -401,22 +434,24 @@ def _graph_series(g: Graph, K: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(N, L) with a_k(g) = sum_r N[k][r] t^{k+r} / (k L^r) for k <= K, from
     the default WeightCache's whole-graph slot or built by summing w(C) per
     row code over the connected sets C of at most c vertices (assemble_a),
-    and then the class sum (_class_sum).
+    into a {code: [summed w(C), mask of the code's first set]} table with
+    one lookup per set, and then the class sum (_class_sum).
 
     With c = n only the components of g keep a weight, 1 each, and their
     a_k sum to a_k(g), so g's own row code is the one entry of the table
-    and no set is enumerated.  With c = K+1 every set is enumerated, and a
-    set of exactly c vertices has m = 0, so it weighs 1 whatever its
-    boundary."""
+    and V(g) its mask, and no set is enumerated.  With c = K+1 every set is
+    enumerated, and a set of exactly c vertices has m = 0, so it weighs 1
+    whatever its boundary."""
     cache = default_cache()
     whole = cache.whole
     if whole is not None and whole[1] >= K and whole[0] == g:
         cache.hits += 1
         return whole[2], whole[3]
     if g.n <= 2 * K:
-        by_code = {row_code(g): 1}
+        by_code = {row_code(g): [1, g.vertex_mask()]}
     else:
         by_code = {}
+        get = by_code.get
         cap = K + 1
         for mask, nbr, code in enumerate_connected_sets(g, cap, min_size=2):
             w = 1
@@ -428,8 +463,12 @@ def _graph_series(g: Graph, K: int) -> tuple[tuple[tuple[int, ...], ...], int]:
                     w = -comb(b - 1, m) if m & 1 else comb(b - 1, m)
                 elif b:
                     continue
-            by_code[code] = by_code.get(code, 0) + w
-    N, L = _class_sum(by_code, K, {})
+            entry = get(code)
+            if entry is None:
+                by_code[code] = [w, mask]
+            else:
+                entry[0] += w
+    N, L = _class_sum(g, by_code, K, {})
     cache.whole = (g, K, N, L)
     return N, L
 
@@ -443,9 +482,10 @@ def assemble_a(g: Graph, dp: DeltaParams, K: int) -> TaylorCoeffs:
 
     Sets are classified by the row code the enumerator carries: w(C) is
     summed per code, the codes with a nonzero sum are folded into named
-    classes (_classes), and each class series is expanded from the graph
-    of the class's first code.  A code is labelled only when it has no
-    peeled string and another such code shares its table.
+    classes (_classes), and the class series are expanded together on G's
+    own vertex masks, each from the mask of its class's first set
+    (polymer_tables).  A code is labelled only when it has no peeled
+    string and another such code shares its table.
 
     (N, L) is kept in the default WeightCache's whole-graph slot.  A later
     query on an equal graph at any delta and any order up to the slot's K
@@ -460,11 +500,11 @@ def assemble_a(g: Graph, dp: DeltaParams, K: int) -> TaylorCoeffs:
     code as one class, with no set enumerated, whether it is connected or
     not.  A graph that small is cheaper whole than as the many classes of
     at most K+1 vertices: random_connected_graph(16, 3, seed=3,
-    max_degree=3) at K = 8 expands 113 classes with c = 9 in 0.38 s,
-    against 0.13 s whole (CPython 3.11.7, one core, cold caches).  Above
-    2K it turns: at K = 6,
-    random_connected_graph(20, 5, seed=0, max_degree=3) takes 0.08 s with
-    c = 7 (33 classes) and 0.74 s whole.
+    max_degree=3) at K = 8 expands 113 classes with c = 9 in 0.050 s,
+    against 0.037 s whole (CPython 3.11.7, one core, cold caches, best of
+    3).  Above 2K it turns: at K = 6,
+    random_connected_graph(20, 5, seed=0, max_degree=3) takes 0.009 s with
+    c = 7 (33 classes) and 0.126 s whole.
 
     Raises SizeGuardError first, before any set is enumerated, when
     guard_order refuses K on G: any order above 16 on a graph of more than

@@ -266,8 +266,8 @@ def enumerate_connected_sets(
     they were added, the root first: code[i] is the bitmask of the
     positions j < i whose vertices are adjacent to the vertex at position
     i, so code[0] = 0 and len(code) = |mask|.  It is an exact labelled copy
-    of g[mask] (graph_from_code), in the format row_code gives a whole
-    graph.  Adding a vertex u updates all three in O(deg u).
+    of g[mask], in the format row_code gives a whole graph.  Adding a vertex
+    u updates all three in O(deg u).
     """
     min_size = max(min_size, 1)
     # sets of max_size vertices are yielded below without a size check
@@ -327,17 +327,48 @@ def enumerate_connected_sets(
                 break
 
 
+def connected_masks(g: Graph, within: int, max_size: int) -> Iterator[int]:
+    """The masks of the connected sets of g of at most max_size vertices
+    inside the vertex mask within: the search of enumerate_connected_sets
+    (each set rooted at its lowest vertex, a vertex once tried banned from
+    the sets grown after it) with every vertex outside within banned, and
+    no boundary or row code kept.  Only the roots in within are visited,
+    so a small mask of a large graph costs nothing per vertex of g."""
+    adj = g.adj_mask
+    rest = within
+    stack: list[tuple[int, int, int, int]] = []
+    push, pop = stack.append, stack.pop
+    while rest:
+        sset = rest & -rest
+        # the vertices a set rooted here may add: those of within above it
+        rest ^= sset
+        yield sset
+        if max_size < 2:
+            continue
+        allowed = rest
+        cand = adj[sset.bit_length() - 1] & allowed
+        size = 1
+        while True:
+            if cand:
+                low = cand & -cand
+                cand ^= low
+                allowed ^= low
+                grown = sset | low
+                yield grown
+                if size + 1 < max_size:
+                    push((sset, cand, allowed, size))
+                    sset, size = grown, size + 1
+                    cand |= adj[low.bit_length() - 1] & allowed
+            elif stack:
+                sset, cand, allowed, size = pop()
+            else:
+                break
+
+
 def row_code(g: Graph) -> tuple[int, ...]:
     """g's row code under its own labels: entry i is the bitmask of the
     neighbours of i below i (the code format of enumerate_connected_sets)."""
     return tuple(a & ((1 << i) - 1) for i, a in enumerate(g.adj_mask))
-
-
-def graph_from_code(code: Sequence[int]) -> Graph:
-    """The graph a row code describes, edges in row-major order."""
-    return Graph(
-        len(code), sorted((j, i) for i, row in enumerate(code) for j in bits(row))
-    )
 
 
 def spanning_trees(g: Graph) -> Iterator[Tree]:

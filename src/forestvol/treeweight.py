@@ -19,10 +19,13 @@ tree_weight reads N[V]/n!, memoized under the labelled local shape
 (n, tree edges, broken edges) of (T, E_T), so the memo serves every delta
 at once without labelling the shape canonically.
 The coefficient pipeline reads only polymer_weights, which takes the
-integer |S|! c(h[S]) for every connected S of a graph h from one table of
-the same recurrence with every edge of h broken (proof there): no Fraction,
+integer |S|! c(h[S]) for every connected S inside a list of vertex masks
+of a graph h (in a query, the masks of all its classes on the input
+graph) from one table of the same recurrence with every edge of h broken,
+read from h.adj_mask and keyed by h's own masks (proof there): a region
+count or a weight that two masks share is found once, no Fraction,
 spanning tree, broken edge, label or induced subgraph is built for a
-polymer, and no weight is cached across graphs.
+polymer, and no weight is kept past the call.
 
 The tests check the DP against a brute-force region count and Monte Carlo
 samples of the box, the class weights against the spanning-tree sums, and
@@ -34,12 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 # not called here: perfbench/tracer.py traces treeweight.colored_canonical_form
 # and raises on a missing target
 from .canon import colored_canonical_form  # noqa: F401
-from .graphs import Graph, Tree, broken_edges, enumerate_connected_sets
+from .graphs import Graph, Tree, broken_edges, connected_masks
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,9 @@ class WeightCache:
     it; any other query replaces it, so the slot never holds more than one
     graph.  It is the only memo of the coefficient path that outlives a
     query: class series live in a dict the caller of coeffs._class_sum owns.
-    A miss is one class series expanded (coeffs._class_sum); a hit is one
+    A miss is one class series expanded: coeffs._class_sum expands every
+    class its dict lacks in one coeffs.polymer_tables call on the graph's
+    own vertex masks and counts one miss per class.  A hit is one
     whole-graph series read from the slot, which expands nothing.  A G of
     at most 2K vertices is expanded whole as one class, so a cold query on
     it counts one miss whether G is connected, disconnected or edgeless.
@@ -103,7 +108,7 @@ class WeightCache:
         key = (nv, tedges, bedges)
         w = self.normalized.get(key)
         if w is None:
-            count, _ = _region_counts(nv, tedges, bedges)
+            count, _ = _region_counts(_adjacency(nv, tedges), _adjacency(nv, bedges))
             w = Fraction(count((1 << nv) - 1), factorial(nv))
             self.normalized[key] = w
         return w
@@ -160,16 +165,21 @@ def _local_pair(
     return (a, b) if a < b else (b, a)
 
 
-
-
-def polymer_weights(h: Graph, size: int) -> list[tuple[int, int]]:
-    """(S, U(S)) for every connected S of h with 2 <= |S| <= size, in
-    ascending mask order, with the integer U(S) = |S|! c(h[S]) unreduced.
+def polymer_weights(
+    h: Graph, size: int, masks: Iterable[int] | None = None
+) -> list[tuple[int, int]]:
+    """(S, U(S)) for every connected S of h with 2 <= |S| <= size that lies
+    inside one of the vertex masks (V(h) when masks is None), in ascending
+    mask order, with the integer U(S) = |S|! c(h[S]) unreduced.  A set
+    inside several masks is weighed once.
     c(H) = sum over spanning trees T of H of (-1)^{|T|} W(T), so the w_T of
     the spanning trees of H sum to c(H) t^{|V(H)|}, t = delta/(1/2+delta).
     Every weight comes from one memoized table of the region counts N of h
-    with every edge broken (_region_counts with no tree edge): N[U]/|U|! is
-    the volume of the z in (-1, 1]^U with z_u + z_v <= 0 on h[U].
+    with every edge broken (_region_counts on h.adj_mask, with no tree
+    edge): N[U]/|U|! is the volume of the z in (-1, 1]^U with
+    z_u + z_v <= 0 on h[U].  N[U] and U(S) depend only on h[U] and h[S],
+    so one table of each, keyed by h's own masks, serves every mask at
+    once.
 
     By Penrose's identity c(B) integrates over z <= 1 the sum over the
     connected spanning edge sets A of h[B] of prod_{uv in A} f_uv, with
@@ -182,17 +192,21 @@ def polymer_weights(h: Graph, size: int) -> list[tuple[int, int]]:
     Splitting off the block T of min S, U(T) = |T|! c(h[T]) solves
         U(S) = N[S] - sum over min S in T < S of binom(|S|, |T|) U(T) N[S - T],
     and U vanishes unless h[T] is connected.  Such a T is a connected set
-    below S in mask order, so it is solved before S.  Every step is an
-    integer product, and binom(n, |T|) U(T) is kept per T for each n, so
-    the loop over the submasks of S only looks values up.
+    inside the same mask as S and below S in mask order, so it is solved
+    before S.  Every step is an integer product, and binom(n, |T|) U(T) is
+    kept per T for each n, so the loop over the submasks of S only looks
+    values up.
     """
-    count, memo = _region_counts(h.n, (), h.edges)
+    found: set[int] = set()
+    for within in (h.vertex_mask(),) if masks is None else masks:
+        found.update(connected_masks(h, within, size))
+    count, memo = _region_counts((0,) * h.n, h.adj_mask)
     # scaled[T][m] = binom(m, |T|) U(T), the factor a set S of m vertices
     # needs; by_size[j][m] = binom(m, j)
     scaled: dict[int, list[int]] = {}
     by_size = [[comb(m, j) for m in range(size + 1)] for j in range(size + 1)]
     out = []
-    for s in sorted(mask for mask, _, _ in enumerate_connected_sets(h, size)):
+    for s in sorted(found):
         root, rest, n = s & -s, s & (s - 1), s.bit_count()
         u = count(s)
         sub = rest
@@ -213,16 +227,25 @@ def polymer_weights(h: Graph, size: int) -> list[tuple[int, int]]:
     return out
 
 
+def _adjacency(nv: int, edges: tuple[tuple[int, int], ...]) -> list[int]:
+    """Per-vertex neighbour masks of an edge list on nv vertices."""
+    adj = [0] * nv
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
 def _region_counts(
-    nv: int,
-    tedges: tuple[tuple[int, int], ...],
-    bedges: tuple[tuple[int, int], ...],
+    tadj: Sequence[int], badj: Sequence[int]
 ) -> tuple[Callable[[int], int], dict[int, int]]:
     """Memoized region counts N[U] of the edges inside a vertex mask U, by a
-    recurrence over the order of |z|; W = N[V] / nv! with
-    hat_w = delta^nv * W.  Returns (count, memo): count(U) gives N[U], and
-    memo holds the N[U] filled so far, for callers that look a mask up
-    before calling count.
+    recurrence over the order of |z|, given per-vertex neighbour masks of
+    the tree edges (tadj) and of the broken edges (badj); W = N[V] / nv!
+    with hat_w = delta^nv * W.  Returns (count, memo): count(U) gives N[U],
+    and memo holds the N[U] filled so far, for callers that look a mask up
+    before calling count.  The masks are read as they are, so a large host
+    graph costs nothing to set up.
 
     With x = 1/2 + delta*z, every vertex has a tree edge, so every z lies in
     (-1, 1]; z_u + z_v then has the sign of the endpoint of larger |z|.  A
@@ -235,18 +258,11 @@ def _region_counts(
     when they are of both kinds.  Only the masks a query reaches are
     filled, never all 2^nv.
     """
-    tadj = [0] * nv
-    badj = [0] * nv
-    for u, v in tedges:
-        tadj[u] |= 1 << v
-        tadj[v] |= 1 << u
-    for u, v in bedges:
-        badj[u] |= 1 << v
-        badj[v] |= 1 << u
     memo = {0: 1}
+    get = memo.get
 
     def count(umask: int) -> int:
-        c = memo.get(umask)
+        c = get(umask)
         if c is None:
             c = 0
             rest = umask
@@ -256,10 +272,13 @@ def _region_counts(
                 v = low.bit_length() - 1
                 t = tadj[v] & umask
                 b = badj[v] & umask
-                if not (t or b):
-                    c += 2 * count(umask ^ low)
-                elif not (t and b):
-                    c += count(umask ^ low)
+                if t and b:
+                    continue
+                below = umask ^ low
+                sub = get(below)
+                if sub is None:
+                    sub = count(below)
+                c += sub if t or b else 2 * sub
             memo[umask] = c
         return c
 

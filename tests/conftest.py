@@ -13,7 +13,7 @@ from typing import Iterator
 
 import pytest
 
-from forestvol.graphs import Graph
+from forestvol.graphs import Graph, bits
 
 try:
     from hypothesis import settings
@@ -95,6 +95,14 @@ def recursive_connected_sets(
 
         pos[root] = 0
         yield from grow(1 << root, adj_mask[root], (0,), adj_mask[root] & above, 0)
+
+
+def graph_from_code(code: tuple[int, ...]) -> Graph:
+    """The graph a row code (graphs.row_code) describes, edges in row-major
+    order."""
+    return Graph(
+        len(code), sorted((j, i) for i, row in enumerate(code) for j in bits(row))
+    )
 
 
 @functools.cache

@@ -19,7 +19,6 @@ from forestvol.graphs import (
     Graph,
     bits,
     enumerate_connected_sets,
-    graph_from_code,
     row_code,
     spanning_trees,
     tree_from_edges,
@@ -49,6 +48,7 @@ from conftest import (
     brute_polymer_series,
     clear_caches,
     forest_component_ranks,
+    graph_from_code,
     is_forest,
     recursive_connected_sets,
     relabelled,
@@ -324,7 +324,7 @@ def test_pattern_gamma_delta_zero_expands_nothing(monkeypatch):
         raise AssertionError("labelled or expanded at delta = 0")
 
     monkeypatch.setattr(coeffs, "code_key", boom)
-    monkeypatch.setattr(coeffs, "polymer_series", boom)
+    monkeypatch.setattr(coeffs, "polymer_tables", boom)
     assert pattern_gamma(complete_graph(4), DeltaParams(Fraction(0)), 3) == (Fraction(0),) * 4
 
 
@@ -458,12 +458,14 @@ def test_assembly_expands_classes_up_to_k_plus_one():
         assert assembled.a == newton_log(small_e(g, dp, K), K).a, (g.n, K)
 
 
-def _recursive_graph_series(g: Graph, K: int):
-    """(N, L) of g from the recursive enumerator and the boundary weight as
-    first written: cap = n when n <= 2K, else K+1, and every set weighed
-    (-1)^m binom(b-1, m), or 1 when b = 0, or dropped when m = b."""
+def _recursive_code_table(g: Graph, K: int, tag=lambda mask, code: mask, last=False):
+    """{row code: [summed weight, tag]} of g from the recursive enumerator
+    and the boundary weight as first written: cap = n when n <= 2K, else
+    K+1, and every set weighed (-1)^m binom(b-1, m), or 1 when b = 0, or
+    dropped when m = b.  The tag is tag(mask, code) of the code's first
+    set, or of its last set when last is true."""
     cap = g.n if g.n <= 2 * K else K + 1
-    by_code: dict[tuple[int, ...], int] = {}
+    by_code: dict[tuple[int, ...], list] = {}
     for mask, nbr, code in recursive_connected_sets(g, cap, min_size=2):
         b = (nbr & ~mask).bit_count()
         m = min(b, cap - len(code))
@@ -473,8 +475,17 @@ def _recursive_graph_series(g: Graph, K: int):
             w = (-1) ** m * comb(b - 1, m)
         else:
             continue
-        by_code[code] = by_code.get(code, 0) + w
-    return coeffs._class_sum(by_code, K, {})
+        entry = by_code.setdefault(code, [0, tag(mask, code)])
+        entry[0] += w
+        if last:
+            entry[1] = tag(mask, code)
+    return by_code
+
+
+def _recursive_graph_series(g: Graph, K: int):
+    """(N, L) of g from _recursive_code_table, each class expanded from
+    the mask of its first set."""
+    return coeffs._class_sum(g, _recursive_code_table(g, K), K, {})
 
 
 @pytest.mark.parametrize(
@@ -494,6 +505,51 @@ def test_graph_series_matches_recursive_table(g, K):
     equals the one built from the recursive enumerator by the first rule."""
     clear_caches()
     assert coeffs._graph_series(g, K) == _recursive_graph_series(g, K)
+
+
+def _polynomial(N, L, K):
+    """{(k, r): N[k][r] / (k L^r)}, the nonzero coefficients of t^{k+r} in
+    a_k(t) = sum_r N[k][r] t^{k+r} / (k L^r), whatever L is."""
+    return {
+        (k, r): Fraction(v, k * L**r)
+        for k in range(1, K + 1)
+        for r, v in enumerate(N[k])
+        if v
+    }
+
+
+@pytest.mark.parametrize(
+    "g,K",
+    [
+        (random_connected_graph(16, 3, seed=3, max_degree=3), 5),
+        (sparse1000(), 4),
+        *((random_connected_graph(12, 4, seed=seed, max_degree=3), 4) for seed in range(3)),
+    ],
+    ids=["dense16-K5", "sparse1000-K4", "random12-0", "random12-1", "random12-2"],
+)
+def test_shared_kernel_matches_classes_expanded_alone(g, K):
+    """The classes of a query, expanded together by one polymer_tables call
+    on g's own vertex masks over one common denominator, give the a_k(t)
+    that the classes give expanded one at a time, each as the graph of its
+    first code (polymer_series(graph_from_code(code))), and the same a_k(t)
+    again when each class is expanded from the mask of its code's last set
+    in place of its first."""
+    assert g.n > 2 * K
+    clear_caches()
+    shared = _polynomial(*coeffs._graph_series(g, K), K)
+    alone: dict[tuple[int, int], Fraction] = {}
+    by_code = _recursive_code_table(g, K, tag=lambda mask, code: code)
+    for code, w in coeffs._classes(by_code).values():
+        E, D = coeffs.polymer_series(graph_from_code(code), K)
+        B = coeffs._log_series(E, K)
+        for k in range(1, K + 1):
+            for r, v in enumerate(B[k]):
+                alone[k, r] = alone.get((k, r), 0) + Fraction(w * v, k * D**r)
+    assert shared == {kr: c for kr, c in alone.items() if c}
+    first, last = (_recursive_code_table(g, K, last=last) for last in (False, True))
+    masks = [[mask for mask, _ in coeffs._classes(t).values()] for t in (first, last)]
+    assert masks[0] != masks[1]
+    assert _polynomial(*coeffs._class_sum(g, last, K, {}), K) == shared
 
 
 def _reference_log_series(E, K):
@@ -753,7 +809,7 @@ def test_classes_label_codes_past_one_cycle_each(monkeypatch):
         return code_key(code)
 
     monkeypatch.setattr(coeffs, "code_key", counted)
-    out = coeffs._classes({c: 1 for c in thetas | paths})
+    out = coeffs._classes({c: [1, c] for c in thetas | paths})
     assert {name: w for name, (_, w) in out.items()} == {
         canonical_form(theta): len(thetas),
         peel_key(row_code(path_graph(5))): len(paths),
@@ -762,7 +818,7 @@ def test_classes_label_codes_past_one_cycle_each(monkeypatch):
     assert sorted(labelled) == sorted(thetas)
     path = (0, 0b1, 0b10)
     with pytest.raises(ValueError, match="bad row code"):
-        coeffs._classes({path: 1, (0, 0b1, 0b110): 1})
+        coeffs._classes({path: [1, path], (0, 0b1, 0b110): [1, None]})
 
 
 def test_classes_name_a_lone_unpeeled_code_by_itself(monkeypatch):
@@ -783,18 +839,18 @@ def test_classes_name_a_lone_unpeeled_code_by_itself(monkeypatch):
         return code_key(code)
 
     monkeypatch.setattr(coeffs, "code_key", counted)
-    assert coeffs._classes({t1: 3, path: 2, t2: 0}) == {
+    assert coeffs._classes({t1: [3, t1], path: [2, path], t2: [0, t2]}) == {
         t1: [t1, 3],
         peel_key(path): [path, 2],
     }
     assert labelled == []
-    assert coeffs._classes({t1: 1, t2: 2, path: 1}) == {
+    assert coeffs._classes({t1: [1, t1], t2: [2, t2], path: [1, path]}) == {
         peel_key(path): [path, 1],
         canonical_form(theta): [t1, 3],
     }
     assert labelled == [t1, t2]
     labelled.clear()
-    assert coeffs._classes({t1: 1, k4: -1}) == {
+    assert coeffs._classes({t1: [1, t1], k4: [-1, k4]}) == {
         canonical_form(theta): [t1, 1],
         canonical_form(complete_graph(4)): [k4, -1],
     }
@@ -811,9 +867,10 @@ def test_classes_name_a_lone_unpeeled_code_by_itself(monkeypatch):
     ids=["dense16-K5", "petersen-K7", "sparse1000-K6"],
 )
 def test_class_series_from_first_code_match_key_representative(monkeypatch, g, K):
-    """Every class a cold assemble_a folds is expanded from its first code;
-    its (B, D) equals the (B, D) of the representative its plain canonical
-    key encodes, and no two classes share a key."""
+    """Every class a cold assemble_a folds is expanded from the mask of its
+    first code; the (B, D) of g[mask] equals the (B, D) of the
+    representative its plain canonical key encodes, and no two classes
+    share a key."""
     tables = []
     classes = coeffs._classes
 
@@ -827,14 +884,15 @@ def test_class_series_from_first_code_match_key_representative(monkeypatch, g, K
     assemble_a(g, DeltaParams(Fraction(1, 100)), K)
     [table] = tables
     keys = set()
-    for code, _ in table.values():
-        key = canonical_form(graph_from_code(code))
+    for mask, _ in table.values():
+        sub = g.induced_subgraph(mask)[0]
+        key = canonical_form(sub)
         keys.add(key)
         series = []
-        for h in (graph_from_code(code), graph_from_key(key)):
+        for h in (sub, graph_from_key(key)):
             E, D = coeffs.polymer_series(h, K)
             series.append((coeffs._log_series(E, K), D))
-        assert series[0] == series[1], code
+        assert series[0] == series[1], mask
     assert len(keys) == len(table)
 
 
@@ -921,7 +979,7 @@ def test_warm_sweep_points_do_no_delta_free_work(monkeypatch, g, eps):
     first = approximate_volume(g, SWEEP[0], eps)
     assert (first.K, first.a, first.lower, first.upper) == cold[0]
     assert (g.n > 2 * first.K) == (g.n == 16)
-    for name in ("enumerate_connected_sets", "code_key", "polymer_series"):
+    for name in ("enumerate_connected_sets", "code_key", "polymer_tables"):
         monkeypatch.setattr(coeffs, name, _boom)
     misses = cache.misses
     for delta, want in zip(SWEEP[1:], cold[1:]):
@@ -986,7 +1044,7 @@ def test_whole_graph_slot_holds_one_graph(monkeypatch):
 
     # a failed query leaves the slot as it was
     held = cache.whole
-    monkeypatch.setattr(coeffs, "polymer_series", _boom)
+    monkeypatch.setattr(coeffs, "polymer_tables", _boom)
     with pytest.raises(AssertionError, match="delta-free work"):
         assemble_a(other, dp, 4)
     assert cache.whole is held

@@ -10,10 +10,10 @@ from forestvol.graphs import (
     Tree,
     bits,
     broken_edges,
+    connected_masks,
     enumerate_connected_sets,
     MAX_GRAPH_VERTICES,
     format_graph,
-    graph_from_code,
     parse_graph,
     row_code,
     spanning_trees,
@@ -29,7 +29,12 @@ from forestvol.families import (
     random_graph,
 )
 
-from conftest import brute_connected_sets, recursive_connected_sets, shuffled_edges
+from conftest import (
+    brute_connected_sets,
+    graph_from_code,
+    recursive_connected_sets,
+    shuffled_edges,
+)
 
 
 def test_parse_basic():
@@ -134,6 +139,20 @@ def test_connected_sets_match_brute_force(seed):
         got = [mask for mask, _, _ in enumerate_connected_sets(g, 5, min_size)]
         assert len(got) == len(set(got))
         assert set(got) == brute_connected_sets(g, 5, min_size)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_connected_masks_inside_a_mask_match_brute_force(seed):
+    """connected_masks gives each connected set of at most max_size
+    vertices inside the mask once, and no other set."""
+    g = random_graph(9, 0.4, seed=seed)
+    rng = random.Random(seed)
+    for max_size in (1, 2, 4, 9):
+        want = brute_connected_sets(g, max_size)
+        for within in [rng.getrandbits(9) for _ in range(8)] + [0, g.vertex_mask()]:
+            got = list(connected_masks(g, within, max_size))
+            assert len(got) == len(set(got))
+            assert set(got) == {mask for mask in want if mask & within == mask}, within
 
 
 @pytest.mark.parametrize(

@@ -476,12 +476,17 @@ def test_p3_against_slice_integration():
 
 
 def test_frontier_answer_pinned():
-    """The 1000-vertex degree-3 graph at delta = 1/500, eps = 1/100 (K = 4,
-    connected sets of at most 5 vertices): sha256 prefix of (delta, a,
-    lower, upper), joined as the benchmark's answer digest joins them."""
+    """The 1000-vertex degree-3 graph at eps = 1/100 and delta = 1/500 (K = 4,
+    connected sets of at most 5 vertices) or delta = 1/200 (K = 6, sets of
+    at most 7 vertices, among them classes with cycles): sha256 prefix of
+    (delta, a, lower, upper), joined as the benchmark's answer digest joins
+    them."""
     g = sparse1000()
-    delta = Fraction(1, 500)
-    res = approximate_volume(g, delta, Fraction(1, 100))
-    assert res.K == 4
-    text = "|".join([str(delta), ",".join(map(str, res.a)), str(res.lower), str(res.upper)])
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "674a671a8f807fa9"
+    for delta, K, digest in (
+        (Fraction(1, 500), 4, "674a671a8f807fa9"),
+        (Fraction(1, 200), 6, "1ab3cf7b47dc86e3"),
+    ):
+        res = approximate_volume(g, delta, Fraction(1, 100))
+        assert res.K == K
+        text = "|".join([str(delta), ",".join(map(str, res.a)), str(res.lower), str(res.upper)])
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, delta

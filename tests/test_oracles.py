@@ -126,6 +126,7 @@ def test_exact_volume_shares_no_pipeline_code(monkeypatch):
 
     monkeypatch.setattr(coeffs, "small_e", boom)
     monkeypatch.setattr(oracles, "small_e", boom)
+    monkeypatch.setattr(coeffs, "polymer_tables", boom)
     monkeypatch.setattr(coeffs, "polymer_weights", boom)
     monkeypatch.setattr(WeightCache, "normalized_weight", boom)
     monkeypatch.setattr(kernel, "canon_key", boom)
