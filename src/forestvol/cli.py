@@ -30,7 +30,7 @@ from .interpolate import approximate_volume, certified_order, zero_free_radius
 from .oracles import exact_volume, mc_volume, penrose_check, root_check
 from .treeweight import DeltaParams, tree_weight
 
-_RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 
 
 def _rational(text: str, name: str) -> Fraction:
@@ -38,7 +38,7 @@ def _rational(text: str, name: str) -> Fraction:
         raise ValueError(
             f"{name} must be an exact rational like 1/100; decimals are not accepted"
         )
-    if not _RATIONAL.match(text):
+    if not _RATIONAL.fullmatch(text):
         raise ValueError(f"{name} is not a rational p/q: {text!r}")
     return Fraction(text)
 

@@ -5,6 +5,8 @@ enumeration of small graphs up to isomorphism.
 from __future__ import annotations
 
 import random
+from array import array
+from bisect import bisect_left, bisect_right
 from itertools import combinations
 from typing import Iterator
 
@@ -70,29 +72,51 @@ def random_connected_graph(
 ) -> Graph:
     """Random tree (random parent choice) plus up to extra_edges chords,
     honoring an optional degree cap. Deterministic in its arguments.
+
+    Vertex v >= 1 picks its parent uniformly among the vertices below it
+    with room under the cap. The chords are tried in the order of one
+    shuffle of every non-tree pair, skipping pairs at the cap. The pool
+    holds each pair's rank in combinations(range(n), 2) order, 4 bytes a
+    pair (8 past 2^32 pairs), and only the pairs tried are decoded. The
+    shuffle draws once per pair, so time stays quadratic in n.
     """
     if max_degree is not None and max_degree < 2 and n > 2:
         raise ValueError("max_degree < 2 cannot support a spanning tree")
     rng = random.Random(seed)
     deg = [0] * n
-    chosen = set()
+    chosen = []
+    # the vertices below v with room under the cap, ascending
+    open_below: list[int] = []
     for v in range(1, n):
-        candidates = [u for u in range(v) if max_degree is None or deg[u] < max_degree]
-        if not candidates:
+        if max_degree is None or deg[v - 1] < max_degree:
+            open_below.append(v - 1)
+        if not open_below:
             raise ValueError("degree cap too tight for a spanning tree")
-        u = rng.choice(candidates)
-        chosen.add((u, v))
+        u = rng.choice(open_below)
+        chosen.append((u, v))
         deg[u] += 1
         deg[v] += 1
-    pool = [e for e in combinations(range(n), 2) if e not in chosen]
+        if max_degree is not None and deg[u] >= max_degree:
+            del open_below[bisect_left(open_below, u)]
+    # start[u] is the rank of the pair (u, u + 1)
+    start = [u * (2 * n - u - 1) // 2 for u in range(n)]
+    pairs = n * (n - 1) // 2 if n > 1 else 0
+    pool = array("I" if pairs <= 1 << 32 else "Q")
+    done = 0
+    for rank in sorted(start[u] + v - u - 1 for u, v in chosen):
+        pool.extend(range(done, rank))
+        done = rank + 1
+    pool.extend(range(done, pairs))
     rng.shuffle(pool)
     added = 0
-    for u, v in pool:
+    for rank in pool:
         if added >= extra_edges:
             break
+        u = bisect_right(start, rank) - 1
+        v = rank - start[u] + u + 1
         if max_degree is not None and (deg[u] >= max_degree or deg[v] >= max_degree):
             continue
-        chosen.add((u, v))
+        chosen.append((u, v))
         deg[u] += 1
         deg[v] += 1
         added += 1

@@ -114,6 +114,42 @@ def sparse1000() -> Graph:
     return random_connected_graph(1000, 300, seed=0, max_degree=3)
 
 
+def pool_random_connected_graph(
+    n: int,
+    extra_edges: int,
+    seed: int,
+    max_degree: int | None = None,
+) -> Graph:
+    """The tuple-pool body families.random_connected_graph replaced, kept
+    verbatim as the reference for its output and its errors."""
+    if max_degree is not None and max_degree < 2 and n > 2:
+        raise ValueError("max_degree < 2 cannot support a spanning tree")
+    rng = random.Random(seed)
+    deg = [0] * n
+    chosen = set()
+    for v in range(1, n):
+        candidates = [u for u in range(v) if max_degree is None or deg[u] < max_degree]
+        if not candidates:
+            raise ValueError("degree cap too tight for a spanning tree")
+        u = rng.choice(candidates)
+        chosen.add((u, v))
+        deg[u] += 1
+        deg[v] += 1
+    pool = [e for e in itertools.combinations(range(n), 2) if e not in chosen]
+    rng.shuffle(pool)
+    added = 0
+    for u, v in pool:
+        if added >= extra_edges:
+            break
+        if max_degree is not None and (deg[u] >= max_degree or deg[v] >= max_degree):
+            continue
+        chosen.add((u, v))
+        deg[u] += 1
+        deg[v] += 1
+        added += 1
+    return Graph(n, sorted(chosen))
+
+
 def brute_polymer_series(g: Graph, K: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(E, D) of coeffs.polymer_series from its definition: every family of
     pairwise-disjoint connected sets of 2..K+1 vertices, each weighed by

@@ -245,6 +245,19 @@ def test_decimal_delta_rejected(capsys, graphs):
     assert "rational" in err
 
 
+@pytest.mark.parametrize(
+    "flag, text", [("--delta", "\u0663/1"), ("--delta", "1/2\n"), ("--eps", "\u0661")]
+)
+def test_non_ascii_or_trailing_rational_rejected(capsys, graphs, flag, text):
+    """Rationals take the ASCII digits 0-9 only and nothing after them:
+    an Arabic-Indic 3 or 1, or a trailing newline, exits 2."""
+    argv = ["volume", "--graph", graphs["p3"], "--delta", "1/100", "--eps", "1/100"]
+    argv[argv.index(flag) + 1] = text
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 2 and out == ""
+    assert "is not a rational p/q" in err
+
+
 def test_parse_error_exit_3(capsys, graphs):
     rc, _, err = run_cli(capsys, ["exact", "--graph", graphs["bad"], "--delta", "1/4"])
     assert rc == 3

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -32,8 +34,10 @@ from forestvol.families import (
 from conftest import (
     brute_connected_sets,
     graph_from_code,
+    pool_random_connected_graph,
     recursive_connected_sets,
     shuffled_edges,
+    sparse1000,
 )
 
 
@@ -319,3 +323,54 @@ def test_graph_validation():
         Graph(3, [(0, 3)])
     with pytest.raises(ValueError):
         Graph(3, [(0, 1), (0, 1)])
+
+
+def _outcome(make, *args):
+    """What make(*args) gives: the graph, or the error's type and text."""
+    try:
+        return make(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("max_degree", [None, 1, 2, 3, 4])
+def test_random_connected_graph_matches_pool_reference(max_degree):
+    """The rank pool shuffles and decodes to the same graphs, and raises
+    the same errors, as the tuple pool it replaced."""
+    for n in range(-2, 41):
+        for seed in range(6):
+            for extra in (-1, 0, 1, 3, 10, 1000):
+                args = (n, extra, seed, max_degree)
+                assert _outcome(random_connected_graph, *args) == _outcome(
+                    pool_random_connected_graph, *args
+                ), args
+
+
+@pytest.mark.parametrize("n", [1000, 2000])
+def test_random_connected_graph_matches_pool_reference_large(n):
+    args = (n, 300, 0, 3)
+    assert random_connected_graph(*args) == pool_random_connected_graph(*args)
+
+
+@pytest.mark.parametrize(
+    "g, digest",
+    [
+        (random_connected_graph(16, 3, seed=3, max_degree=3), "2670555aa4ed3730"),
+        (sparse1000(), "767ab68c7a687ed3"),
+    ],
+    ids=["dense16", "sparse1000"],
+)
+def test_benchmark_graphs_pinned(g, digest):
+    assert hashlib.sha256(format_graph(g).encode()).hexdigest()[:16] == digest
+
+
+def test_random_connected_graph_memory():
+    """One 4-byte rank per pair: sparse1000's pool of 498,501 pairs peaks
+    at about 2.4 MB, where a list of pair tuples took 32.6 MB."""
+    tracemalloc.start()
+    try:
+        random_connected_graph(1000, 300, seed=0, max_degree=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 10**6
