@@ -13,8 +13,10 @@ one per automorphism: Petersen takes 10 leaves for |Aut| = 120.
 
 code_key labels a plain graph given by its row code (graphs.row_code),
 the format in which graphs.enumerate_connected_sets describes each
-connected set: it fills the color matrix straight from the code, so a set
-is classified without building its induced subgraph or any Graph.
+connected set (graphs.code_table keeps the same rows packed into one int,
+and graphs.unpack_code gives them back): it fills the color matrix
+straight from the code, so a set is classified without building its
+induced subgraph or any Graph.
 
 One class owns many codes, since a set's code depends on the order in
 which it was grown, and almost every code is a tree or has one cycle.

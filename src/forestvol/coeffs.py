@@ -70,19 +70,22 @@ kept in WeightCache.whole for the last graph asked: a query on that graph
 at another delta enumerates, labels and expands nothing and only
 evaluates it at the new t.
 
-Connected sets are classified without building their induced subgraphs:
-graphs.enumerate_connected_sets carries each set's neighbourhood (for the
-boundary dC and the closed neighbourhood N[C]) and its row code, an exact
-labelled copy of G[C] in the order the set was grown.  No graph is built
-for a class either: the class sum keeps, per row code, the summed weight
-and the mask of the code's first set.
+Connected sets are classified without building their induced subgraphs
+or handing any set out: graphs.code_table grows the sets depth-first with
+each set's closed neighbourhood N[C] (so |dC| = |N[C]| - |C|) and its row
+code, an exact labelled copy of G[C] in the order the set was grown,
+packed into one int, and sums a weight of (|C|, |dC|) per code in the
+same pass.  No graph is built for a class either: the table keeps, per
+code, the summed weight and the mask of the code's first set.
 
-assemble_a and pattern_gamma compute one sum, sum over connected sets C of
-w(C) a_k(G[C]), with two weight rules: the boundary weight w(C) above over
-the sets of at most c vertices of G (assemble_a), and (-1)^{|U|-|C|} over
-the sets of h = G[U] with N[C] = U (pattern_gamma).  Both take one route:
-the weights are summed per row code into a {code: [weight, first mask]}
-table, codes whose sum is 0 are dropped, and the rest are folded into
+assemble_a, pattern_gamma and pattern_counts compute one kind of sum over
+connected sets, with three weight rules of (|C|, |dC|), every set of
+exactly the cap weighing 1: the boundary weight w(C) above over the sets
+of at most c vertices of G (assemble_a), (-1)^{|U|-|C|} over the sets of
+h = G[U] with N[C] = U, i.e. |C| + |dC| = |U| (pattern_gamma, cap |U|),
+and 1 (pattern_counts).  All take one route: the weights are summed per
+row code into a {packed code: [weight, first mask]} table (code_table),
+codes whose sum is 0 are dropped, and the rest are folded into
 classes, each named by what already identifies it (_classes): a tree or
 one-cycle code by its exact peeled string (canon.peel_key), and any other
 code by its plain canonical key (canon.code_key) when the table holds
@@ -94,7 +97,9 @@ w, expanded on the mask of the class's first set, is added over the
 common denominator into a delta-free table (N, L) (_class_sum), which is
 evaluated once at t (_taylor).  pattern_counts folds its per-code set
 counts into classes by the same _classes step and labels each class's
-first code once for its key.
+first code once for its key.  Codes stay packed in the table and in
+_classes; a code is unpacked into its rows (graphs.unpack_code) only to
+be read by peel_key or code_key, and the rows are not kept.
 """
 
 from __future__ import annotations
@@ -108,7 +113,10 @@ from typing import Sequence
 # coeffs.canonical_form and raises on a missing target
 from .canon import MAX_VERTICES, canonical_form, code_key, graph_from_key, peel_key  # noqa: F401
 from .errors import SizeGuardError
-from .graphs import Graph, enumerate_connected_sets, row_code
+# enumerate_connected_sets is not called here either (code_table is):
+# perfbench/tracer.py wraps coeffs.enumerate_connected_sets and raises on a
+# missing target
+from .graphs import Graph, code_table, enumerate_connected_sets, row_code, unpack_code  # noqa: F401
 from .treeweight import DeltaParams, default_cache, polymer_weights
 
 
@@ -256,44 +264,49 @@ def newton_exp(a: TaylorCoeffs | Sequence[Fraction], K: int) -> tuple[Fraction, 
 
 def pattern_counts(g: Graph, max_size: int) -> dict[bytes, tuple[int, Graph]]:
     """Connected induced patterns of size 2..max_size: key -> (count,
-    representative).  Sets are counted per row code and the codes folded
-    into classes by _classes, the step assemble_a and pattern_gamma use;
-    each class's first code is then labelled once (canon.code_key) for its
-    plain canonical key, and the representative is the one the key
-    encodes (graph_from_key)."""
-    by_code: dict[tuple[int, ...], list] = {}
-    for _, _, code in enumerate_connected_sets(g, max_size, min_size=2):
-        by_code.setdefault(code, [0, code])[0] += 1
+    representative).  Sets are counted per row code (code_table, every set
+    of weight 1) and the codes folded into classes by _classes, the step
+    assemble_a and pattern_gamma use; each class's first code is then
+    labelled once (canon.code_key) for its plain canonical key, and the
+    representative is the one the key encodes (graph_from_key)."""
+    table = code_table(g, max_size, lambda size, b: 1)
+    for code, entry in table.items():
+        # tag each code with itself rather than its first mask
+        entry[1] = code
     out: dict[bytes, tuple[int, Graph]] = {}
-    for code, count in _classes(by_code).values():
-        key = code_key(code)
+    for code, count in _classes(table).values():
+        key = code_key(unpack_code(code))
         out[key] = (count, graph_from_key(key))
     return out
 
 
-# a class's name: its peeled string, its plain canonical key or its own code
-Name = str | bytes | tuple[int, ...]
+# a class's name: its peeled string, its plain canonical key or its own
+# packed code; a graph expanded whole is named by its row code
+Name = str | bytes | int | tuple[int, ...]
 
 
-def _classes(by_code: dict[tuple[int, ...], list]) -> dict[Name, list]:
-    """Fold a {row code: [integer weight, tag]} table into {name: [tag of
-    the class's first code, summed weight]}, one entry per class, where the
-    tag is what the caller kept of the code's first set: its vertex mask
-    (_graph_series, _gamma_codes) or the code itself (pattern_counts).  A
-    code whose weight is 0 is dropped.  A tree or one-cycle code is named
-    by its exact peeled string (canon.peel_key).  The other codes are named
-    by their plain canonical key (canon.code_key) when there are two or
-    more of them, since two may then be isomorphic; a lone one names
-    itself, an exact labelled graph that no other code of the table can
-    share a class with.  So only codes with no peeled string are labelled,
-    and never a lone one.  Peeled strings and canonical keys name a class
-    exactly across tables too."""
-    weighed = [(code, w, tag, peel_key(code)) for code, (w, tag) in by_code.items() if w]
+def _classes(table: dict[int, list]) -> dict[Name, list]:
+    """Fold a {packed row code: [integer weight, tag]} table (code_table)
+    into {name: [tag of the class's first code, summed weight]}, one entry
+    per class, where the tag is what the caller kept of the code's first
+    set: its vertex mask (_graph_series, _gamma_codes) or the code itself
+    (pattern_counts).  A code whose weight is 0 is dropped.  A tree or
+    one-cycle code is named by its exact peeled string (canon.peel_key).
+    The other codes are named by their plain canonical key (canon.code_key)
+    when there are two or more of them, since two may then be isomorphic;
+    a lone one names itself, an exact labelled graph that no other code of
+    the table can share a class with.  So only codes with no peeled string
+    are labelled, and never a lone one.  Peeled strings and canonical keys
+    name a class exactly across tables too.  Codes stay packed: each is
+    unpacked into its rows only to be read, and the rows are not kept."""
+    weighed = [
+        (code, w, tag, peel_key(unpack_code(code))) for code, (w, tag) in table.items() if w
+    ]
     lone = sum(name is None for *_, name in weighed) == 1
     classes: dict[Name, list] = {}
     for code, w, tag, name in weighed:
         if name is None:
-            name = code if lone else code_key(code)
+            name = code if lone else code_key(unpack_code(code))
         classes.setdefault(name, [tag, 0])[1] += w
     return classes
 
@@ -321,23 +334,22 @@ def _log_series(E: Sequence[Sequence[int]], K: int) -> tuple[tuple[int, ...], ..
 
 def _class_sum(
     g: Graph,
-    by_code: dict[tuple[int, ...], list],
+    named: dict[Name, list],
     K: int,
     series: dict[Name, tuple[tuple[tuple[int, ...], ...], int]],
 ) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(N, L) with sum over codes C of w(C) a_k(class of C) =
-    sum_r N[k][r] t^{k+r} / (k L^r) for k <= K, from a {row code: [w(C),
-    vertex mask of g]} table: the codes folded into named classes
-    (_classes), then w B[k][r] / (k D^r) of every class series with a
-    nonzero summed weight w, kept as the integer N[k][r] over the common
-    denominator L.  The classes missing from the caller's series
+    """(N, L) with sum over classes of w a_k(class) =
+    sum_r N[k][r] t^{k+r} / (k L^r) for k <= K, from a {name: [vertex mask
+    of g, summed weight w]} table (_classes): w B[k][r] / (k D^r) of every
+    class series with a nonzero w, kept as the integer N[k][r] over the
+    common denominator L.  The classes missing from the caller's series
     {name: (B, D)} are expanded into it together, each as g[M] for the
     mask M of its first set, by one polymer_tables call that shares its
     region counts, polymer weights and DP states between them; each counts
     one miss of the default WeightCache.  (E, D) and B are isomorphism
     invariants, and the a_k they give do not depend on D, so any set of
     the class gives the same a_k."""
-    classes = [(name, mask, w) for name, (mask, w) in _classes(by_code).items() if w]
+    classes = [(name, mask, w) for name, (mask, w) in named.items() if w]
     fresh = [(name, mask) for name, mask, _ in classes if name not in series]
     if fresh:
         default_cache().misses += len(fresh)
@@ -375,20 +387,18 @@ def pattern_gamma(h: Graph, dp: DeltaParams, K: int) -> tuple[Fraction, ...]:
     most k+1 vertices (module docstring).
 
     The signs are summed per row code (_gamma_codes) and go through the
-    class sum assemble_a uses (_class_sum).  At delta = 0 nothing is
-    enumerated, labelled or expanded."""
-    return _taylor(dp, K, lambda: _class_sum(h, _gamma_codes(h), K, {})).a
+    class sum assemble_a uses (_classes, _class_sum).  At delta = 0
+    nothing is enumerated, labelled or expanded."""
+    return _taylor(dp, K, lambda: _class_sum(h, _classes(_gamma_codes(h)), K, {})).a
 
 
-def _gamma_codes(h: Graph) -> dict[tuple[int, ...], list]:
-    """{row code: [summed (-1)^{|h|-|C|}, mask of the code's first set]}
-    over the connected sets C of h with 2 <= |C| and N[C] = V(h)."""
-    full = h.vertex_mask()
-    by_code: dict[tuple[int, ...], list] = {}
-    for mask, nbr, code in enumerate_connected_sets(h, h.n, min_size=2):
-        if mask | nbr == full:
-            by_code.setdefault(code, [0, mask])[0] += (-1) ** (h.n - len(code))
-    return by_code
+def _gamma_codes(h: Graph) -> dict[int, list]:
+    """{packed row code: [summed (-1)^{|h|-|C|}, mask of the code's first
+    set]} over the connected sets C of h with 2 <= |C| and N[C] = V(h),
+    i.e. |C| + |outer boundary of C| = |h| (code_table with cap |h|, where
+    the one set of |h| vertices weighs 1)."""
+    n = h.n
+    return code_table(h, n, lambda size, b: (-1) ** (n - size) if size + b == n else 0)
 
 
 def guard_order(n: int, K: int) -> None:
@@ -423,7 +433,9 @@ def pattern_table(
     rows = []
     a = [Fraction(0)] * (K + 1)
     for key, (count, rep) in sorted(pattern_counts(g, min(K + 1, g.n)).items()):
-        gamma = _taylor(dp, K, lambda: _class_sum(rep, _gamma_codes(rep), K, series)).a
+        gamma = _taylor(
+            dp, K, lambda: _class_sum(rep, _classes(_gamma_codes(rep)), K, series)
+        ).a
         rows.append((key, count, rep, gamma))
         for k in range(1, K + 1):
             a[k] += count * gamma[k]
@@ -433,42 +445,35 @@ def pattern_table(
 def _graph_series(g: Graph, K: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(N, L) with a_k(g) = sum_r N[k][r] t^{k+r} / (k L^r) for k <= K, from
     the default WeightCache's whole-graph slot or built by summing w(C) per
-    row code over the connected sets C of at most c vertices (assemble_a),
-    into a {code: [summed w(C), mask of the code's first set]} table with
-    one lookup per set, and then the class sum (_class_sum).
+    row code over the connected sets C of at most c vertices (assemble_a)
+    into a {packed code: [summed w(C), mask of the code's first set]}
+    table in one pass (code_table), then folding the codes into classes
+    (_classes) and summing the class series (_class_sum).
 
     With c = n only the components of g keep a weight, 1 each, and their
-    a_k sum to a_k(g), so g's own row code is the one entry of the table
-    and V(g) its mask, and no set is enumerated.  With c = K+1 every set is
-    enumerated, and a set of exactly c vertices has m = 0, so it weighs 1
-    whatever its boundary."""
+    a_k sum to a_k(g), so g itself, named by its own row code with V(g) as
+    its mask, is the one class, and no set is enumerated.  With c = K+1
+    every set is enumerated, and a set of exactly c vertices has m = 0, so
+    it weighs 1 whatever its boundary."""
     cache = default_cache()
     whole = cache.whole
     if whole is not None and whole[1] >= K and whole[0] == g:
         cache.hits += 1
         return whole[2], whole[3]
     if g.n <= 2 * K:
-        by_code = {row_code(g): [1, g.vertex_mask()]}
+        named: dict[Name, list] = {row_code(g): [g.vertex_mask(), 1]}
     else:
-        by_code = {}
-        get = by_code.get
         cap = K + 1
-        for mask, nbr, code in enumerate_connected_sets(g, cap, min_size=2):
-            w = 1
-            m = cap - len(code)
-            if m:
-                # below the cap the weight depends on the boundary
-                b = (nbr & ~mask).bit_count()
-                if m < b:
-                    w = -comb(b - 1, m) if m & 1 else comb(b - 1, m)
-                elif b:
-                    continue
-            entry = get(code)
-            if entry is None:
-                by_code[code] = [w, mask]
-            else:
-                entry[0] += w
-    N, L = _class_sum(g, by_code, K, {})
+
+        def weight(size: int, b: int) -> int:
+            # w(C) below the cap, with m = cap - |C| >= 1
+            m = cap - size
+            if m < b:
+                return -comb(b - 1, m) if m & 1 else comb(b - 1, m)
+            return 0 if b else 1
+
+        named = _classes(code_table(g, cap, weight))
+    N, L = _class_sum(g, named, K, {})
     cache.whole = (g, K, N, L)
     return N, L
 
@@ -480,8 +485,8 @@ def assemble_a(g: Graph, dp: DeltaParams, K: int) -> TaylorCoeffs:
     nonzero, summed over the classes into one delta-free table (N, L) for G
     (_graph_series), evaluated at t.
 
-    Sets are classified by the row code the enumerator carries: w(C) is
-    summed per code, the codes with a nonzero sum are folded into named
+    Sets are classified by their row codes: w(C) is summed per code in the
+    same pass that grows the sets (code_table), the codes with a nonzero sum are folded into named
     classes (_classes), and the class series are expanded together on G's
     own vertex masks, each from the mask of its class's first set
     (polymer_tables).  A code is labelled only when it has no peeled

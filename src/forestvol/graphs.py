@@ -1,7 +1,13 @@
 """Undirected simple graphs with ranked edges, plus the connected vertex
-sets the volume engine is built on (each with its neighbourhood and row
-code), and the spanning trees and broken edges behind tree_weight and the
-Penrose check.
+sets the volume engine is built on, and the spanning trees and broken
+edges behind tree_weight and the Penrose check.
+
+The engine reads connected sets through one routine, code_table: a single
+depth-first pass that sums a weight per row code (an exact labelled copy
+of the set's induced subgraph) without handing out any set.  Codes are
+packed into one int each.  enumerate_connected_sets, which yields every
+set with its neighbourhood and code, is the reference it is tested
+against.
 
 Vertex sets are plain int bitmasks throughout, and so are the components
 of a partial forest: each vertex maps to the mask of its component, which
@@ -13,7 +19,7 @@ it is preserved by parsing and by induced subgraphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import GraphParseError
 
@@ -37,7 +43,7 @@ class Graph:
     edge's rank.  Parallel edges and loops are rejected.
     """
 
-    __slots__ = ("n", "edges", "adj_mask", "_hash")
+    __slots__ = ("n", "edges", "adj_mask", "_hash", "_max_degree")
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]]):
         if n < 0:
@@ -55,6 +61,8 @@ class Graph:
         self.edges = edges
         self.adj_mask = tuple(adj_mask)
         self._hash = hash((n, edges))
+        # filled in by the first max_degree call
+        self._max_degree = -1
 
     @property
     def m(self) -> int:
@@ -80,7 +88,12 @@ class Graph:
         return self.adj_mask[v].bit_count()
 
     def max_degree(self) -> int:
-        return max((a.bit_count() for a in self.adj_mask), default=0)
+        """Largest vertex degree, 0 for a graph with no vertex.  A cold
+        query reads it twice (the radius check and code_table), so it is
+        counted once per graph and kept."""
+        if self._max_degree < 0:
+            self._max_degree = max((a.bit_count() for a in self.adj_mask), default=0)
+        return self._max_degree
 
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
@@ -246,6 +259,12 @@ def enumerate_connected_sets(
 ) -> Iterator[tuple[int, int, tuple[int, ...]]]:
     """All vertex subsets inducing a connected subgraph, as (mask, nbr, code).
 
+    The pipeline does not call this generator: code_table runs the same
+    search and sums weights per code in one pass.  It stays as the
+    reference the tests compare code_table with, and as the function
+    perfbench/tracer.py wraps (as coeffs.enumerate_connected_sets) to count
+    connected sets, so that count reads 0 on every query.
+
     Sizes run from min_size to max_size.  Each set is produced exactly once:
     sets are rooted at their smallest vertex and grown depth-first, one
     candidate neighbour at a time, through vertices that are not banned.
@@ -266,8 +285,9 @@ def enumerate_connected_sets(
     they were added, the root first: code[i] is the bitmask of the
     positions j < i whose vertices are adjacent to the vertex at position
     i, so code[0] = 0 and len(code) = |mask|.  It is an exact labelled copy
-    of g[mask], in the format row_code gives a whole graph.  Adding a vertex
-    u updates all three in O(deg u).
+    of g[mask], in the format row_code gives a whole graph; code_table
+    packs the same rows into one int.  Adding a vertex u updates all three
+    in O(deg u).
     """
     min_size = max(min_size, 1)
     # sets of max_size vertices are yielded below without a size check
@@ -325,6 +345,147 @@ def enumerate_connected_sets(
                 size -= 1
             else:
                 break
+
+
+def code_table(
+    g: Graph, cap: int, weight: Callable[[int, int], int]
+) -> dict[int, list[int]]:
+    """{packed row code: [summed weight, mask of the code's first set]} over
+    the connected sets C of g with 2 <= |C| <= cap, where a set of exactly
+    cap vertices weighs 1 and a smaller one weight(|C|, b), b the size of
+    its outer boundary.  A set that weighs 0 is skipped, so a code's mask
+    is that of its first set with a nonzero weight, and a code all of
+    whose sets weigh 0 has no entry.
+
+    The search is that of enumerate_connected_sets (roots, candidate order
+    and set order alike), so the codes, their sums and their first masks
+    are those a loop over the generator would build.  A code is packed
+    into one int with row i at bit i(i-1)/2 (unpack_code gives the rows
+    back), so appending a row is one OR and a key is one small int.  The
+    sets of cap vertices are counted in one loop over their parent's
+    candidates, without building their masks or neighbourhoods: only a new
+    code's entry builds a mask.  A new vertex with a single neighbour in
+    the set gets its row from that neighbour's position alone.  The search
+    keeps each set's closed neighbourhood N[C] (|N[C]| = |C| + b) and the
+    vertices it may still add, rather than those it may not, so growing a
+    set costs no complement.  Weights below the cap are tabulated once by
+    (|C|, |N[C]|); a boundary holds at most |C| * (max degree) and
+    n - |C| vertices.  Besides the table, the search allocates a few
+    objects per call (a position list, a shifted copy of the adjacency
+    tuple, the weight rows) and its stack of partial sets, none per set of
+    cap vertices.
+    """
+    table: dict[int, list[int]] = {}
+    if cap < 2:
+        return table
+    n = g.n
+    # adj[v + 1] and pos[v + 1] belong to vertex v, so that a one-bit mask's
+    # bit_length indexes them with no subtraction
+    adj = (0,) + g.adj_mask
+    top = g.max_degree()
+    # wt[s][c]: the weight of a set of s vertices with |N[C]| = c, for the
+    # sizes 2 <= s < cap that a set below the cap can have
+    wt = [[]] * 2 + [
+        [0] * s + [weight(s, b) for b in range(min(n - s, s * top) + 1)]
+        for s in range(2, min(cap, n + 1))
+    ]
+    last = cap - 1
+    get = table.get
+    # position of each vertex of the current set in its code; entries of
+    # vertices outside the set are stale and never read
+    pos = [0] * (n + 1)
+    # the partial sets below the current one, as (set, closed neighbourhood,
+    # code, remaining candidates, vertices it may still add)
+    stack: list[tuple[int, int, int, int, int]] = []
+    push, pop = stack.append, stack.pop
+    # the vertices above the root: a set may add only those
+    above = (1 << n) - 1
+    for root in range(n):
+        sset = 1 << root
+        above ^= sset
+        closed = adj[root + 1]
+        cand = closed & above
+        if not cand:
+            continue
+        closed |= sset
+        allowed = above
+        pos[root + 1] = 0
+        code = 0
+        # the set's size, and the bit at which the next vertex's row goes
+        size, off = 1, 0
+        while True:
+            if size == last:
+                # each candidate makes a set of cap vertices, of weight 1
+                while cand:
+                    low = cand & -cand
+                    cand ^= low
+                    inside = adj[low.bit_length()] & sset
+                    if inside & (inside - 1):
+                        row = 0
+                        while inside:
+                            b = inside & -inside
+                            inside ^= b
+                            row |= 1 << pos[b.bit_length()]
+                        key = code | row << off
+                    else:
+                        key = code | 1 << (off + pos[inside.bit_length()])
+                    entry = get(key)
+                    if entry is None:
+                        table[key] = [1, sset | low]
+                    else:
+                        entry[0] += 1
+            elif cand:
+                low = cand & -cand
+                cand ^= low
+                # tried here, so no set grown after this one adds it
+                allowed ^= low
+                u = low.bit_length()
+                au = adj[u]
+                inside = au & sset
+                if inside & (inside - 1):
+                    row = 0
+                    while inside:
+                        b = inside & -inside
+                        inside ^= b
+                        row |= 1 << pos[b.bit_length()]
+                else:
+                    row = 1 << pos[inside.bit_length()]
+                push((sset, closed, code, cand, allowed))
+                pos[u] = size
+                sset |= low
+                closed |= au
+                code |= row << off
+                cand |= au & allowed
+                off += size
+                size += 1
+                w = wt[size][closed.bit_count()]
+                if w:
+                    entry = get(code)
+                    if entry is None:
+                        table[code] = [w, sset]
+                    else:
+                        entry[0] += w
+                continue
+            if not stack:
+                break
+            sset, closed, code, cand, allowed = pop()
+            size -= 1
+            off -= size
+    return table
+
+
+def unpack_code(code: int) -> tuple[int, ...]:
+    """The rows of a row code packed by code_table, row i read from the i
+    bits at bit i(i-1)/2.  The rows end at the last nonzero one, which is
+    exact for the code of a connected set: every row after the first has
+    a bit, for the new vertex's edge into the set."""
+    rows = [0]
+    size = 1
+    while code:
+        rows.append(code & ((1 << size) - 1))
+        code >>= size
+        size += 1
+    return tuple(rows)
 
 
 def connected_masks(g: Graph, within: int, max_size: int) -> Iterator[int]:

@@ -97,6 +97,12 @@ def recursive_connected_sets(
         yield from grow(1 << root, adj_mask[root], (0,), adj_mask[root] & above, 0)
 
 
+def pack_code(code: tuple[int, ...]) -> int:
+    """A row code packed into one int as graphs.code_table keys it: row i
+    at bit i(i-1)/2."""
+    return sum(row << (i * (i - 1) // 2) for i, row in enumerate(code))
+
+
 def graph_from_code(code: tuple[int, ...]) -> Graph:
     """The graph a row code (graphs.row_code) describes, edges in row-major
     order."""

@@ -175,13 +175,13 @@ def test_coeffs_enumerates_graph_once(capsys, monkeypatch, tmp_path):
     path = tmp_path / "sparse1000.txt"
     path.write_text(format_graph(g))
     sizes = []
-    enumerate_sets = coeffs.enumerate_connected_sets
+    build_table = coeffs.code_table
 
     def counted(h, *args, **kwargs):
         sizes.append(h.n)
-        return enumerate_sets(h, *args, **kwargs)
+        return build_table(h, *args, **kwargs)
 
-    monkeypatch.setattr(coeffs, "enumerate_connected_sets", counted)
+    monkeypatch.setattr(coeffs, "code_table", counted)
     default_cache().clear()
     rc, out, _ = run_cli(
         capsys, ["coeffs", "--graph", str(path), "--delta", "1/300", "--eps", "1/100"]
@@ -310,7 +310,7 @@ def test_volume_size_guard_before_enumerating_exit_5(capsys, monkeypatch, tmp_pa
     eps, order = eps_reaching_order(33, zero_free_radius(delta, 2).radius, 17)
     path = tmp_path / "c33.txt"
     path.write_text(format_graph(cycle_graph(33)))
-    monkeypatch.setattr(coeffs, "enumerate_connected_sets", boom)
+    monkeypatch.setattr(coeffs, "code_table", boom)
     rc, out, err = run_cli(
         capsys, ["volume", "--graph", str(path), "--delta", str(delta), "--eps", str(eps)]
     )
@@ -336,7 +336,7 @@ def test_coeffs_size_guard_before_enumerating_exit_5(capsys, monkeypatch, tmp_pa
 
     path = tmp_path / "g.txt"
     path.write_text(format_graph(g))
-    monkeypatch.setattr(coeffs, "enumerate_connected_sets", boom)
+    monkeypatch.setattr(coeffs, "code_table", boom)
     argv = ["coeffs", "--graph", str(path), "--delta", "1/100"]
     rc, out, err = run_cli(capsys, argv + ["--order", str(order)])
     assert rc == 5 and out == ""

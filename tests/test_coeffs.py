@@ -50,6 +50,7 @@ from conftest import (
     forest_component_ranks,
     graph_from_code,
     is_forest,
+    pack_code,
     recursive_connected_sets,
     relabelled,
     shuffled_edges,
@@ -459,13 +460,13 @@ def test_assembly_expands_classes_up_to_k_plus_one():
 
 
 def _recursive_code_table(g: Graph, K: int, tag=lambda mask, code: mask, last=False):
-    """{row code: [summed weight, tag]} of g from the recursive enumerator
+    """{packed row code: [summed weight, tag]} of g from the recursive enumerator
     and the boundary weight as first written: cap = n when n <= 2K, else
     K+1, and every set weighed (-1)^m binom(b-1, m), or 1 when b = 0, or
     dropped when m = b.  The tag is tag(mask, code) of the code's first
     set, or of its last set when last is true."""
     cap = g.n if g.n <= 2 * K else K + 1
-    by_code: dict[tuple[int, ...], list] = {}
+    by_code: dict[int, list] = {}
     for mask, nbr, code in recursive_connected_sets(g, cap, min_size=2):
         b = (nbr & ~mask).bit_count()
         m = min(b, cap - len(code))
@@ -475,7 +476,7 @@ def _recursive_code_table(g: Graph, K: int, tag=lambda mask, code: mask, last=Fa
             w = (-1) ** m * comb(b - 1, m)
         else:
             continue
-        entry = by_code.setdefault(code, [0, tag(mask, code)])
+        entry = by_code.setdefault(pack_code(code), [0, tag(mask, code)])
         entry[0] += w
         if last:
             entry[1] = tag(mask, code)
@@ -485,7 +486,7 @@ def _recursive_code_table(g: Graph, K: int, tag=lambda mask, code: mask, last=Fa
 def _recursive_graph_series(g: Graph, K: int):
     """(N, L) of g from _recursive_code_table, each class expanded from
     the mask of its first set."""
-    return coeffs._class_sum(g, _recursive_code_table(g, K), K, {})
+    return coeffs._class_sum(g, coeffs._classes(_recursive_code_table(g, K)), K, {})
 
 
 @pytest.mark.parametrize(
@@ -549,7 +550,7 @@ def test_shared_kernel_matches_classes_expanded_alone(g, K):
     first, last = (_recursive_code_table(g, K, last=last) for last in (False, True))
     masks = [[mask for mask, _ in coeffs._classes(t).values()] for t in (first, last)]
     assert masks[0] != masks[1]
-    assert _polynomial(*coeffs._class_sum(g, last, K, {}), K) == shared
+    assert _polynomial(*coeffs._class_sum(g, coeffs._classes(last), K, {}), K) == shared
 
 
 def _reference_log_series(E, K):
@@ -587,7 +588,7 @@ def test_component_route_enumerates_nothing(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("enumerated connected sets")
 
-    monkeypatch.setattr(coeffs, "enumerate_connected_sets", boom)
+    monkeypatch.setattr(coeffs, "code_table", boom)
     dp = DeltaParams(Fraction(1, 100))
     g = Graph(10, [(0, 1), (1, 2), (0, 2), (4, 5), (6, 7), (7, 8), (6, 8)])
     clear_caches()
@@ -627,7 +628,7 @@ def test_whole_graph_route_refuses_more_than_32_vertices(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("enumerated connected sets")
 
-    monkeypatch.setattr(coeffs, "enumerate_connected_sets", boom)
+    monkeypatch.setattr(coeffs, "code_table", boom)
     k4 = complete_graph(4).edges
     k4s = Graph(36, [(4 * i + u, 4 * i + v) for i in range(9) for u, v in k4])
     dp = DeltaParams(Fraction(1, 100))
@@ -795,8 +796,7 @@ def test_classes_label_codes_past_one_cycle_each(monkeypatch):
     """Codes with two or more independent cycles get no peeled string, so
     when a table holds several of them _classes labels each and merges the
     isomorphic ones into one class, while the trees of one class are named
-    by their peeled string and not labelled; a malformed code raises
-    instead of joining a good code's class."""
+    by their peeled string and not labelled."""
     theta = Graph(5, [(0, 1), (1, 2), (0, 3), (2, 3), (0, 4), (2, 4)])
     thetas = {row_code(relabelled(theta, seed)) for seed in range(6)}
     paths = {row_code(relabelled(path_graph(5), seed)) for seed in range(6)}
@@ -809,16 +809,13 @@ def test_classes_label_codes_past_one_cycle_each(monkeypatch):
         return code_key(code)
 
     monkeypatch.setattr(coeffs, "code_key", counted)
-    out = coeffs._classes({c: [1, c] for c in thetas | paths})
+    out = coeffs._classes({pack_code(c): [1, c] for c in thetas | paths})
     assert {name: w for name, (_, w) in out.items()} == {
         canonical_form(theta): len(thetas),
         peel_key(row_code(path_graph(5))): len(paths),
     }
     assert out[canonical_form(theta)][0] in thetas
     assert sorted(labelled) == sorted(thetas)
-    path = (0, 0b1, 0b10)
-    with pytest.raises(ValueError, match="bad row code"):
-        coeffs._classes({path: [1, path], (0, 0b1, 0b110): [1, None]})
 
 
 def test_classes_name_a_lone_unpeeled_code_by_itself(monkeypatch):
@@ -839,18 +836,19 @@ def test_classes_name_a_lone_unpeeled_code_by_itself(monkeypatch):
         return code_key(code)
 
     monkeypatch.setattr(coeffs, "code_key", counted)
-    assert coeffs._classes({t1: [3, t1], path: [2, path], t2: [0, t2]}) == {
-        t1: [t1, 3],
+    p1, p2, pk4, ppath = map(pack_code, (t1, t2, k4, path))
+    assert coeffs._classes({p1: [3, t1], ppath: [2, path], p2: [0, t2]}) == {
+        p1: [t1, 3],
         peel_key(path): [path, 2],
     }
     assert labelled == []
-    assert coeffs._classes({t1: [1, t1], t2: [2, t2], path: [1, path]}) == {
+    assert coeffs._classes({p1: [1, t1], p2: [2, t2], ppath: [1, path]}) == {
         peel_key(path): [path, 1],
         canonical_form(theta): [t1, 3],
     }
     assert labelled == [t1, t2]
     labelled.clear()
-    assert coeffs._classes({t1: [1, t1], k4: [-1, k4]}) == {
+    assert coeffs._classes({p1: [1, t1], pk4: [-1, k4]}) == {
         canonical_form(theta): [t1, 1],
         canonical_form(complete_graph(4)): [k4, -1],
     }
@@ -867,19 +865,18 @@ def test_classes_name_a_lone_unpeeled_code_by_itself(monkeypatch):
     ids=["dense16-K5", "petersen-K7", "sparse1000-K6"],
 )
 def test_class_series_from_first_code_match_key_representative(monkeypatch, g, K):
-    """Every class a cold assemble_a folds is expanded from the mask of its
-    first code; the (B, D) of g[mask] equals the (B, D) of the
-    representative its plain canonical key encodes, and no two classes
-    share a key."""
+    """Every class a cold assemble_a sums (g itself when n <= 2K) is
+    expanded from the mask of its first code; the (B, D) of g[mask] equals
+    the (B, D) of the representative its plain canonical key encodes, and
+    no two classes share a key."""
     tables = []
-    classes = coeffs._classes
+    class_sum = coeffs._class_sum
 
-    def kept(by_code):
-        out = classes(by_code)
-        tables.append(out)
-        return out
+    def kept(h, named, *args):
+        tables.append(named)
+        return class_sum(h, named, *args)
 
-    monkeypatch.setattr(coeffs, "_classes", kept)
+    monkeypatch.setattr(coeffs, "_class_sum", kept)
     clear_caches()
     assemble_a(g, DeltaParams(Fraction(1, 100)), K)
     [table] = tables
@@ -979,7 +976,7 @@ def test_warm_sweep_points_do_no_delta_free_work(monkeypatch, g, eps):
     first = approximate_volume(g, SWEEP[0], eps)
     assert (first.K, first.a, first.lower, first.upper) == cold[0]
     assert (g.n > 2 * first.K) == (g.n == 16)
-    for name in ("enumerate_connected_sets", "code_key", "polymer_tables"):
+    for name in ("code_table", "code_key", "polymer_tables"):
         monkeypatch.setattr(coeffs, name, _boom)
     misses = cache.misses
     for delta, want in zip(SWEEP[1:], cold[1:]):
@@ -1003,13 +1000,13 @@ def test_whole_graph_slot_holds_one_graph(monkeypatch):
         cold[K] = assemble_a(g, dp, K).a
     assert g.n > 2 * 4
     enumerated = []
-    enumerate_sets = coeffs.enumerate_connected_sets
+    build_table = coeffs.code_table
 
     def counted(h, *args, **kwargs):
         enumerated.append(h)
-        return enumerate_sets(h, *args, **kwargs)
+        return build_table(h, *args, **kwargs)
 
-    monkeypatch.setattr(coeffs, "enumerate_connected_sets", counted)
+    monkeypatch.setattr(coeffs, "code_table", counted)
     cache = default_cache()
 
     # built at K' = 4 (by the last cold query), it serves K = 3

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import tracemalloc
+from math import comb
 
 import pytest
 
@@ -12,6 +13,7 @@ from forestvol.graphs import (
     Tree,
     bits,
     broken_edges,
+    code_table,
     connected_masks,
     enumerate_connected_sets,
     MAX_GRAPH_VERTICES,
@@ -20,6 +22,7 @@ from forestvol.graphs import (
     row_code,
     spanning_trees,
     tree_from_edges,
+    unpack_code,
 )
 from forestvol.families import (
     complete_graph,
@@ -34,6 +37,7 @@ from forestvol.families import (
 from conftest import (
     brute_connected_sets,
     graph_from_code,
+    pack_code,
     pool_random_connected_graph,
     recursive_connected_sets,
     shuffled_edges,
@@ -206,6 +210,104 @@ def test_connected_sets_match_recursive_search(g, max_sizes, min_size):
     for max_size in max_sizes:
         got = list(enumerate_connected_sets(g, max_size, min_size))
         assert got == list(recursive_connected_sets(g, max_size, min_size)), max_size
+
+
+def _weight_rules(g: Graph, cap: int) -> dict:
+    """The three weights by (set size s, boundary size b) that the pipeline
+    sums per code below the cap: assemble_a's w(C), written as
+    (-1)^m binom(b-1, m) with m = min(b, cap - s), or 1 when b = 0, or 0
+    when m = b; pattern_gamma's (-1)^{n-s} on the sets with N[C] = V(g);
+    and pattern_counts' 1."""
+
+    def boundary(s, b):
+        m = min(b, cap - s)
+        if b == 0:
+            return 1
+        return (-1) ** m * comb(b - 1, m) if m < b else 0
+
+    return {
+        "boundary": boundary,
+        "gamma": lambda s, b: (-1) ** (g.n - s) if s + b == g.n else 0,
+        "count": lambda s, b: 1,
+    }
+
+
+def _reference_sets(g: Graph, cap: int) -> list[tuple[int, int, int, tuple[int, ...]]]:
+    """(mask, size, boundary size, code) of each connected set of 2 to cap
+    vertices, in the order of enumerate_connected_sets, with the boundary
+    counted vertex by vertex."""
+    out = []
+    for mask, _, code in enumerate_connected_sets(g, cap, min_size=2):
+        inside = list(bits(mask))
+        boundary = {u for v in inside for u in bits(g.adj_mask[v])} - set(inside)
+        out.append((mask, len(inside), len(boundary), code))
+    return out
+
+
+def _expected_code_table(cap: int, weight, sets) -> dict[int, list[int]]:
+    """{packed code: [summed weight, first mask]} summed set by set over
+    _reference_sets, every set of cap vertices weighing 1 and a smaller
+    one weight(size, boundary size)."""
+    table: dict[int, list[int]] = {}
+    for mask, size, b, code in sets:
+        w = 1 if size == cap else weight(size, b)
+        if w:
+            table.setdefault(pack_code(code), [0, mask])[0] += w
+    return table
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph(0, []),
+        Graph(1, []),
+        # two components and three isolated vertices
+        Graph(9, [(0, 1), (1, 2), (0, 2), (4, 5), (5, 7)]),
+        cycle_graph(7),
+        petersen_graph(),
+        complete_graph(6),
+        random_connected_graph(10, 14, seed=4, max_degree=5),
+        random_connected_graph(11, 12, seed=5, max_degree=4),
+        random_graph(10, 0.4, seed=8),
+    ],
+    ids=["empty", "single", "isolated", "c7", "petersen", "k6", "deg5", "deg4", "random10"],
+)
+def test_code_table_matches_brute_force(g):
+    """code_table gives, for caps 1 to 7 and a cap above n and for each of
+    the pipeline's three weight rules, the table summed set by set over
+    the connected sets found by testing every subset of at most cap
+    vertices, with the codes and set order of enumerate_connected_sets
+    (first masks included); every key unpacks to its code."""
+    assert g.max_degree() <= 5
+    for cap in (*range(1, 8), g.n + 1):
+        found = brute_connected_sets(g, cap, min_size=2)
+        sets = _reference_sets(g, cap)
+        assert {mask for mask, *_ in sets} == found and len(sets) == len(found)
+        codes = {code for *_, code in sets}
+        for name, weight in _weight_rules(g, cap).items():
+            got = code_table(g, cap, weight)
+            assert got == _expected_code_table(cap, weight, sets), (cap, name)
+            assert {unpack_code(key) for key in got} <= codes, (cap, name)
+
+
+def test_code_table_matches_reference_on_sparse1000():
+    """On the sparse_large graph at caps 2 to 6, code_table equals the
+    table summed over enumerate_connected_sets for each weight rule."""
+    g = sparse1000()
+    for cap in range(2, 7):
+        sets = _reference_sets(g, cap)
+        for name, weight in _weight_rules(g, cap).items():
+            assert code_table(g, cap, weight) == _expected_code_table(cap, weight, sets), (cap, name)
+
+
+def test_unpack_code_inverts_packing():
+    """unpack_code gives back the rows of every connected code, and each
+    row it gives has bits only below its own position."""
+    for g in (petersen_graph(), random_connected_graph(12, 8, seed=2, max_degree=5)):
+        for _, _, code in enumerate_connected_sets(g, 6):
+            assert unpack_code(pack_code(code)) == code
+    for key in range(1 << 10):
+        assert all(row >> i == 0 for i, row in enumerate(unpack_code(key)))
 
 
 def test_row_code_roundtrip():

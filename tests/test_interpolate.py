@@ -449,7 +449,7 @@ def test_size_guard_refuses_before_enumerating(monkeypatch):
     assert order == 16
     eps, order = eps_reaching_order(g.n, radius, 17)
     assert order >= 17
-    monkeypatch.setattr(coeffs, "enumerate_connected_sets", boom)
+    monkeypatch.setattr(coeffs, "code_table", boom)
     with pytest.raises(SizeGuardError, match=f"K={order} .* 33 > 32 vertices"):
         approximate_volume(g, delta, eps)
     with pytest.raises(AssertionError, match="enumerated"):
