@@ -43,7 +43,7 @@ class Graph:
     edge's rank.  Parallel edges and loops are rejected.
     """
 
-    __slots__ = ("n", "edges", "adj_mask", "_hash", "_max_degree")
+    __slots__ = ("n", "edges", "adj_mask", "_hash")
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]]):
         if n < 0:
@@ -61,8 +61,6 @@ class Graph:
         self.edges = edges
         self.adj_mask = tuple(adj_mask)
         self._hash = hash((n, edges))
-        # filled in by the first max_degree call
-        self._max_degree = -1
 
     @property
     def m(self) -> int:
@@ -88,12 +86,7 @@ class Graph:
         return self.adj_mask[v].bit_count()
 
     def max_degree(self) -> int:
-        """Largest vertex degree, 0 for a graph with no vertex.  A cold
-        query reads it twice (the radius check and code_table), so it is
-        counted once per graph and kept."""
-        if self._max_degree < 0:
-            self._max_degree = max((a.bit_count() for a in self.adj_mask), default=0)
-        return self._max_degree
+        return max((a.bit_count() for a in self.adj_mask), default=0)
 
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
@@ -362,9 +355,10 @@ def code_table(
     are those a loop over the generator would build.  A code is packed
     into one int with row i at bit i(i-1)/2 (unpack_code gives the rows
     back), so appending a row is one OR and a key is one small int.  The
-    sets of cap vertices are counted in one loop over their parent's
-    candidates, without building their masks or neighbourhoods: only a new
-    code's entry builds a mask.  A new vertex with a single neighbour in
+    sets of cap vertices are counted from their parent's candidates,
+    without building their masks or neighbourhoods: only a new code's
+    entry builds a mask.  Each new vertex's row is built once, whether its
+    set is at the cap or grows on, and a vertex with a single neighbour in
     the set gets its row from that neighbour's position alone.  The search
     keeps each set's closed neighbourhood N[C] (|N[C]| = |C| + b) and the
     vertices it may still add, rather than those it may not, so growing a
@@ -414,31 +408,9 @@ def code_table(
         # the set's size, and the bit at which the next vertex's row goes
         size, off = 1, 0
         while True:
-            if size == last:
-                # each candidate makes a set of cap vertices, of weight 1
-                while cand:
-                    low = cand & -cand
-                    cand ^= low
-                    inside = adj[low.bit_length()] & sset
-                    if inside & (inside - 1):
-                        row = 0
-                        while inside:
-                            b = inside & -inside
-                            inside ^= b
-                            row |= 1 << pos[b.bit_length()]
-                        key = code | row << off
-                    else:
-                        key = code | 1 << (off + pos[inside.bit_length()])
-                    entry = get(key)
-                    if entry is None:
-                        table[key] = [1, sset | low]
-                    else:
-                        entry[0] += 1
-            elif cand:
+            if cand:
                 low = cand & -cand
                 cand ^= low
-                # tried here, so no set grown after this one adds it
-                allowed ^= low
                 u = low.bit_length()
                 au = adj[u]
                 inside = au & sset
@@ -449,7 +421,20 @@ def code_table(
                         inside ^= b
                         row |= 1 << pos[b.bit_length()]
                 else:
+                    # one neighbour in the set, as for most vertices added
+                    # to a sparse graph's sets
                     row = 1 << pos[inside.bit_length()]
+                if size == last:
+                    # a set of cap vertices, of weight 1: counted, not built
+                    key = code | row << off
+                    entry = get(key)
+                    if entry is None:
+                        table[key] = [1, sset | low]
+                    else:
+                        entry[0] += 1
+                    continue
+                # tried here, so no set grown after this one adds it
+                allowed ^= low
                 push((sset, closed, code, cand, allowed))
                 pos[u] = size
                 sset |= low

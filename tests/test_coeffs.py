@@ -22,6 +22,7 @@ from forestvol.graphs import (
     row_code,
     spanning_trees,
     tree_from_edges,
+    unpack_code,
 )
 from forestvol.families import (
     complete_graph,
@@ -796,7 +797,9 @@ def test_classes_label_codes_past_one_cycle_each(monkeypatch):
     """Codes with two or more independent cycles get no peeled string, so
     when a table holds several of them _classes labels each and merges the
     isomorphic ones into one class, while the trees of one class are named
-    by their peeled string and not labelled."""
+    by their peeled string and not labelled.  A malformed row code packs
+    into the well-formed code it unpacks to, and _classes names it by that
+    code instead of adding it to the class of a good code."""
     theta = Graph(5, [(0, 1), (1, 2), (0, 3), (2, 3), (0, 4), (2, 4)])
     thetas = {row_code(relabelled(theta, seed)) for seed in range(6)}
     paths = {row_code(relabelled(path_graph(5), seed)) for seed in range(6)}
@@ -816,6 +819,14 @@ def test_classes_label_codes_past_one_cycle_each(monkeypatch):
     }
     assert out[canonical_form(theta)][0] in thetas
     assert sorted(labelled) == sorted(thetas)
+    # row 2 of (0, 0b1, 0b110) has a bit at its own position; packed, that
+    # bit is row 3's, so the code reads as the path 3-0-1-2
+    path, bad = (0, 0b1, 0b10), pack_code((0, 0b1, 0b110))
+    assert unpack_code(bad) == (0, 0b1, 0b10, 0b1)
+    assert coeffs._classes({pack_code(path): [1, path], bad: [1, None]}) == {
+        peel_key(path): [path, 1],
+        peel_key(row_code(path_graph(4))): [None, 1],
+    }
 
 
 def test_classes_name_a_lone_unpeeled_code_by_itself(monkeypatch):
