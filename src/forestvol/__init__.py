@@ -9,6 +9,15 @@ that turns a truncated series into a (1 +- eps) enclosure. Randomized and
 exact oracles live in :mod:`forestvol.oracles`; Monte Carlo and
 exact_volume, a DP over the independent sets of the graph, share no code
 with the pipeline.
+
+``import forestvol`` loads only the modules a volume query runs: graphs,
+treeweight, coeffs, canon and interpolate, with mpmath.  The oracle names
+(exact_volume, exact_p1, mc_volume, penrose_check, root_check and their
+report types) and KERNEL_BACKEND are in ``__all__`` but load their module,
+:mod:`forestvol.oracles` or :mod:`forestvol.kernel`, on first access
+(PEP 562).  The labelling kernel is otherwise loaded by the first
+canon.code_key or colored_canonical_form, and numpy by the first Monte
+Carlo estimate or root check.
 """
 
 from .errors import (
@@ -28,19 +37,41 @@ from .interpolate import (
     truncation_order,
     zero_free_radius,
 )
-from .oracles import (
-    McEstimate,
-    PenroseReport,
-    RootReport,
-    exact_p1,
-    exact_volume,
-    mc_volume,
-    penrose_check,
-    root_check,
-)
-from .kernel import BACKEND as KERNEL_BACKEND
 
 __version__ = "0.1.0"
+
+_ORACLE_NAMES = frozenset(
+    {
+        "McEstimate",
+        "PenroseReport",
+        "RootReport",
+        "exact_p1",
+        "exact_volume",
+        "mc_volume",
+        "penrose_check",
+        "root_check",
+    }
+)
+
+
+def __getattr__(name: str):
+    """Load the oracles or the labelling kernel on first access to one of
+    their public names."""
+    if name == "KERNEL_BACKEND":
+        from .kernel import BACKEND as value
+    elif name in _ORACLE_NAMES:
+        from . import oracles
+
+        value = getattr(oracles, name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _ORACLE_NAMES | {"KERNEL_BACKEND"})
+
 
 __all__ = [
     "CertificateError",

@@ -29,20 +29,22 @@ two may then be isomorphic; a lone one names itself.  Class series are
 expanded on the vertex masks of the input graph (coeffs.polymer_tables),
 so no graph is built from a code or a key for them, and graph_from_key
 only gives the representatives of the pattern rows of forestvol coeffs.
-Nothing is cached here.
+Nothing is cached here.  code_key and colored_canonical_form import kernel
+when first called, so a query that labels no code never loads it.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from . import kernel
 from .graphs import Graph, bits, row_code
 
 MAX_VERTICES = 32
 
 def code_key(code: tuple[int, ...]) -> bytes:
     """Isomorphism key of the plain graph whose row code is code."""
+    from .kernel import canon_key
+
     n = len(code)
     if n > MAX_VERTICES:
         raise ValueError(f"canonical form supports at most {MAX_VERTICES} vertices")
@@ -52,7 +54,7 @@ def code_key(code: tuple[int, ...]) -> bytes:
             raise ValueError(f"bad row code entry {row} at position {i}")
         for j in bits(row):
             flat[i * n + j] = flat[j * n + i] = 1
-    return kernel.canon_key(n, bytes(flat))
+    return canon_key(n, bytes(flat))
 
 
 def peel_key(code: tuple[int, ...]) -> str | None:
@@ -140,6 +142,8 @@ def colored_canonical_form(
     n: int, colored_edges: Sequence[tuple[int, int, int]]
 ) -> bytes:
     """Isomorphism key of an edge-colored graph; colors are 1..255."""
+    from .kernel import canon_key
+
     if n > MAX_VERTICES:
         raise ValueError(f"canonical form supports at most {MAX_VERTICES} vertices")
     flat = bytearray(n * n)
@@ -152,7 +156,7 @@ def colored_canonical_form(
             raise ValueError(f"duplicate edge ({u}, {v})")
         flat[u * n + v] = c
         flat[v * n + u] = c
-    return kernel.canon_key(n, bytes(flat))
+    return canon_key(n, bytes(flat))
 
 
 def graph_from_key(key: bytes) -> Graph:

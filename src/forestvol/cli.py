@@ -7,6 +7,9 @@ truncation order above 16 on a graph of more than 32 vertices, for volume
 and coeffs alike), 6 the
 certificate failed (the interval re-check of the radius, or the search for
 a truncation order).
+
+forestvol.oracles is imported by the exact, mc and selftest commands only,
+so volume, coeffs, weights and radius never load it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import argparse
 import json
 import re
 import sys
-import time
 from fractions import Fraction
 
 from .coeffs import pattern_table
@@ -27,7 +29,6 @@ from .errors import (
 )
 from .graphs import Graph, parse_graph, tree_from_edges
 from .interpolate import approximate_volume, certified_order, zero_free_radius
-from .oracles import exact_volume, mc_volume, penrose_check, root_check
 from .treeweight import DeltaParams, tree_weight
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
@@ -138,6 +139,8 @@ def cmd_volume(args: argparse.Namespace) -> int:
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
+    from .oracles import exact_volume
+
     g = _load_graph(args.graph)
     delta = _rational(args.delta, "delta")
     vol = exact_volume(g, DeltaParams(delta))
@@ -153,6 +156,8 @@ def cmd_exact(args: argparse.Namespace) -> int:
 
 
 def cmd_mc(args: argparse.Namespace) -> int:
+    from .oracles import mc_volume
+
     g = _load_graph(args.graph)
     delta = _rational(args.delta, "delta")
     est = mc_volume(g, delta, args.samples, seed=args.seed)
@@ -241,6 +246,7 @@ def cmd_radius(args: argparse.Namespace) -> int:
 
 def cmd_selftest(args: argparse.Namespace) -> int:
     from .families import complete_graph, cycle_graph, path_graph, petersen_graph
+    from .oracles import exact_volume, mc_volume, penrose_check, root_check
 
     checks: list[tuple[str, bool, str]] = []
 

@@ -15,8 +15,13 @@ steps are the libmp functions mpmath.iv dispatches to, with the operands
 mpmath.iv would build, so every endpoint matches an mpmath.iv evaluation at
 that precision bit for bit.  The returned bounds are the 192-bit
 enclosure's endpoints rounded to nearest at mpmath's global working
-precision (53 bits by default), so they can lie inside that enclosure (see
-approximate_volume).
+precision (mp.prec, 53 bits by default) by libmp.normalize, as
+mpmath.mpf(endpoint) rounds them, so they can lie inside that enclosure
+(see approximate_volume).  The point estimate xi is likewise built from
+libmp mpf functions at 192 bits, rounded to nearest, and wrapped as an
+mpmath.mpf once.  The rational bounds on e come from an integer series, so
+no high-level mpmath function (mpmath.e, mpmath.mpf arithmetic, workprec)
+runs on the answer path.
 """
 
 from __future__ import annotations
@@ -31,7 +36,11 @@ from typing import Iterator
 import mpmath
 from mpmath.libmp import (
     from_int,
+    mpf_div,
+    mpf_exp,
     mpf_le,
+    mpf_mul,
+    mpf_pow_int,
     mpi_add,
     mpi_div,
     mpi_exp,
@@ -40,8 +49,10 @@ from mpmath.libmp import (
     mpi_neg,
     mpi_pow,
     mpi_sub,
+    normalize,
     round_ceiling,
     round_floor,
+    round_nearest,
 )
 
 from .coeffs import assemble_a
@@ -60,10 +71,22 @@ _ENCLOSURE_PREC = 192  # bits of the tail, power and exponential of the answer
 
 @functools.cache
 def _e_bounds() -> tuple[Fraction, Fraction]:
-    """Rational lower/upper bounds on e, tight to 2^-_E_BITS; computed once."""
-    with mpmath.workprec(_E_BITS + 64):
-        scaled = mpmath.e * (1 << _E_BITS)
-        lo = int(mpmath.floor(scaled))
+    """Rational lower/upper bounds on e, tight to 2^-_E_BITS; computed once.
+
+    lo = floor(e * 2^_E_BITS), from s = sum_k floor(2^(_E_BITS+64) / k!)
+    over the k whose term is nonzero, shifted down 64 bits.  s undershoots
+    e * 2^(_E_BITS+64) by less than one per term summed plus a tail below
+    2, so the shift is the floor when that margin does not reach the next
+    multiple of 2^64.
+    """
+    scale = _E_BITS + 64
+    s, term, k = 0, 1 << scale, 0
+    while term:
+        s += term
+        k += 1
+        term //= k
+    assert s >> 64 == (s + k + 2) >> 64, "truncation error could move the floor"
+    lo = s >> 64
     return Fraction(lo, 1 << _E_BITS), Fraction(lo + 1, 1 << _E_BITS)
 
 
@@ -183,6 +206,19 @@ def _frac_from_mpf(x: tuple) -> Fraction:
         raise ValueError("non-finite value")
     val = Fraction(man) * Fraction(2) ** exp
     return -val if sign else val
+
+
+def _ratio(q: Fraction, prec: int) -> tuple:
+    """q as a libmp mpf rounded to nearest at prec bits, as
+    mpmath.mpf(q.numerator) / q.denominator is at that working precision:
+    the numerator is rounded to prec bits, then divided by the exact
+    denominator."""
+    return mpf_div(
+        from_int(q.numerator, prec, round_nearest),
+        from_int(q.denominator),
+        prec,
+        round_nearest,
+    )
 
 
 def tail_bound(n: int, radius: Fraction, K: int) -> Fraction:
@@ -323,10 +359,14 @@ def approximate_volume(
     With S the sum of the a_k and T the tail bound, box^n * exp(S -+ T)
     is enclosed at 192 bits (_ENCLOSURE_PREC), whatever mpmath's global
     precision.  lower and upper are that enclosure's outer endpoints
-    passed through mpmath.mpf, which rounds each to nearest at mpmath's
-    global working precision (mp.prec, 53 bits by default): they are
-    exact dyadic rationals, but may lie inside the 192-bit enclosure
-    (ROADMAP).  xi is box^n * exp(S) at 192 bits.
+    rounded to nearest at mpmath's global working precision (mp.prec, 53
+    bits by default) by libmp.normalize, which is what mpmath.mpf does to
+    an mpf tuple: they are exact dyadic rationals, but may lie inside the
+    192-bit enclosure (ROADMAP).  xi is box^n * exp(S) at 192 bits, built
+    from libmp's mpf_div, mpf_pow_int, mpf_exp and mpf_mul rounding to
+    nearest, with the numerators of box and S rounded to 192 bits and
+    their denominators exact, as mpmath.mpf arithmetic under workprec(192)
+    evaluates it; in the exact case xi is lower at 96 bits, the same way.
     """
     t0 = time.monotonic()
     dp = DeltaParams(delta)
@@ -337,8 +377,7 @@ def approximate_volume(
     if exact:
         a = ()
         lower = upper = box ** (g.n - 2 * g.m) * (box**2 - 2 * delta**2) ** g.m
-        with mpmath.workprec(96):
-            xi = mpmath.mpf(lower.numerator) / lower.denominator
+        xi = _ratio(lower, 96)
     else:
         a = tuple(assemble_a(g, dp, K).a[1:])
         total = sum(a, Fraction(0))
@@ -349,14 +388,18 @@ def approximate_volume(
         s_iv = _iv_frac(total, p)
         lo = mpi_mul(box_iv, mpi_exp(mpi_sub(s_iv, tail, p), p), p)[0]
         hi = mpi_mul(box_iv, mpi_exp(mpi_add(s_iv, tail, p), p), p)[1]
-        # mpmath.mpf rounds each endpoint to nearest at mp.prec, which can
-        # move it inward; kept, since every recorded answer has it (ROADMAP)
-        lower = _frac_from_mpf(mpmath.mpf(lo)._mpf_)
-        upper = _frac_from_mpf(mpmath.mpf(hi)._mpf_)
-        with mpmath.workprec(192):
-            xi = (mpmath.mpf(box.numerator) / box.denominator) ** g.n * mpmath.exp(
-                mpmath.mpf(total.numerator) / total.denominator
-            )
+        # each endpoint is rounded to nearest at mp.prec, as mpmath.mpf(lo)
+        # would, which can move it inward; kept, since every recorded answer
+        # has it (ROADMAP)
+        prec = mpmath.mp.prec
+        lower = _frac_from_mpf(normalize(*lo, prec, round_nearest))
+        upper = _frac_from_mpf(normalize(*hi, prec, round_nearest))
+        xi = mpf_mul(
+            mpf_pow_int(_ratio(box, p), g.n, p, round_nearest),
+            mpf_exp(_ratio(total, p), p, round_nearest),
+            p,
+            round_nearest,
+        )
     return InterpolationResult(
         n=g.n,
         m=g.m,
@@ -367,7 +410,7 @@ def approximate_volume(
         radius=radius,
         K=K,
         a=a,
-        xi=xi,
+        xi=mpmath.mp.make_mpf(xi),
         lower=lower,
         upper=upper,
         wall_ms=(time.monotonic() - t0) * 1000,

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -477,3 +478,38 @@ def test_console_script_runs():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert 22.9 <= doc["R"] <= 23.0
+
+
+_ORACLE_FREE_COMMANDS = """
+import contextlib, io, sys
+
+from forestvol.cli import main
+
+graphs = dict(zip(("p3", "petersen", "tri"), sys.argv[1:]))
+for argv in (
+    ["volume", "--graph", graphs["p3"], "--delta", "1/100", "--eps", "1/100"],
+    ["coeffs", "--graph", graphs["petersen"], "--delta", "1/100", "--order", "3"],
+    ["radius", "--delta", "1/100", "--max-degree", "3"],
+    ["weights", "--graph", graphs["tri"], "--delta", "1/4", "--tree", "0,1"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+loaded = [name for name in ("forestvol.oracles", "numpy") if name in sys.modules]
+assert not loaded, f"volume, coeffs, radius and weights loaded {loaded}"
+"""
+
+
+def test_commands_without_oracles_leave_them_unloaded(graphs):
+    """Only exact, mc and selftest import forestvol.oracles."""
+    import forestvol
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(forestvol.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _ORACLE_FREE_COMMANDS]
+        + [graphs[name] for name in ("p3", "petersen", "tri")],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

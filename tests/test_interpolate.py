@@ -1,7 +1,7 @@
 import hashlib
 import itertools
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from itertools import count, islice
 
@@ -328,6 +328,76 @@ def test_enclosure_matches_mpmath_iv():
         with _iv_at(30):
             again = approximate_volume(_workload_graph(name), delta, eps)
         assert (again.lower, again.upper) == (res.lower, res.upper)
+
+
+# The workload queries, the two exact cases (delta = 0, and a matching) and
+# Petersen at eps = 10^-6 with K = 19 and K = 18, whose sums of a_k have
+# 274- and 279-bit denominators.  Rounding such a denominator to 192 bits
+# before dividing changes xi at K = 18 (not at K = 19), so xi's division
+# must take it exact.
+_ANSWER_QUERIES = _WORKLOAD_QUERIES + [
+    ("c4", Fraction(0), Fraction(1, 100)),
+    ("matching", Fraction(1, 4), Fraction(1, 100)),
+    ("petersen", Fraction(1, 97), Fraction(1, 10**6)),
+    ("petersen", Fraction(1, 101), Fraction(1, 10**6)),
+]
+
+
+def _answer_graph(name: str) -> Graph:
+    if name == "c4":
+        return cycle_graph(4)
+    if name == "matching":
+        return Graph(5, [(0, 1), (2, 3)])
+    return _workload_graph(name)
+
+
+def _high_level_answer(res):
+    """(lower, upper, xi._mpf_) of res by mpmath's high-level expressions:
+    mpmath.mpf of each 192-bit enclosure endpoint at the current mp.prec,
+    and mpf arithmetic under workprec for xi."""
+    if res.exact:
+        with mpmath.workprec(96):
+            xi = mpmath.mpf(res.lower.numerator) / res.lower.denominator
+        return res.lower, res.upper, xi._mpf_
+    lo, hi = _iv_enclosure(res)
+    lower = Fraction(*to_rational(mpmath.mpf(lo._mpi_[0])._mpf_))
+    upper = Fraction(*to_rational(mpmath.mpf(hi._mpi_[1])._mpf_))
+    box = DeltaParams(res.delta).box_hi
+    total = sum(res.a, Fraction(0))
+    with mpmath.workprec(192):
+        xi = (mpmath.mpf(box.numerator) / box.denominator) ** res.n * mpmath.exp(
+            mpmath.mpf(total.numerator) / total.denominator
+        )
+    return lower, upper, xi._mpf_
+
+
+@pytest.mark.parametrize("prec", [None, 30, 113], ids=["default", "prec30", "prec113"])
+def test_answer_matches_high_level_mpmath(prec):
+    """lower, upper and xi, built from libmp calls, equal the high-level
+    mpmath expressions bit for bit: at the default 53 bits and with
+    mpmath's working precision set to 30 or 113 bits, which moves lower
+    and upper but not xi."""
+    context = mpmath.workprec(prec) if prec else nullcontext()
+    with context:
+        assert mpmath.mp.prec == (prec or 53)
+        for name, delta, eps in _ANSWER_QUERIES:
+            res = approximate_volume(_answer_graph(name), delta, eps)
+            assert res.exact == (delta == 0 or name == "matching"), name
+            assert (res.lower, res.upper, res.xi._mpf_) == _high_level_answer(res), (name, delta)
+    assert res.K == 18
+
+
+def test_e_bounds_integer_series():
+    """The integer series gives floor(e * 2^48), as mpmath computes it at
+    256 bits, and the bounds bracket e."""
+    scale = 1 << interpolate._E_BITS
+    lo, hi = interpolate._e_bounds.__wrapped__()
+    assert lo * scale == 765128314358509
+    assert hi - lo == Fraction(1, scale)
+    with mpmath.workprec(256):
+        assert lo * scale == int(mpmath.floor(mpmath.e * scale))
+        as_mpf = [mpmath.mpf(b.numerator) / b.denominator for b in (lo, hi)]
+        assert as_mpf[0] < mpmath.e < as_mpf[1]
 
 
 @pytest.mark.xfail(
