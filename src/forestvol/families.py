@@ -64,6 +64,30 @@ def random_graph(
     return Graph(n, edges)
 
 
+def _shuffle(rng: random.Random, x) -> None:
+    """Shuffle the sequence x in place exactly as rng.shuffle(x) does.
+
+    rng.shuffle swaps x[i] with x[r] for i from len(x) - 1 down to 1, where
+    r = rng._randbelow(i + 1) draws getrandbits((i + 1).bit_length()) until
+    the draw is at most i. This loop makes the same draws and swaps, binds
+    the bit length once per block of positions that share it, and makes no
+    call but getrandbits per draw. It is kept out of its caller's body:
+    tracemalloc looks up a line number for every int the loop allocates,
+    which costs more in a long function.
+    """
+    getrandbits = rng.getrandbits
+    hi = len(x) - 1
+    while hi > 0:
+        k = (hi + 1).bit_length()
+        lo = (1 << (k - 1)) - 1  # the least i with (i + 1).bit_length() == k
+        for i in range(hi, lo - 1, -1):
+            r = getrandbits(k)
+            while r > i:
+                r = getrandbits(k)
+            x[i], x[r] = x[r], x[i]
+        hi = lo - 1
+
+
 def random_connected_graph(
     n: int,
     extra_edges: int,
@@ -78,7 +102,10 @@ def random_connected_graph(
     shuffle of every non-tree pair, skipping pairs at the cap. The pool
     holds each pair's rank in combinations(range(n), 2) order, 4 bytes a
     pair (8 past 2^32 pairs), and only the pairs tried are decoded. The
-    shuffle draws once per pair, so time stays quadratic in n.
+    shuffle is _shuffle's Fisher-Yates loop, which makes rng.shuffle's
+    draws: for each position i from the last down to 1, getrandbits of
+    (i + 1).bit_length() bits until one is at most i. That is at least
+    one draw per pair, so time stays quadratic in n.
     """
     if max_degree is not None and max_degree < 2 and n > 2:
         raise ValueError("max_degree < 2 cannot support a spanning tree")
@@ -107,7 +134,7 @@ def random_connected_graph(
         pool.extend(range(done, rank))
         done = rank + 1
     pool.extend(range(done, pairs))
-    rng.shuffle(pool)
+    _shuffle(rng, pool)
     added = 0
     for rank in pool:
         if added >= extra_edges:

@@ -19,9 +19,9 @@ precision (mp.prec, 53 bits by default) by libmp.normalize, as
 mpmath.mpf(endpoint) rounds them, so they can lie inside that enclosure
 (see approximate_volume).  The point estimate xi is likewise built from
 libmp mpf functions at 192 bits, rounded to nearest, and wrapped as an
-mpmath.mpf once.  The rational bounds on e come from an integer series, so
-no high-level mpmath function (mpmath.e, mpmath.mpf arithmetic, workprec)
-runs on the answer path.
+mpmath.mpf once.  The rational bounds on e are literals, so no high-level
+mpmath function (mpmath.e, mpmath.mpf arithmetic, workprec) runs on the
+answer path.
 """
 
 from __future__ import annotations
@@ -69,25 +69,17 @@ _ENCLOSURE_PREC = 192  # bits of the tail, power and exponential of the answer
 # An interval is a pair (lo, hi) of libmp mpf tuples with lo <= hi.
 
 
-@functools.cache
-def _e_bounds() -> tuple[Fraction, Fraction]:
-    """Rational lower/upper bounds on e, tight to 2^-_E_BITS; computed once.
+_E_BOUNDS = (
+    Fraction(765128314358509, 1 << _E_BITS),
+    Fraction(765128314358510, 1 << _E_BITS),
+)
 
-    lo = floor(e * 2^_E_BITS), from s = sum_k floor(2^(_E_BITS+64) / k!)
-    over the k whose term is nonzero, shifted down 64 bits.  s undershoots
-    e * 2^(_E_BITS+64) by less than one per term summed plus a tail below
-    2, so the shift is the floor when that margin does not reach the next
-    multiple of 2^64.
-    """
-    scale = _E_BITS + 64
-    s, term, k = 0, 1 << scale, 0
-    while term:
-        s += term
-        k += 1
-        term //= k
-    assert s >> 64 == (s + k + 2) >> 64, "truncation error could move the floor"
-    lo = s >> 64
-    return Fraction(lo, 1 << _E_BITS), Fraction(lo + 1, 1 << _E_BITS)
+
+def _e_bounds() -> tuple[Fraction, Fraction]:
+    """Rational lower/upper bounds on e, tight to 2^-_E_BITS: floor(e *
+    2^_E_BITS) and one more, over 2^_E_BITS.  The tests derive the floor
+    from an integer series and check it at 256 bits with mpmath."""
+    return _E_BOUNDS
 
 
 def _iv_int(x: int, prec: int) -> tuple:

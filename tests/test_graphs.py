@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import tracemalloc
+from array import array
 from math import comb
 
 import pytest
@@ -25,6 +26,7 @@ from forestvol.graphs import (
     unpack_code,
 )
 from forestvol.families import (
+    _shuffle,
     complete_graph,
     connected_graphs_upto,
     cycle_graph,
@@ -433,6 +435,24 @@ def _outcome(make, *args):
         return make(*args)
     except Exception as exc:
         return type(exc), str(exc)
+
+
+_SHUFFLE_LENGTHS = sorted(
+    set(range(71)) | {(1 << j) + d for j in range(18) for d in (-1, 0, 1)}
+)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_shuffle_matches_random_shuffle(seed):
+    """_shuffle makes the swaps random.Random.shuffle makes, from the same
+    draws, on arrays and lists, at every length where the bit length of the
+    draws changes."""
+    for n in _SHUFFLE_LENGTHS:
+        want = list(range(n))
+        random.Random(seed).shuffle(want)
+        for got in (array("I", range(n)), list(range(n))):
+            _shuffle(random.Random(seed), got)
+            assert list(got) == want, (n, seed, type(got))
 
 
 @pytest.mark.parametrize("max_degree", [None, 1, 2, 3, 4])

@@ -388,11 +388,23 @@ def test_answer_matches_high_level_mpmath(prec):
 
 
 def test_e_bounds_integer_series():
-    """The integer series gives floor(e * 2^48), as mpmath computes it at
-    256 bits, and the bounds bracket e."""
+    """The literal bounds are floor(e * 2^48) and one more, over 2^48: the
+    integer series below and mpmath at 256 bits both give that floor, and
+    the bounds bracket e.
+
+    s = sum_k floor(2^(48+64) / k!) over the k whose term is nonzero
+    undershoots e * 2^(48+64) by less than one per term summed plus a tail
+    below 2, so s shifted down 64 bits is the floor when that margin does
+    not reach the next multiple of 2^64."""
     scale = 1 << interpolate._E_BITS
-    lo, hi = interpolate._e_bounds.__wrapped__()
-    assert lo * scale == 765128314358509
+    s, term, k = 0, scale << 64, 0
+    while term:
+        s += term
+        k += 1
+        term //= k
+    assert s >> 64 == (s + k + 2) >> 64, "truncation error could move the floor"
+    lo, hi = interpolate._e_bounds()
+    assert lo * scale == s >> 64
     assert hi - lo == Fraction(1, scale)
     with mpmath.workprec(256):
         assert lo * scale == int(mpmath.floor(mpmath.e * scale))
