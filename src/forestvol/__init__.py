@@ -16,8 +16,9 @@ treeweight, coeffs, canon and interpolate, with mpmath.  The oracle names
 report types) and KERNEL_BACKEND are in ``__all__`` but load their module,
 :mod:`forestvol.oracles` or :mod:`forestvol.kernel`, on first access
 (PEP 562).  The labelling kernel is otherwise loaded by the first
-canon.code_key or colored_canonical_form, and numpy by the first Monte
-Carlo estimate or root check.
+canon.code_key or colored_canonical_form, and numpy only by the first
+Monte Carlo estimate: root_check decides where the zeros lie in exact
+integer arithmetic.
 """
 
 from .errors import (

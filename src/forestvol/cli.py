@@ -32,6 +32,7 @@ from .interpolate import approximate_volume, certified_order, zero_free_radius
 from .treeweight import DeltaParams, tree_weight
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
+_DIGITS = re.compile(r"[0-9]+")
 
 
 def _rational(text: str, name: str) -> Fraction:
@@ -42,6 +43,15 @@ def _rational(text: str, name: str) -> Fraction:
     if not _RATIONAL.fullmatch(text):
         raise ValueError(f"{name} is not a rational p/q: {text!r}")
     return Fraction(text)
+
+
+def _integer(text: str) -> int:
+    """An integer flag: ASCII digits 0-9 only, as in rationals and graph
+    files.  int() would also take a sign, spaces, underscores and
+    non-ASCII digits."""
+    if not _DIGITS.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected ASCII digits 0-9, got {text!r}")
+    return int(text)
 
 
 def _load_graph(path: str) -> Graph:
@@ -66,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--delta", required=True, help="box half-width excess, rational p/q")
     p.add_argument("--eps", required=True, help="relative accuracy, rational p/q")
-    p.add_argument("--max-degree", type=int, default=None, help="certify for this degree bound (rejects denser graphs)")
+    p.add_argument("--max-degree", type=_integer, default=None, help="certify for this degree bound (rejects denser graphs)")
 
     p = sub.add_parser("exact", help="exact volume by a DP over independent sets (small graphs)")
     _add_common(p)
@@ -75,15 +85,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mc", help="Monte Carlo volume estimate")
     _add_common(p)
     p.add_argument("--delta", required=True)
-    p.add_argument("--samples", type=int, default=10**6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_integer, default=10**6)
+    p.add_argument("--seed", type=_integer, default=0)
 
     p = sub.add_parser("coeffs", help="Taylor coefficients and pattern table")
     _add_common(p)
     p.add_argument("--delta", required=True)
     order = p.add_mutually_exclusive_group()
     order.add_argument("--eps", default="1/100", help="pick K and R as volume does (default 1/100)")
-    order.add_argument("--order", type=int, default=None, help="explicit K instead of --eps")
+    order.add_argument("--order", type=_integer, default=None, help="explicit K instead of --eps")
 
     p = sub.add_parser("weights", help="weight of one tree inside its host")
     _add_common(p)
@@ -93,11 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("radius", help="zero-free radius certificate")
     _add_common(p, graph=False)
     p.add_argument("--delta", required=True)
-    p.add_argument("--max-degree", type=int, required=True)
+    p.add_argument("--max-degree", type=_integer, required=True)
 
     p = sub.add_parser("selftest", help="built-in cross-checks")
     _add_common(p, graph=False)
-    p.add_argument("--samples", type=int, default=200_000)
+    p.add_argument("--samples", type=_integer, default=200_000)
 
     return parser
 
@@ -215,8 +225,8 @@ def cmd_weights(args: argparse.Namespace) -> int:
     delta = _rational(args.delta, "delta")
     dp = DeltaParams(delta)
     try:
-        ranks = tuple(int(tok) for tok in args.tree.split(","))
-    except ValueError:
+        ranks = tuple(_integer(tok) for tok in args.tree.split(","))
+    except argparse.ArgumentTypeError:
         raise ValueError(f"--tree expects comma-separated edge ranks, got {args.tree!r}")
     tree = tree_from_edges(g, ranks)
     rec = tree_weight(g, tree, dp)
@@ -311,7 +321,8 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     check("penrose Petersen", rep.ok, f"marked={rep.marked}")
 
     rr = root_check(path_graph(4), DeltaParams(delta))
-    check("roots clear radius P4", rr.clears(cert.radius, slack=0.01), f"min={rr.min_modulus:.3f}")
+    lo, hi = rr.nearest_zero()
+    check("roots clear radius P4", rr.clears(cert.radius), f"nearest zero in ({float(lo):.3f}, {float(hi):.3f}]")
 
     failed = [c for c in checks if not c[1]]
     if args.output == "json":

@@ -9,16 +9,21 @@ above 1/2 and needs no trees, canonical forms or poset integrals, so it
 checks the tree weights and class weights as well as the interpolation.
 exact_p1 is exact_volume over the box volume.  root_check needs every
 coefficient e_k of p, so it expands p with small_e, the pipeline's own
-polymer DP.  penrose_check checks the graph module's spanning-tree and
-broken-edge routines against its own Kruskal, which shares no code with
-them.
+polymer DP.  Where the zeros of p lie is then decided exactly:
+zero_free_disk runs the Schur-Cohn test on integer coefficients, with no
+root finding and no tolerance, so RootReport.clears(R) is the certified
+disk's own condition and RootReport.nearest_zero brackets the nearest
+zero's modulus by bisection on it.  penrose_check checks the graph
+module's spanning-tree and broken-edge routines against its own Kruskal,
+which shares no code with them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import gcd, lcm, sqrt
 
 from .coeffs import small_e
 from .errors import SizeGuardError
@@ -53,7 +58,7 @@ def mc_volume(g: Graph, delta: Fraction, samples: int, seed: int = 0) -> McEstim
     [0, 1/2), as everywhere else (a ValueError from DeltaParams otherwise).
     """
     # imported here, not at module level: numpy is most of the import
-    # time and memory of the package, and only the oracles use it
+    # time and memory of the package, and nothing else uses it
     import numpy as np
 
     hi = float(DeltaParams(delta).box_hi)
@@ -277,55 +282,79 @@ def _spread(sub: int, ranks: tuple[int, ...]) -> int:
 
 @dataclass(frozen=True)
 class RootReport:
-    degree: int
-    min_modulus: float
-    roots: tuple[complex, ...]
+    """The forest polynomial p(z) = sum e_k z^k of a graph, held exactly:
+    e is trimmed of zero top coefficients, and e[0] = p(0) = 1."""
 
-    def margin(self, radius: Fraction) -> float:
-        return self.min_modulus / float(radius) - 1.0
+    e: tuple[Fraction, ...]
 
-    def clears(self, radius: Fraction, slack: float = 0.0) -> bool:
-        """min root modulus exceeds the radius; slack relaxes the bar to
-        (1 - slack)*R to keep double-precision root finding from flaking."""
-        return self.degree == 0 or self.min_modulus > float(radius) * (1.0 - slack)
+    @property
+    def degree(self) -> int:
+        return len(self.e) - 1
+
+    def clears(self, radius: Fraction) -> bool:
+        """p has no zero in |z| <= radius, decided exactly by zero_free_disk."""
+        return zero_free_disk(self.e, radius)
+
+    def nearest_zero(self) -> tuple[Fraction, Fraction] | None:
+        """A rational bracket (lo, hi] on the smallest modulus of a zero of
+        p, with hi - lo <= lo / 2^40; None when p is constant.
+
+        The moduli of the zeros have geometric mean |e_0/e_d|^(1/d), so the
+        nearest zero lies at most that far out.  hi starts at the power of
+        two above that mean and is halved until its half clears; 40
+        bisection steps then narrow [hi/2, hi].  Each step is one
+        zero_free_disk call, so the walk is as long as log2 of the mean
+        over the nearest modulus, whatever the scale of the coefficients.
+        """
+        if self.degree < 1:
+            return None
+        ratio = abs(self.e[0] / self.e[-1])
+        bits = ratio.numerator.bit_length() - ratio.denominator.bit_length() + 1
+        hi = Fraction(2) ** -(-bits // self.degree)
+        while not self.clears(hi / 2):
+            hi /= 2
+        lo = hi / 2
+        for _ in range(40):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if self.clears(mid) else (lo, mid)
+        return lo, hi
 
 
 def root_check(g: Graph, dp: DeltaParams) -> RootReport:
-    """Locate the roots of the exact forest polynomial of g numerically
-    (companion-matrix solve plus a few Newton polishing steps).  p is
-    expanded whole with small_e, so g is capped at ROOT_VERTEX_LIMIT
-    vertices / ROOT_EDGE_LIMIT edges."""
+    """The exact forest polynomial of g, for exact tests of where its zeros
+    lie (RootReport.clears, RootReport.nearest_zero).  p is expanded whole
+    with small_e, so g is capped at ROOT_VERTEX_LIMIT vertices /
+    ROOT_EDGE_LIMIT edges."""
     if g.n > ROOT_VERTEX_LIMIT or g.m > ROOT_EDGE_LIMIT:
         raise SizeGuardError(
             f"root_check is capped at {ROOT_VERTEX_LIMIT} vertices / "
             f"{ROOT_EDGE_LIMIT} edges (got n={g.n}, m={g.m})"
         )
-    coeffs = [float(c) for c in small_e(g, dp, max(g.n - 1, 0))]
-    while coeffs and coeffs[-1] == 0.0:
-        coeffs.pop()
-    degree = len(coeffs) - 1 if coeffs else 0
-    if degree < 1:
-        return RootReport(degree=0, min_modulus=float("inf"), roots=())
-    import numpy as np
-
-    roots = [_polish(complex(r), coeffs) for r in np.roots(coeffs[::-1])]
-    return RootReport(
-        degree=degree,
-        min_modulus=float(min(abs(r) for r in roots)),
-        roots=tuple(roots),
-    )
+    e = small_e(g, dp, max(g.n - 1, 0))
+    return RootReport(e=e[: max(k for k, x in enumerate(e) if x) + 1])
 
 
-def _polish(z: complex, coeffs: list[float], steps: int = 3) -> complex:
-    for _ in range(steps):
-        p = dp_ = 0.0
-        for c in reversed(coeffs):
-            dp_ = dp_ * z + p
-            p = p * z + c
-        if dp_ == 0:
-            break
-        step = p / dp_
-        if abs(step) > 0.5 * max(abs(z), 1.0):
-            break
-        z -= step
-    return z
+def zero_free_disk(e: Sequence[Fraction], radius: Fraction) -> bool:
+    """True exactly when p(z) = sum e_k z^k has no zero in |z| <= radius.
+
+    The Schur-Cohn test (Schur 1917, Cohn 1922; Henrici, Applied and
+    Computational Complex Analysis I, section 6.8), run in integers with no
+    tolerance.  With radius = P/Q and L the lcm of the denominators of the
+    e_k, h(z) = L Q^d p(radius z) has the integer coefficients
+    c_k = L e_k P^k Q^(d-k).  A polynomial h = sum_{k<=m} c_k z^k is free of
+    zeros in the closed unit disk exactly when |c_0| > |c_m| and
+    Th = c_0 h - c_m z^m h(1/z), whose z^m term cancels, is free of them
+    too (by Rouche's theorem, since |z^m h(1/z)| = |h(z)| on |z| = 1); the
+    test repeats down to a constant, which must be nonzero.  Each Th is
+    divided by the gcd of its coefficients, which keeps their size linear
+    in the number of steps.  The zero polynomial has zeros everywhere.
+    """
+    p, q = radius.as_integer_ratio()
+    den = lcm(*(x.denominator for x in e))
+    c = [x.numerator * (den // x.denominator) for x in e]
+    c = [a * p**k * q ** (len(c) - 1 - k) for k, a in enumerate(c)]
+    while len(c) > 1 and abs(c[0]) > abs(c[-1]):
+        c = [c[0] * c[k] - c[-1] * c[-1 - k] for k in range(len(c) - 1)]
+        common = gcd(*c)
+        c = [x // common for x in c]
+    return len(c) == 1 and c[0] != 0

@@ -259,6 +259,37 @@ def test_non_ascii_or_trailing_rational_rejected(capsys, graphs, flag, text):
     assert "is not a rational p/q" in err
 
 
+@pytest.mark.parametrize("text", ["+0", " 0", "1_0", "\u0663", "\uff11\uff10", "-1", "3\n"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mc", "--graph", "p3", "--delta", "1/4", "--samples", "1000", "--seed", None],
+        ["mc", "--graph", "p3", "--delta", "1/4", "--samples", None],
+        ["volume", "--graph", "p3", "--delta", "1/100", "--eps", "1/100",
+         "--max-degree", None],
+        ["coeffs", "--graph", "p3", "--delta", "1/100", "--order", None],
+        ["radius", "--delta", "1/100", "--max-degree", None],
+        ["selftest", "--samples", None],
+        ["weights", "--graph", "tri", "--delta", "1/4", "--tree", None],
+    ],
+    ids=["seed", "mc-samples", "volume-max-degree", "order", "radius-max-degree",
+         "selftest-samples", "tree"],
+)
+def test_integer_flags_take_ascii_digits_only(capsys, graphs, argv, text):
+    """Every integer flag takes the ASCII digits 0-9 and nothing else, as
+    rationals and graph files do: a sign, a space, an underscore, an
+    Arabic-Indic or fullwidth digit, or a trailing newline exits 2 before
+    any work."""
+    argv = [graphs.get(a, a) if a else text for a in argv]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert repr(text) in err
+
+
 def test_parse_error_exit_3(capsys, graphs):
     rc, _, err = run_cli(capsys, ["exact", "--graph", graphs["bad"], "--delta", "1/4"])
     assert rc == 3

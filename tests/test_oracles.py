@@ -241,16 +241,21 @@ def test_penrose_catches_wrong_broken_edges(monkeypatch, g):
 
 
 def test_root_check_k2(delta_quarter):
+    """p = 1 + 2z/9 has its one zero at -9/2: the bracket holds 9/2, and
+    clears is sharp there."""
     rep = root_check(K2, DeltaParams(delta_quarter))
     assert rep.degree == 1
-    assert rep.min_modulus == pytest.approx(4.5, rel=1e-12)
+    lo, hi = rep.nearest_zero()
+    assert lo < Fraction(9, 2) <= hi
     assert rep.clears(radius=Fraction(2))
     assert not rep.clears(radius=Fraction(5))
+    assert not rep.clears(radius=Fraction(9, 2))
+    assert rep.clears(radius=Fraction(9, 2) - Fraction(1, 10**9))
 
 
 def test_root_check_edgeless():
     rep = root_check(Graph(3, []), DeltaParams(Fraction(1, 4)))
-    assert rep.degree == 0 and rep.min_modulus == float("inf")
+    assert rep.degree == 0 and rep.nearest_zero() is None
     assert rep.clears(radius=Fraction(100))
 
 
@@ -259,7 +264,8 @@ def test_root_check_cycle_clears_certificate():
     cert = zero_free_radius(delta, 2)
     rep = root_check(cycle_graph(6), DeltaParams(delta))
     assert rep.clears(cert.radius)
-    assert rep.margin(cert.radius) > 0
+    lo, _ = rep.nearest_zero()
+    assert lo > cert.radius
 
 
 def test_root_check_guard():
@@ -268,15 +274,123 @@ def test_root_check_guard():
 
 
 def test_roots_satisfy_polynomial():
-    from forestvol.coeffs import small_e
+    """p vanishes at the nearest zero numpy finds (numpy is the oracle
+    here only), and its modulus lies in nearest_zero's bracket."""
+    import numpy as np
 
     dp = DeltaParams(Fraction(1, 4))
     g = complete_graph(4)
     rep = root_check(g, dp)
-    e = [float(c) for c in small_e(g, dp, g.n - 1)]
-    for z in rep.roots:
-        val = sum(c * z**k for k, c in enumerate(e))
-        assert abs(val) < 1e-9
+    e = [float(c) for c in rep.e]
+    z = min(np.roots(e[::-1]), key=abs)
+    assert abs(sum(c * z**k for k, c in enumerate(e))) < 1e-9
+    lo, hi = rep.nearest_zero()
+    assert float(lo) <= abs(z) * (1 + 1e-9) and abs(z) <= float(hi) * (1 + 1e-9)
+
+
+@pytest.mark.parametrize(
+    "e, clear, hit",
+    [
+        # 1 + z^2: zeros +-i on the unit circle
+        ((1, 0, 1), Fraction(999, 1000), Fraction(1)),
+        # (1 + z/2)^2: a double zero at -2
+        ((1, 1, Fraction(1, 4)), Fraction(1999, 1000), Fraction(2)),
+        # z^2 - 2z + 5: zeros 1 +- 2i, modulus sqrt(5) = 2.23606...
+        ((5, -2, 1), Fraction(2236, 1000), Fraction(2237, 1000)),
+    ],
+)
+def test_zero_free_disk_known_roots(e, clear, hit):
+    assert oracles.zero_free_disk(e, clear)
+    assert not oracles.zero_free_disk(e, hit)
+
+
+def test_zero_free_disk_degenerate():
+    """A nonzero constant has no zero, the zero polynomial has zeros
+    everywhere, and zero top coefficients change nothing."""
+    assert oracles.zero_free_disk((3,), Fraction(10**9))
+    assert not oracles.zero_free_disk((0,), Fraction(1))
+    assert not oracles.zero_free_disk((), Fraction(1))
+    assert oracles.zero_free_disk((1, 1, 0, 0), Fraction(999, 1000))
+    assert not oracles.zero_free_disk((1, 1, 0, 0), Fraction(1))
+
+
+@pytest.mark.parametrize(
+    "exponent, name, g, degree",
+    [
+        (40, "P12", path_graph(12), 11),
+        (40, "C12", cycle_graph(12), 11),
+        (40, "Petersen", petersen_graph(), 9),
+        (30, "P12", path_graph(12), 11),
+        (30, "C12", cycle_graph(12), 11),
+    ],
+)
+def test_root_check_tiny_delta(exponent, name, g, degree):
+    """At delta = 10^-40 the e_k underflow a double: the exact check keeps
+    the true degree and clears the certified radius."""
+    delta = Fraction(1, 10**exponent)
+    rep = root_check(g, DeltaParams(delta))
+    assert rep.degree == degree, name
+    assert rep.clears(zero_free_radius(delta, max(g.max_degree(), 2)).radius), name
+
+
+def test_nearest_zero_brackets_numpy_on_criterion_08_graphs():
+    """On the graphs of acceptance criterion 08, the bracket holds the
+    nearest modulus numpy finds (numpy is the oracle here only) to 1e-9,
+    and is narrower than 2^-40 relative."""
+    import numpy as np
+
+    rng = random.Random(8)
+    dp = DeltaParams(Fraction(1, 100))
+    bracketed = 0
+    for i in range(200):
+        g = random_graph(rng.randint(2, 8), 0.5, seed=800 + i, max_degree=4)
+        rep = root_check(g, dp)
+        if rep.degree < 1:
+            assert rep.nearest_zero() is None
+            continue
+        lo, hi = rep.nearest_zero()
+        assert hi - lo <= lo / 2**40
+        nearest = min(abs(np.roots([float(c) for c in reversed(rep.e)])))
+        assert float(lo) * (1 - 1e-9) <= nearest <= float(hi) * (1 + 1e-9), i
+        bracketed += 1
+    assert bracketed > 150
+
+
+_ROOTS_WITHOUT_NUMPY = """
+import sys
+
+sys.modules["numpy"] = None
+from fractions import Fraction
+
+from forestvol.families import petersen_graph
+from forestvol.interpolate import zero_free_radius
+from forestvol.oracles import root_check
+from forestvol.treeweight import DeltaParams
+
+delta = Fraction(1, 100)
+rep = root_check(petersen_graph(), DeltaParams(delta))
+radius = zero_free_radius(delta, 3).radius
+assert rep.clears(radius)
+lo, hi = rep.nearest_zero()
+# the nearest zero of Petersen's p lies at 20.42499...
+assert radius < Fraction(204, 10) < lo < hi < Fraction(205, 10), (lo, hi)
+"""
+
+
+def test_root_check_runs_without_numpy():
+    """clears and nearest_zero are integer arithmetic: with numpy blocked
+    from import, both still answer."""
+    import forestvol
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(forestvol.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", _ROOTS_WITHOUT_NUMPY],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
 
 
 _IMPORT_FOOTPRINT = """
