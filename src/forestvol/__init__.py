@@ -18,7 +18,9 @@ report types) and KERNEL_BACKEND are in ``__all__`` but load their module,
 (PEP 562).  The labelling kernel is otherwise loaded by the first
 canon.code_key or colored_canonical_form, and numpy only by the first
 Monte Carlo estimate: root_check decides where the zeros lie in exact
-integer arithmetic.
+integer arithmetic.  The import generates no code and loads none of
+dataclasses, inspect or typing: the record types are slotted classes on
+:class:`forestvol.record.Record`.
 """
 
 from .errors import (

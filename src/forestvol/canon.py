@@ -35,7 +35,7 @@ when first called, so a query that labels no code never loads it.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .graphs import Graph, bits, row_code
 

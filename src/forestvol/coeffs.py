@@ -104,10 +104,9 @@ be read by peel_key or code_key, and the rows are not kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
-from typing import Sequence
 
 # canonical_form is not called here: perfbench/tracer.py traces
 # coeffs.canonical_form and raises on a missing target
@@ -117,12 +116,16 @@ from .errors import SizeGuardError
 # perfbench/tracer.py wraps coeffs.enumerate_connected_sets and raises on a
 # missing target
 from .graphs import Graph, code_table, enumerate_connected_sets, row_code, unpack_code  # noqa: F401
+from .record import Record
 from .treeweight import DeltaParams, default_cache, polymer_weights
 
 
-@dataclass(frozen=True)
-class TaylorCoeffs:
-    a: tuple[Fraction, ...]  # a[0] = 0 placeholder; a[1..K] meaningful
+class TaylorCoeffs(Record):
+    __slots__ = ("a",)
+
+    def __init__(self, a: tuple[Fraction, ...]):
+        # a[0] = 0 placeholder; a[1..K] meaningful
+        object.__setattr__(self, "a", a)
 
     def __getitem__(self, k: int) -> Fraction:
         return self.a[k]

@@ -8,7 +8,7 @@ import random
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import combinations
-from typing import Iterator
+from collections.abc import Iterator
 
 from .canon import canonical_form
 from .graphs import Graph

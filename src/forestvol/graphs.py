@@ -18,10 +18,10 @@ it is preserved by parsing and by induced subgraphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from .errors import GraphParseError
+from .record import Record
 
 # largest vertex count parse_graph accepts; Graph allocates per vertex, so a
 # header is checked against it before anything is built
@@ -124,16 +124,18 @@ class Graph:
         return seen
 
 
-@dataclass(frozen=True)
-class Tree:
+class Tree(Record):
     """A tree inside a host graph: vertex bitmask plus host edge ranks.
 
     Single vertices are trees with no edges; every forest decomposes into
     these.  Construction does not validate; use tree_from_edges for that.
     """
 
-    vset: int
-    edge_ranks: tuple[int, ...]
+    __slots__ = ("vset", "edge_ranks")
+
+    def __init__(self, vset: int, edge_ranks: tuple[int, ...]):
+        object.__setattr__(self, "vset", vset)
+        object.__setattr__(self, "edge_ranks", edge_ranks)
 
     @property
     def size(self) -> int:

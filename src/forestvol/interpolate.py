@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import count, islice
-from typing import Iterator
 
 import mpmath
 from mpmath.libmp import (
@@ -58,6 +57,7 @@ from mpmath.libmp import (
 from .coeffs import assemble_a
 from .errors import CertificateError, DeltaTooLargeError
 from .graphs import Graph
+from .record import Record
 from .treeweight import DeltaParams
 
 _SAFETY = Fraction((1 << 20) - 1, 1 << 20)
@@ -113,13 +113,22 @@ def _scaled_tail(n: int, radius: Fraction, K: int, prec: int) -> tuple:
     return mpi_mul(tail, _iv_int(n - 1, prec), prec)
 
 
-@dataclass(frozen=True)
-class RadiusCertificate:
-    delta: Fraction
-    degree: int
-    radius: Fraction
-    witness_a: Fraction
-    safety: Fraction
+class RadiusCertificate(Record):
+    __slots__ = ("delta", "degree", "radius", "witness_a", "safety")
+
+    def __init__(
+        self,
+        delta: Fraction,
+        degree: int,
+        radius: Fraction,
+        witness_a: Fraction,
+        safety: Fraction,
+    ):
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "witness_a", witness_a)
+        object.__setattr__(self, "safety", safety)
 
 
 @functools.lru_cache(maxsize=64)
@@ -297,21 +306,41 @@ def certified_order(
     return degree, radius, truncation_order(g.n, eps, radius)
 
 
-@dataclass(frozen=True)
-class InterpolationResult:
-    n: int
-    m: int
-    delta: Fraction
-    eps: Fraction
-    degree: int
-    exact: bool
-    radius: Fraction | None
-    K: int
-    a: tuple[Fraction, ...]
-    xi: mpmath.mpf
-    lower: Fraction
-    upper: Fraction
-    wall_ms: float
+class InterpolationResult(Record):
+    __slots__ = (
+        "n", "m", "delta", "eps", "degree", "exact", "radius",
+        "K", "a", "xi", "lower", "upper", "wall_ms",
+    )
+
+    def __init__(
+        self,
+        n: int,
+        m: int,
+        delta: Fraction,
+        eps: Fraction,
+        degree: int,
+        exact: bool,
+        radius: Fraction | None,
+        K: int,
+        a: tuple[Fraction, ...],
+        xi: mpmath.mpf,
+        lower: Fraction,
+        upper: Fraction,
+        wall_ms: float,
+    ):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "K", K)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "wall_ms", wall_ms)
 
 
 def approximate_volume(

@@ -21,13 +21,13 @@ which shares no code with them.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, sqrt
 
 from .coeffs import small_e
 from .errors import SizeGuardError
 from .graphs import Graph, bits, spanning_trees, broken_edges
+from .record import Record
 from .treeweight import DeltaParams
 
 MC_CHUNK = 1 << 16
@@ -37,14 +37,24 @@ ROOT_EDGE_LIMIT = 16
 PENROSE_EDGE_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class McEstimate:
-    mean: float
-    stderr: float
-    samples: int
-    seed: int
-    accepted: int
-    box_volume: float
+class McEstimate(Record):
+    __slots__ = ("mean", "stderr", "samples", "seed", "accepted", "box_volume")
+
+    def __init__(
+        self,
+        mean: float,
+        stderr: float,
+        samples: int,
+        seed: int,
+        accepted: int,
+        box_volume: float,
+    ):
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "stderr", stderr)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "accepted", accepted)
+        object.__setattr__(self, "box_volume", box_volume)
 
 
 def mc_volume(g: Graph, delta: Fraction, samples: int, seed: int = 0) -> McEstimate:
@@ -165,15 +175,29 @@ def exact_volume(g: Graph, dp: DeltaParams) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class PenroseReport:
-    tree_count: int
-    marked: int
-    connected_spanning: int
-    duplicates: tuple[tuple[int, ...], ...]
-    missed: tuple[tuple[int, ...], ...]
-    extras: tuple[tuple[int, ...], ...]
-    mst_violations: tuple[tuple[int, ...], ...]
+class PenroseReport(Record):
+    __slots__ = (
+        "tree_count", "marked", "connected_spanning",
+        "duplicates", "missed", "extras", "mst_violations",
+    )
+
+    def __init__(
+        self,
+        tree_count: int,
+        marked: int,
+        connected_spanning: int,
+        duplicates: tuple[tuple[int, ...], ...],
+        missed: tuple[tuple[int, ...], ...],
+        extras: tuple[tuple[int, ...], ...],
+        mst_violations: tuple[tuple[int, ...], ...],
+    ):
+        object.__setattr__(self, "tree_count", tree_count)
+        object.__setattr__(self, "marked", marked)
+        object.__setattr__(self, "connected_spanning", connected_spanning)
+        object.__setattr__(self, "duplicates", duplicates)
+        object.__setattr__(self, "missed", missed)
+        object.__setattr__(self, "extras", extras)
+        object.__setattr__(self, "mst_violations", mst_violations)
 
     @property
     def ok(self) -> bool:
@@ -280,12 +304,14 @@ def _spread(sub: int, ranks: tuple[int, ...]) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class RootReport:
+class RootReport(Record):
     """The forest polynomial p(z) = sum e_k z^k of a graph, held exactly:
     e is trimmed of zero top coefficients, and e[0] = p(0) = 1."""
 
-    e: tuple[Fraction, ...]
+    __slots__ = ("e",)
+
+    def __init__(self, e: tuple[Fraction, ...]):
+        object.__setattr__(self, "e", e)
 
     @property
     def degree(self) -> int:

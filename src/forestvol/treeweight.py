@@ -34,40 +34,41 @@ every c(H) through oracles.exact_volume, which needs no tree weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Iterable, Mapping, Sequence
 
 # not called here: perfbench/tracer.py traces treeweight.colored_canonical_form
 # and raises on a missing target
 from .canon import colored_canonical_form  # noqa: F401
 from .graphs import Graph, Tree, broken_edges, connected_masks
+from .record import Record
 
 
-@dataclass(frozen=True)
-class DeltaParams:
+class DeltaParams(Record):
     """Truncation parameter; the box is [0, 1/2+delta]^V with delta in [0, 1/2)."""
 
-    delta: Fraction
+    __slots__ = ("delta",)
 
-    def __post_init__(self):
-        d = Fraction(self.delta)
-        object.__setattr__(self, "delta", d)
+    def __init__(self, delta: Fraction):
+        d = Fraction(delta)
         if not (0 <= d < Fraction(1, 2)):
             raise ValueError("delta must lie in [0, 1/2)")
+        object.__setattr__(self, "delta", d)
 
     @property
     def box_hi(self) -> Fraction:
         return Fraction(1, 2) + self.delta
 
 
-@dataclass(frozen=True)
-class TreeWeightRecord:
-    tree: Tree
-    broken: tuple[int, ...]
-    hat_w: Fraction
-    w: Fraction
+class TreeWeightRecord(Record):
+    __slots__ = ("tree", "broken", "hat_w", "w")
+
+    def __init__(self, tree: Tree, broken: tuple[int, ...], hat_w: Fraction, w: Fraction):
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "broken", broken)
+        object.__setattr__(self, "hat_w", hat_w)
+        object.__setattr__(self, "w", w)
 
 
 class WeightCache:

@@ -6,7 +6,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
 import random
+import site
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial, lcm
 from typing import Iterator
@@ -22,6 +26,22 @@ try:
     settings.load_profile("suite")
 except ImportError:
     pass
+
+
+def run_without_site(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run script in a python -S child with the package source and the site
+    directories (for mpmath) as its path.  -S keeps the site module from
+    running, whose .pth files may import typing before the script starts."""
+    import forestvol
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(forestvol.__file__)))
+    return subprocess.run(
+        [sys.executable, "-S", "-c", script, *args],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, *site.getsitepackages()])},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
 
 
 def brute_connected_sets(g: Graph, max_size: int, min_size: int = 1) -> set[int]:

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,7 +10,7 @@ from forestvol.cli import main
 from forestvol.families import cycle_graph, petersen_graph, random_connected_graph
 from forestvol.graphs import format_graph
 
-from conftest import eps_reaching_order, sparse1000
+from conftest import eps_reaching_order, run_without_site, sparse1000
 
 
 @pytest.fixture
@@ -525,22 +524,17 @@ for argv in (
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
-loaded = [name for name in ("forestvol.oracles", "numpy") if name in sys.modules]
+unwanted = ("forestvol.oracles", "numpy", "dataclasses", "inspect", "typing")
+loaded = [name for name in unwanted if name in sys.modules]
 assert not loaded, f"volume, coeffs, radius and weights loaded {loaded}"
 """
 
 
 def test_commands_without_oracles_leave_them_unloaded(graphs):
-    """Only exact, mc and selftest import forestvol.oracles."""
-    import forestvol
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(forestvol.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c", _ORACLE_FREE_COMMANDS]
-        + [graphs[name] for name in ("p3", "petersen", "tri")],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        timeout=60,
+    """Only exact, mc and selftest import forestvol.oracles, and none of
+    volume, coeffs, radius and weights loads dataclasses, inspect or
+    typing."""
+    proc = run_without_site(
+        _ORACLE_FREE_COMMANDS, *(graphs[name] for name in ("p3", "petersen", "tri"))
     )
     assert proc.returncode == 0, proc.stderr

@@ -26,7 +26,7 @@ from forestvol.oracles import (
 )
 from forestvol.treeweight import DeltaParams
 
-from conftest import k2_volume, p3_volume
+from conftest import k2_volume, p3_volume, run_without_site
 
 K2 = Graph(2, [(0, 1)])
 
@@ -401,11 +401,9 @@ import forestvol
 from forestvol.families import petersen_graph
 
 forestvol.approximate_volume(petersen_graph(), Fraction(1, 100), Fraction(1, 100))
-loaded = [
-    name
-    for name in ("forestvol.oracles", "forestvol.kernel", "forestvol.cli", "numpy")
-    if name in sys.modules
-]
+codegen = ("dataclasses", "inspect", "typing")
+unwanted = ("forestvol.oracles", "forestvol.kernel", "forestvol.cli", "numpy", *codegen)
+loaded = [name for name in unwanted if name in sys.modules]
 assert not loaded, f"a volume query loaded {loaded}"
 
 assert forestvol.KERNEL_BACKEND == "python"
@@ -423,22 +421,16 @@ except AttributeError:
     pass
 else:
     raise AssertionError("forestvol.no_such_name resolved")
+loaded = [name for name in codegen if name in sys.modules]
+assert not loaded, f"the oracles or the kernel loaded {loaded}"
 """
 
 
 def test_package_import_leaves_numpy_out():
     """import forestvol and a volume query load neither numpy nor the
-    oracles, the labelling kernel or the CLI; the oracle names and
-    KERNEL_BACKEND still resolve on first access, and every name in
-    __all__ resolves and is listed by dir()."""
-    import forestvol
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(forestvol.__file__)))
-    out = subprocess.run(
-        [sys.executable, "-c", _IMPORT_FOOTPRINT],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    oracles, the labelling kernel or the CLI, and nothing, the oracles and
+    the kernel included, loads dataclasses, inspect or typing; the oracle
+    names and KERNEL_BACKEND still resolve on first access, and every name
+    in __all__ resolves and is listed by dir()."""
+    out = run_without_site(_IMPORT_FOOTPRINT)
     assert out.returncode == 0, out.stderr
