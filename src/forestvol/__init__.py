@@ -11,7 +11,9 @@ exact_volume, a DP over the independent sets of the graph, share no code
 with the pipeline.
 
 ``import forestvol`` loads only the modules a volume query runs: graphs,
-treeweight, coeffs, canon and interpolate, with mpmath.  The oracle names
+treeweight, coeffs, canon and interpolate, on the standard library alone
+(interpolate's certificate and enclosure run on decimal; mpmath is only
+the tests' oracle).  The oracle names
 (exact_volume, exact_p1, mc_volume, penrose_check, root_check and their
 report types) and KERNEL_BACKEND are in ``__all__`` but load their module,
 :mod:`forestvol.oracles` or :mod:`forestvol.kernel`, on first access

@@ -6,53 +6,43 @@ Truncating log p at order K with all roots outside R bounds the dropped tail
 by (n-1) * sum_{k>K} R^-k / k, so choosing the minimal K that pushes the
 tail below ln(1+eps) yields a multiplicative (1 +- eps) guarantee.
 
-Coefficients are exact rationals end to end.  The radius re-check, the
-truncation order and the final exponential are evaluated in outward-rounded
-interval arithmetic on mpmath.libmp interval tuples (lo, hi), each at an
-explicit precision: 160 bits for the radius and K, 192 bits for the
-enclosure of the answer.  No global interval precision is read or set.  The
-steps are the libmp functions mpmath.iv dispatches to, with the operands
-mpmath.iv would build, so every endpoint matches an mpmath.iv evaluation at
-that precision bit for bit.  The returned bounds are the 192-bit
-enclosure's endpoints rounded to nearest at mpmath's global working
-precision (mp.prec, 53 bits by default) by libmp.normalize, as
-mpmath.mpf(endpoint) rounds them, so they can lie inside that enclosure
-(see approximate_volume).  The point estimate xi is likewise built from
-libmp mpf functions at 192 bits, rounded to nearest, and wrapped as an
-mpmath.mpf once.  The rational bounds on e are literals, so no high-level
-mpmath function (mpmath.e, mpmath.mpf arithmetic, workprec) runs on the
-answer path.
+Coefficients are exact rationals end to end.  The radius re-check is an
+exact Fraction comparison against a rational lower bound on its right-hand
+side, which needs no logarithm.  The truncation order and the final
+exponential run on the standard library's decimal, in outward-rounded
+interval arithmetic: an interval is a pair (lo, hi) of Decimals, every
+lower end is computed in a context that rounds toward -inf (ROUND_FLOOR)
+and every upper end in one that rounds toward +inf (ROUND_CEILING), and ln
+and exp, which decimal rounds correctly to nearest, are widened by one unit
+in the last place.  Every operation names its context, so the thread's
+decimal context is never read.  Where an enclosure is too wide to decide a
+comparison or a rounding, it is recomputed with twice the digits, so K is
+the exact first order that meets the budget, and each bound is the exact
+value rounded.  lower and upper are box^n * exp(S -+ T) rounded to nearest
+at mpmath's working precision mp.prec when mpmath is loaded, else at 53
+bits, which is what rounding a 192-bit mpmath.iv enclosure through
+mpmath.mpf gave (see approximate_volume).  No mpmath is imported.
 """
 
 from __future__ import annotations
 
 import functools
+import sys
 import time
 from collections.abc import Iterator
+from decimal import (
+    MAX_EMAX,
+    MIN_EMIN,
+    ROUND_CEILING,
+    ROUND_FLOOR,
+    Context,
+    Decimal,
+    DivisionByZero,
+    InvalidOperation,
+    Overflow,
+)
 from fractions import Fraction
 from itertools import count, islice
-
-import mpmath
-from mpmath.libmp import (
-    from_int,
-    mpf_div,
-    mpf_exp,
-    mpf_le,
-    mpf_mul,
-    mpf_pow_int,
-    mpi_add,
-    mpi_div,
-    mpi_exp,
-    mpi_log,
-    mpi_mul,
-    mpi_neg,
-    mpi_pow,
-    mpi_sub,
-    normalize,
-    round_ceiling,
-    round_floor,
-    round_nearest,
-)
 
 from .coeffs import assemble_a
 from .errors import CertificateError, DeltaTooLargeError
@@ -63,10 +53,13 @@ from .treeweight import DeltaParams
 _SAFETY = Fraction((1 << 20) - 1, 1 << 20)
 _E_BITS = 48
 _MAX_ORDER = 1_000_000  # truncation_order gives up beyond this K
-_CERT_PREC = 160  # bits of the radius re-check and the truncation order
-_ENCLOSURE_PREC = 192  # bits of the tail, power and exponential of the answer
+_GUARD = 20  # decimal digits carried beyond what a comparison or rounding needs
+_LOG_DIGITS = 60  # digits, at least, of the one log(R / (R - 1)) per radius
+_TAIL_DIGITS = 50  # digits of tail_bound's enclosure
+_RETRIES = 4  # times an undecided enclosure doubles its digits before it fails
+_XI_BITS = 53
 
-# An interval is a pair (lo, hi) of libmp mpf tuples with lo <= hi.
+# An interval is a pair (lo, hi) of Decimals with lo <= hi.
 
 
 _E_BOUNDS = (
@@ -82,35 +75,107 @@ def _e_bounds() -> tuple[Fraction, Fraction]:
     return _E_BOUNDS
 
 
-def _iv_int(x: int, prec: int) -> tuple:
-    """The integer x as an interval at prec bits, rounded outward as
-    mpmath.iv converts an int."""
-    return from_int(x, prec, round_floor), from_int(x, prec, round_ceiling)
+@functools.lru_cache(maxsize=64)
+def _contexts(digits: int) -> tuple[Context, Context]:
+    """(down, up): contexts of `digits` significant digits rounding toward
+    -inf and toward +inf, with the widest exponent range and the usual
+    traps, whatever decimal.DefaultContext holds."""
+    traps = [DivisionByZero, InvalidOperation, Overflow]
+    return tuple(
+        Context(prec=digits, rounding=rounding, Emin=MIN_EMIN, Emax=MAX_EMAX, traps=traps)
+        for rounding in (ROUND_FLOOR, ROUND_CEILING)
+    )
 
 
-def _iv_frac(q: Fraction, prec: int) -> tuple:
-    """An interval at prec bits enclosing q: its numerator over its
-    denominator."""
-    return mpi_div(_iv_int(q.numerator, prec), _iv_int(q.denominator, prec), prec)
+def _digits(bits: int) -> int:
+    """Decimal digits that carry at least `bits` bits (log10(2) < 0.302)."""
+    return max(bits, 0) * 302 // 1000 + 1
 
 
-def _tails(radius: Fraction, prec: int) -> Iterator[tuple]:
+def _ladder(digits: int, what: str) -> Iterator[int]:
+    """digits, then twice as many, _RETRIES times over, for an enclosure
+    too wide to decide `what`; then CertificateError."""
+    for _ in range(_RETRIES + 1):
+        yield digits
+        digits *= 2
+    raise CertificateError(f"{what}: undecided at {digits // 2} digits")
+
+
+def _frac(q: Fraction, digits: int) -> tuple:
+    """An interval enclosing the rational q: its numerator over its
+    denominator, each end rounded outward."""
+    down, up = _contexts(digits)
+    num, den = Decimal(q.numerator), Decimal(q.denominator)
+    return down.divide(num, den), up.divide(num, den)
+
+
+def _ln(x: tuple, digits: int) -> tuple:
+    """An interval enclosing log of the positive interval x, from one log:
+    log(hi) <= log(lo) + (hi - lo) / lo."""
+    down, up = _contexts(digits)
+    lo, hi = x
+    mid = down.ln(lo)
+    gap = up.divide(up.subtract(hi, lo), lo)
+    return down.next_minus(mid), up.add(up.next_plus(mid), gap)
+
+
+def _exp(x: tuple, digits: int) -> tuple:
+    """An interval enclosing exp of the interval x, from one exp:
+    exp(hi) <= exp(lo) / (1 - (hi - lo)) while hi - lo < 1."""
+    down, up = _contexts(digits)
+    lo, hi = x
+    mid = down.exp(lo)
+    shrink = down.subtract(Decimal(1), up.subtract(hi, lo))
+    return down.next_minus(mid), up.divide(up.next_plus(mid), shrink)
+
+
+def _power(x: tuple, n: int, digits: int) -> tuple:
+    """An interval enclosing x^n for a positive interval x and n >= 0, by
+    squaring; decimal's power is not correctly rounded."""
+    down, up = _contexts(digits)
+    lo, hi = x
+    out_lo = out_hi = Decimal(1)
+    while n:
+        if n & 1:
+            out_lo, out_hi = down.multiply(out_lo, lo), up.multiply(out_hi, hi)
+        n >>= 1
+        if n:
+            lo, hi = down.multiply(lo, lo), up.multiply(hi, hi)
+    return out_lo, out_hi
+
+
+@functools.lru_cache(maxsize=64)
+def _log_ratio(radius: Fraction, digits: int) -> tuple:
+    """An interval enclosing -log(1 - 1/R) = log(R / (R - 1))."""
+    return _ln(_frac(radius / (radius - 1), digits), digits)
+
+
+def _tails(radius: Fraction, digits: int) -> Iterator[tuple]:
     """Intervals enclosing sum_{k>K} R^-k / k = -log(1 - 1/R) - sum_{k<=K}
-    R^-k / k for K = 0, 1, 2, ..., at prec bits."""
-    one = _iv_int(1, prec)
-    rinv = mpi_div(one, _iv_frac(radius, prec), prec)
-    tail = mpi_neg(mpi_log(mpi_sub(one, rinv, prec), prec), prec)
-    term = one
+    R^-k / k for K = 0, 1, 2, ...: R^-k is carried as an interval
+    multiplied by 1/R at each step, so every step costs the same."""
+    down, up = _contexts(digits)
+    num, den = Decimal(radius.denominator), Decimal(radius.numerator)
+    rinv_lo, rinv_hi = down.divide(num, den), up.divide(num, den)
+    # one log per R, at _LOG_DIGITS digits or more, which truncation_order
+    # and the enclosure share; the walk's first step rounds it to `digits`
+    lo, hi = _log_ratio(radius, max(digits, _LOG_DIGITS))
+    power_lo = power_hi = Decimal(1)
     for k in count(1):
-        yield tail
-        term = mpi_mul(term, rinv, prec)
-        tail = mpi_sub(tail, mpi_div(term, _iv_int(k, prec), prec), prec)
+        yield lo, hi
+        power_lo = down.multiply(power_lo, rinv_lo)
+        power_hi = up.multiply(power_hi, rinv_hi)
+        kd = Decimal(k)
+        lo = down.subtract(lo, up.divide(power_hi, kd))
+        hi = up.subtract(hi, down.divide(power_lo, kd))
 
 
-def _scaled_tail(n: int, radius: Fraction, K: int, prec: int) -> tuple:
-    """An interval at prec bits enclosing (n-1) * sum_{k>K} R^-k / k."""
-    tail = next(islice(_tails(radius, prec), K, None))
-    return mpi_mul(tail, _iv_int(n - 1, prec), prec)
+def _scaled_tail(n: int, radius: Fraction, K: int, digits: int) -> tuple:
+    """An interval enclosing (n-1) * sum_{k>K} R^-k / k."""
+    down, up = _contexts(digits)
+    lo, hi = next(islice(_tails(radius, digits), K, None))
+    m = Decimal(n - 1)
+    return down.multiply(lo, m), up.multiply(hi, m)
 
 
 class RadiusCertificate(Record):
@@ -132,18 +197,14 @@ class RadiusCertificate(Record):
 
 
 @functools.lru_cache(maxsize=64)
-def _radius_rhs(witness: Fraction, max_degree: int) -> tuple:
-    """Lower endpoint, at 160 bits, of the interval enclosing the radius
-    condition's right-hand side log(a) * (1 - 1/Delta) / (a * Delta) at the
-    witness a, as a libmp mpf.  zero_free_radius always takes a = e_lo, so
-    this is computed once per degree."""
-    p = _CERT_PREC
-    av = _iv_frac(witness, p)
-    factor = _iv_frac(Fraction(max_degree - 1, max_degree), p)
-    rhs = mpi_div(
-        mpi_mul(mpi_log(av, p), factor, p), mpi_mul(av, _iv_int(max_degree, p), p), p
-    )
-    return rhs[0]
+def _radius_rhs(witness: Fraction, max_degree: int) -> Fraction:
+    """A rational lower bound on the radius condition's right-hand side
+    log(a) * (1 - 1/Delta) / (a * Delta) at the witness a > 0, from
+    log(a) >= 2 - e_hi / a: log x <= x - 1 at x = e / a, and e < e_hi.
+    zero_free_radius always takes a = e_lo, where the bound is within
+    2^-48 of log(a) = 1; it is computed once per degree."""
+    _, e_hi = _e_bounds()
+    return (2 - e_hi / witness) * (max_degree - 1) / (witness * max_degree**2)
 
 
 def max_admissible_delta(max_degree: int) -> Fraction:
@@ -167,13 +228,13 @@ def zero_free_radius(delta: Fraction, max_degree: int) -> RadiusCertificate:
     R = max_admissible_delta(max_degree) / delta, which is
     (1 - 1/Delta) * safety / (4 e_hi Delta delta): the one formula for the
     radius, so R > 1 exactly when delta is below that delta_max.  The
-    radius is re-verified in outward-rounded interval arithmetic against
-    the sufficient condition
+    radius is re-verified in exact rational arithmetic against the
+    sufficient condition
         4 * delta * R <= log(a) * (1 - 1/Delta) / (a * Delta)
-    with a rational witness a < e.  Raises ValueError when max_degree < 2
-    or delta is outside (0, 1/2), DeltaTooLargeError when no radius above
-    1 is certifiable, and CertificateError when the interval re-check
-    fails.
+    with a rational witness a < e, whose right-hand side is bounded below
+    by a rational (_radius_rhs).  Raises ValueError when max_degree < 2 or
+    delta is outside (0, 1/2), DeltaTooLargeError when no radius above 1 is
+    certifiable, and CertificateError when the re-check fails.
     """
     delta = Fraction(delta)
     delta_max = max_admissible_delta(max_degree)
@@ -183,12 +244,8 @@ def zero_free_radius(delta: Fraction, max_degree: int) -> RadiusCertificate:
     if radius <= 1:
         raise DeltaTooLargeError(delta, max_degree, delta_max)
     e_lo, _ = _e_bounds()
-    p = _CERT_PREC
-    lhs = mpi_mul(
-        mpi_mul(_iv_int(4, p), _iv_frac(delta, p), p), _iv_frac(radius, p), p
-    )
-    if not mpf_le(lhs[1], _radius_rhs(e_lo, max_degree)):
-        raise CertificateError("interval verification of the radius failed")
+    if 4 * delta * radius > _radius_rhs(e_lo, max_degree):
+        raise CertificateError("exact re-check of the radius failed")
     return RadiusCertificate(
         delta=delta,
         degree=max_degree,
@@ -198,59 +255,51 @@ def zero_free_radius(delta: Fraction, max_degree: int) -> RadiusCertificate:
     )
 
 
-def _frac_from_mpf(x: tuple) -> Fraction:
-    """Exact rational value of a finite libmp mpf tuple (mpfs are dyadic)."""
-    sign, man, exp, _ = x
-    if man == 0:
-        if exp == 0:
-            return Fraction(0)
-        raise ValueError("non-finite value")
-    val = Fraction(man) * Fraction(2) ** exp
-    return -val if sign else val
-
-
-def _ratio(q: Fraction, prec: int) -> tuple:
-    """q as a libmp mpf rounded to nearest at prec bits, as
-    mpmath.mpf(q.numerator) / q.denominator is at that working precision:
-    the numerator is rounded to prec bits, then divided by the exact
-    denominator."""
-    return mpf_div(
-        from_int(q.numerator, prec, round_nearest),
-        from_int(q.denominator),
-        prec,
-        round_nearest,
-    )
+def _round(num: int, den: int, bits: int) -> Fraction:
+    """num / den > 0 rounded to nearest at `bits` significant bits, ties to
+    even, as mpmath's libmp.normalize rounds with round_nearest."""
+    shift = bits - num.bit_length() + den.bit_length()  # num/den * 2^shift < 2^(bits+1)
+    if num << max(shift, 0) >= den << max(-shift, 0) + bits:
+        shift -= 1
+    num, den = num << max(shift, 0), den << max(-shift, 0)
+    man, rem = divmod(num, den)
+    if 2 * rem > den or (2 * rem == den and man & 1):
+        man += 1
+    return Fraction(man << max(-shift, 0), 1 << max(shift, 0))
 
 
 def tail_bound(n: int, radius: Fraction, K: int) -> Fraction:
     """Rational upper bound on (n-1) * sum_{k>K} R^-k / k: the exact upper
-    endpoint of its 160-bit enclosure."""
+    end of its _TAIL_DIGITS-digit enclosure."""
     if radius <= 1:
         raise ValueError("tail bound needs radius > 1")
     if n <= 1 or K < 0:
         return Fraction(0)
-    tail = _scaled_tail(n, radius, K, _CERT_PREC)
-    return max(_frac_from_mpf(tail[1]), Fraction(0))
+    _, hi = _scaled_tail(n, radius, K, _TAIL_DIGITS)
+    return max(Fraction(hi), Fraction(0))
 
 
 @functools.lru_cache(maxsize=64)
-def _budget(n: int, eps: Fraction) -> tuple:
-    """Lower endpoint, at 160 bits, of the interval enclosing
-    log(1 + eps) / (n - 1), as a libmp mpf; computed once per (n, eps)."""
-    p = _CERT_PREC
-    log1p = mpi_log(mpi_add(_iv_int(1, p), _iv_frac(eps, p), p), p)
-    return mpi_div(log1p, _iv_int(n - 1, p), p)[0]
+def _budget(n: int, eps: Fraction, digits: int) -> tuple:
+    """An interval enclosing log(1 + eps) / (n - 1); computed once per
+    (n, eps, digits)."""
+    down, up = _contexts(digits)
+    lo, hi = _ln(_frac(1 + eps, digits), digits)
+    m = Decimal(n - 1)
+    return down.divide(lo, m), up.divide(hi, m)
 
 
 def truncation_order(n: int, eps: Fraction, radius: Fraction) -> int:
     """Minimal K >= 1 with (n-1) * sum_{k>K} R^-k / k <= ln(1+eps).
 
-    Both sides are enclosed at 160 bits: K is the first whose tail's upper
-    endpoint is at most the lower endpoint of the budget log(1+eps)/(n-1).
-    Raises CertificateError when no K up to _MAX_ORDER meets the budget,
-    or as soon as a step leaves the tail's upper end where it was: the term
-    subtracted has fallen below what 160 bits resolve, it only shrinks from
-    there, so no later K can meet the budget either.
+    The tail sum_{k>K} R^-k / k and the budget log(1+eps)/(n-1) are
+    enclosed in decimal intervals, at first with enough digits to resolve
+    the budget (about eps/(n-1)) and _GUARD more.  K is the first order
+    whose tail's upper end is at most the budget's lower end.  Where the
+    two intervals overlap before that, the walk starts again with twice
+    the digits, so K is the exact first order.  Raises CertificateError
+    when no K up to _MAX_ORDER meets the budget, or when the intervals
+    still overlap after _RETRIES doublings.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -259,20 +308,17 @@ def truncation_order(n: int, eps: Fraction, radius: Fraction) -> int:
         raise ValueError("truncation needs radius > 1")
     if n <= 1:
         return 1
-    budget = _budget(n, eps)
-    prev = None
-    for K, (_, hi) in enumerate(_tails(radius, _CERT_PREC)):
-        if K >= 1 and mpf_le(hi, budget):
-            return K
-        if prev is not None and mpf_le(prev, hi):
-            raise CertificateError(
-                f"truncation order: the tail bound stopped falling at K={K}, "
-                f"above the budget for eps={eps}; 160-bit interval "
-                f"arithmetic cannot certify an eps this small, raise eps"
-            )
-        if K > _MAX_ORDER:
-            raise CertificateError("truncation order did not converge")
-        prev = hi
+    scale = eps.denominator.bit_length() - eps.numerator.bit_length()
+    start = _GUARD + _digits(scale + (n - 1).bit_length())
+    for digits in _ladder(start, "truncation order"):
+        budget_lo, budget_hi = _budget(n, eps, digits)
+        for K, (lo, hi) in enumerate(islice(_tails(radius, digits), 1, None), 1):
+            if hi <= budget_lo:
+                return K
+            if lo <= budget_hi:
+                break  # the intervals overlap: undecided at these digits
+            if K >= _MAX_ORDER:
+                raise CertificateError("truncation order did not converge")
 
 
 def certified_order(
@@ -306,6 +352,44 @@ def certified_order(
     return degree, radius, truncation_order(g.n, eps, radius)
 
 
+def _mp_prec() -> int:
+    """mpmath's working precision mp.prec if a caller has loaded mpmath,
+    else its default 53: the bits lower and upper are rounded to."""
+    mpmath = sys.modules.get("mpmath")
+    return 53 if mpmath is None else mpmath.mp.prec
+
+
+def _enclose(
+    n: int, box: Fraction, total: Fraction, radius: Fraction, K: int, bits: int
+) -> tuple[Fraction, Fraction, Fraction]:
+    """box^n * exp(S - T), box^n * exp(S + T) and box^n * exp(S), with S =
+    total and T = (n-1) * sum_{k>K} R^-k / k, the first two rounded to
+    nearest at `bits` bits and the last at _XI_BITS.  Each is enclosed
+    with digits enough for its rounding and _GUARD more, and all three are
+    enclosed again with twice the digits while the two ends of an enclosure
+    round apart."""
+    magnitude = abs(total.numerator).bit_length() - total.denominator.bit_length()
+    start = _GUARD + _digits(max(bits, _XI_BITS) + max(n.bit_length(), magnitude))
+    for digits in _ladder(start, "rounding the bounds"):
+        down, up = _contexts(digits)
+        box_lo, box_hi = _power(_frac(box, digits), n, digits)
+        s_lo, s_hi = _frac(total, digits)
+        t_lo, t_hi = _scaled_tail(n, radius, K, digits)
+        out = []
+        for exponent, prec in (
+            ((down.subtract(s_lo, t_hi), up.subtract(s_hi, t_lo)), bits),
+            ((down.add(s_lo, t_lo), up.add(s_hi, t_hi)), bits),
+            ((s_lo, s_hi), _XI_BITS),
+        ):
+            exp_lo, exp_hi = _exp(exponent, digits)
+            lo = _round(*down.multiply(box_lo, exp_lo).as_integer_ratio(), prec)
+            if lo != _round(*up.multiply(box_hi, exp_hi).as_integer_ratio(), prec):
+                break
+            out.append(lo)
+        else:
+            return tuple(out)
+
+
 class InterpolationResult(Record):
     __slots__ = (
         "n", "m", "delta", "eps", "degree", "exact", "radius",
@@ -323,7 +407,7 @@ class InterpolationResult(Record):
         radius: Fraction | None,
         K: int,
         a: tuple[Fraction, ...],
-        xi: mpmath.mpf,
+        xi: Fraction,
         lower: Fraction,
         upper: Fraction,
         wall_ms: float,
@@ -372,22 +456,20 @@ def approximate_volume(
     graph expands it once: a later point whose K is no larger only
     evaluates the table.  The certificate's constants (the bounds on e,
     delta_max and the radius condition's right-hand side per degree, the
-    budget log(1+eps)/(n-1) per (n, eps)) are likewise computed once; the
-    interval re-check runs on every call.  assemble_a raises
-    SizeGuardError before any enumeration when K is too large for G
-    (coeffs.guard_order).
+    budget log(1+eps)/(n-1) per (n, eps), log(R/(R-1)) per R) are likewise
+    computed once; the exact radius re-check runs on every call.
+    assemble_a raises SizeGuardError before any enumeration when K is too
+    large for G (coeffs.guard_order).
 
-    With S the sum of the a_k and T the tail bound, box^n * exp(S -+ T)
-    is enclosed at 192 bits (_ENCLOSURE_PREC), whatever mpmath's global
-    precision.  lower and upper are that enclosure's outer endpoints
-    rounded to nearest at mpmath's global working precision (mp.prec, 53
-    bits by default) by libmp.normalize, which is what mpmath.mpf does to
-    an mpf tuple: they are exact dyadic rationals, but may lie inside the
-    192-bit enclosure (ROADMAP).  xi is box^n * exp(S) at 192 bits, built
-    from libmp's mpf_div, mpf_pow_int, mpf_exp and mpf_mul rounding to
-    nearest, with the numerators of box and S rounded to 192 bits and
-    their denominators exact, as mpmath.mpf arithmetic under workprec(192)
-    evaluates it; in the exact case xi is lower at 96 bits, the same way.
+    With S the sum of the a_k and T the tail (n-1) * sum_{k>K} R^-k / k,
+    lower and upper are box^n * exp(S - T) and box^n * exp(S + T) rounded
+    to nearest, ties to even, at mpmath's working precision mp.prec when a
+    caller has loaded mpmath and at 53 bits otherwise (_enclose).  That is
+    the rounding the answers have always had, so they are exact dyadic
+    rationals that can lie just inside the true interval (ROADMAP); the
+    volume lies in [lower, upper] through the slack between T and the
+    true remainder of log p.  xi is box^n * exp(S) rounded to nearest at
+    53 bits, a Fraction; in the exact case it is lower so rounded.
     """
     t0 = time.monotonic()
     dp = DeltaParams(delta)
@@ -398,29 +480,11 @@ def approximate_volume(
     if exact:
         a = ()
         lower = upper = box ** (g.n - 2 * g.m) * (box**2 - 2 * delta**2) ** g.m
-        xi = _ratio(lower, 96)
+        xi = _round(lower.numerator, lower.denominator, _XI_BITS)
     else:
         a = tuple(assemble_a(g, dp, K).a[1:])
         total = sum(a, Fraction(0))
-        p = _ENCLOSURE_PREC
-        tail = _scaled_tail(g.n, radius, K, p)
-        # outer endpoints of s +- tail enclose [S - T_true, S + T_true]
-        box_iv = mpi_pow(_iv_frac(box, p), _iv_int(g.n, p), p)
-        s_iv = _iv_frac(total, p)
-        lo = mpi_mul(box_iv, mpi_exp(mpi_sub(s_iv, tail, p), p), p)[0]
-        hi = mpi_mul(box_iv, mpi_exp(mpi_add(s_iv, tail, p), p), p)[1]
-        # each endpoint is rounded to nearest at mp.prec, as mpmath.mpf(lo)
-        # would, which can move it inward; kept, since every recorded answer
-        # has it (ROADMAP)
-        prec = mpmath.mp.prec
-        lower = _frac_from_mpf(normalize(*lo, prec, round_nearest))
-        upper = _frac_from_mpf(normalize(*hi, prec, round_nearest))
-        xi = mpf_mul(
-            mpf_pow_int(_ratio(box, p), g.n, p, round_nearest),
-            mpf_exp(_ratio(total, p), p, round_nearest),
-            p,
-            round_nearest,
-        )
+        lower, upper, xi = _enclose(g.n, box, total, radius, K, _mp_prec())
     return InterpolationResult(
         n=g.n,
         m=g.m,
@@ -431,7 +495,7 @@ def approximate_volume(
         radius=radius,
         K=K,
         a=a,
-        xi=mpmath.mp.make_mpf(xi),
+        xi=xi,
         lower=lower,
         upper=upper,
         wall_ms=(time.monotonic() - t0) * 1000,

@@ -30,8 +30,10 @@ except ImportError:
 
 def run_without_site(script: str, *args: str) -> subprocess.CompletedProcess:
     """Run script in a python -S child with the package source and the site
-    directories (for mpmath) as its path.  -S keeps the site module from
-    running, whose .pth files may import typing before the script starts."""
+    directories as its path, so that mpmath and numpy are importable and a
+    footprint test that finds them unloaded means something.  -S keeps the
+    site module from running, whose .pth files may import typing before the
+    script starts."""
     import forestvol
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(forestvol.__file__)))

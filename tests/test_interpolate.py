@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import itertools
 import math
@@ -9,7 +10,7 @@ import mpmath
 import pytest
 
 from mpmath import iv
-from mpmath.libmp import fzero, to_rational
+from mpmath.libmp import from_rational, round_nearest, to_rational
 
 from forestvol import coeffs, interpolate
 from forestvol.errors import CertificateError, DeltaTooLargeError, SizeGuardError
@@ -38,10 +39,11 @@ from conftest import clear_caches, eps_reaching_order, k2_volume, p3_volume, spa
 
 # --- a reference on mpmath.iv ---------------------------------------------------
 #
-# interpolate works on raw mpmath.libmp interval tuples at explicit
-# precisions.  These helpers redo each of its interval steps through the
-# mpmath.iv context, sharing no helper with interpolate, so the tests below
-# can demand the same endpoints bit for bit.
+# interpolate works on decimal intervals and Fractions, with no mpmath.
+# These helpers are an independent oracle on the mpmath.iv context: the
+# 160- and 192-bit walks are the arithmetic interpolate used to run, so the
+# tests below can demand the K, lower and upper those gave, and at 1200
+# bits they give the exact first K far below where 160 bits resolve.
 
 
 @contextmanager
@@ -70,23 +72,39 @@ def _iv_tails(radius: Fraction):
         tail = tail - term / k
 
 
-def _reference_truncation_order(
-    n: int, eps: Fraction, radius: Fraction, stall_stop: bool = True
-) -> int | None:
-    """truncation_order's search at 160 bits; None where it gives up.
-    Without the stalled-tail stop it walks to interpolate._MAX_ORDER
-    before it gives up."""
+def _reference_truncation_order(n: int, eps: Fraction, radius: Fraction) -> int | None:
+    """The old 160-bit search for K; None where it gave up, at the first
+    step that left the tail's upper end in place."""
     with _iv_at(160):
         budget = iv.log(1 + _iv_frac(eps)) / (n - 1)
         prev = None
         for K, tail in enumerate(_iv_tails(radius)):
             if K >= 1 and tail.b <= budget.a:
                 return K
-            if stall_stop and prev is not None and tail.b >= prev:
-                return None
-            if K > interpolate._MAX_ORDER:
+            if prev is not None and tail.b >= prev:
                 return None
             prev = tail.b
+
+
+def _first_ks(radius: Fraction, plans, bits: int = 1200) -> dict:
+    """{(n, eps): the first K >= 1 whose tail's upper end is at most the
+    lower end of the budget log(1+eps)/(n-1)} for each plan, from one walk
+    on mpmath.iv at `bits` (the tails depend on R alone).  At the default
+    1200 bits every comparison must also be decided, so each K is the
+    exact first K with (n-1) * sum_{k>K} R^-k / k <= log(1+eps)."""
+    with _iv_at(bits):
+        budgets = {(n, eps): iv.log(1 + _iv_frac(eps)) / (n - 1) for n, eps in plans}
+        # plans meet their budgets in decreasing order of budget
+        queue = sorted(budgets.items(), key=lambda item: item[1].a, reverse=True)
+        out = {}
+        for K, tail in enumerate(_iv_tails(radius)):
+            if K == 0:
+                continue
+            while queue and tail.b <= queue[0][1].a:
+                out[queue.pop(0)[0]] = K
+            if not queue:
+                return out
+            assert bits < 1200 or tail.a > queue[0][1].b, "1200 bits do not decide"
 
 
 def _iv_enclosure(res):
@@ -120,10 +138,10 @@ def test_radius_reference_bands():
 
 def test_radius_recheck_runs_on_every_call(monkeypatch):
     """The right-hand side of the radius condition depends on the degree
-    alone and is computed once per degree, but the interval re-check runs
-    on every call: the radius is the one recorded before the right-hand
-    side was cached, and a right-hand side below the left-hand side fails
-    a degree whose certificate was issued before."""
+    alone and is computed once per degree, but the exact re-check runs on
+    every call: the radius is the one recorded before the right-hand side
+    was cached, and a right-hand side below the left-hand side fails a
+    degree whose certificate was issued before."""
     expected = Fraction(469124513792000, 229538494307553)
     for _ in range(2):
         cert = zero_free_radius(Fraction(1, 100), 3)
@@ -131,7 +149,7 @@ def test_radius_recheck_runs_on_every_call(monkeypatch):
     e_lo, _ = interpolate._e_bounds()
     fresh = interpolate._radius_rhs.__wrapped__(e_lo, 3)
     assert interpolate._radius_rhs(e_lo, 3) == fresh
-    monkeypatch.setattr(interpolate, "_radius_rhs", lambda a, degree: fzero)
+    monkeypatch.setattr(interpolate, "_radius_rhs", lambda a, degree: Fraction(0))
     with pytest.raises(CertificateError):
         zero_free_radius(Fraction(1, 100), 3)
 
@@ -214,10 +232,11 @@ def test_truncation_order_reference_points():
 
 
 def test_truncation_order_same_k_down_to_160_bit_floor():
-    """Stopping at the first step that leaves the tail's upper end in place
-    keeps every K the full search finds, down to eps = 10^-46 at n = 2, 3
-    (10^-47 is the last decade 160 bits resolve for most radii here), and
-    stops at 10^-48 where the full search walks to _MAX_ORDER."""
+    """K is the 160-bit walk's K down to eps = 10^-40, and the exact first
+    K of the 1200-bit reference at every eps.  From about 10^-43 the
+    160-bit walk overshoots K (R = 11/10: 1067 for 1063 at n = 1000 and
+    eps = 10^-43, and at n = 2 and 10^-46) or refuses (10^-48); K is
+    still the exact first K there."""
     radii = [
         Fraction(11, 10),
         Fraction(204, 100),
@@ -225,29 +244,28 @@ def test_truncation_order_same_k_down_to_160_bit_floor():
         Fraction(10),
         Fraction(1000),
     ]
+    sizes = (2, 3, 1000)
     for r in radii:
-        for n in (2, 3, 1000):
-            for e in (1, 2, 6, 20, 40, 43):
-                eps = Fraction(1, 10**e)
-                assert truncation_order(n, eps, r) == _reference_truncation_order(
-                    n, eps, r, stall_stop=False
-                ), (r, n, e)
-        for n in (2, 3):
-            eps = Fraction(1, 10**46)
-            assert truncation_order(n, eps, r) == _reference_truncation_order(
-                n, eps, r, stall_stop=False
-            )
-            with pytest.raises(CertificateError, match="160-bit"):
-                truncation_order(n, Fraction(1, 10**48), r)
+        plans = [(n, Fraction(1, 10**e)) for n in sizes for e in (1, 2, 6, 20, 40)]
+        old = _first_ks(r, plans, bits=160)
+        plans += [(n, Fraction(1, 10**e)) for n in sizes for e in (43, 46, 47, 48, 60)]
+        exact = _first_ks(r, plans)
+        for n, eps in plans:
+            K = truncation_order(n, eps, r)
+            assert K == exact[n, eps] == old.get((n, eps), K), (r, n, eps)
+    r = Fraction(11, 10)
+    assert _reference_truncation_order(2, Fraction(1, 10**46), r) == 1067
+    assert truncation_order(2, Fraction(1, 10**46), r) == 1063
+    assert _reference_truncation_order(2, Fraction(1, 10**48), r) is None
 
 
 def test_tail_bound_above_exact_partial_sums():
     """tail_bound is an upper bound on the whole tail, so it is at least
     every exact partial sum (n-1) * sum_{k=K+1}^{K+M} R^-k / k, and within
-    (n-1) * 2^-150 of it (160-bit rounding; the partial sums' remainder
-    here is below 2^-190).  Rounding the 160-bit endpoint to nearest at 53
-    bits put it below the partial sum in 73 of these 176 cases, e.g.
-    (n, R, K) = (2, 2, 3)."""
+    (n-1) * 2^-150 of it (a 50-digit enclosure; the partial sums'
+    remainder here is below 2^-190).  Rounding the upper end to nearest at
+    53 bits would put it below the partial sum in 73 of these 176 cases,
+    e.g. (n, R, K) = (2, 2, 3)."""
     for r in (Fraction(2), Fraction(204, 100), Fraction(5, 2), Fraction(10)):
         M = 200
         for n in (2, 3, 10, 1000):
@@ -263,37 +281,78 @@ def test_tail_bound_above_exact_partial_sums():
 # --- raw intervals against mpmath.iv ----------------------------------------------
 
 
+def _iv_ends(x) -> tuple[Fraction, Fraction]:
+    """The exact rational ends of an mpmath.iv interval."""
+    return tuple(Fraction(*to_rational(end)) for end in x._mpi_)
+
+
 def test_certificate_matches_mpmath_iv():
-    """The radius re-check's right-hand side, every tail interval up to K
-    at 160 and 192 bits, the scaled tail and the truncation order K are
-    what mpmath.iv computes, bit for bit, over degrees, deltas, sizes and
-    eps down to 10^-46."""
+    """Against mpmath.iv: the radius re-check's right-hand side is a
+    rational lower bound on its 256-bit enclosure, within 2^-48 of it;
+    K is the 160-bit walk's K over degrees, deltas, sizes and eps down to
+    10^-20, and the exact first K at 10^-46; and every tail interval up to
+    the largest K, at 22 and 50 digits, and each scaled tail contain the
+    400-bit enclosure and are narrower than 10^-(digits - 5) (times n-1)."""
     e_lo, _ = interpolate._e_bounds()
     for degree in (2, 3, 4, 7):
-        with _iv_at(160):
+        with _iv_at(256):
             av = _iv_frac(e_lo)
             rhs = iv.log(av) * _iv_frac(Fraction(degree - 1, degree)) / (av * degree)
-        assert interpolate._radius_rhs(e_lo, degree) == rhs.a._mpi_[0]
+        bound = interpolate._radius_rhs(e_lo, degree)
+        rhs_lo, _ = _iv_ends(rhs)
+        assert rhs_lo - Fraction(1, 2**48) <= bound <= rhs_lo
         for delta in (Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10**6)):
             radius = zero_free_radius(delta, degree).radius
-            with _iv_at(160):
+            with _iv_at(256):
                 assert (4 * _iv_frac(delta) * _iv_frac(radius)).b <= rhs.a
-            for n in (2, 16, 1000, 10**6):
-                for e in (1, 6, 20, 46):
-                    eps = Fraction(1, 10**e)
-                    K = _reference_truncation_order(n, eps, radius)
-                    if K is None:
-                        with pytest.raises(CertificateError):
-                            truncation_order(n, eps, radius)
-                        continue
-                    assert truncation_order(n, eps, radius) == K, (degree, delta, n, e)
-                    for bits in (160, 192):
-                        with _iv_at(bits):
-                            tails = list(islice(_iv_tails(radius), K + 1))
-                            scaled = tails[K] * (n - 1)
-                        got = list(islice(interpolate._tails(radius, bits), K + 1))
-                        assert got == [t._mpi_ for t in tails], (degree, delta, n, e, bits)
-                        assert interpolate._scaled_tail(n, radius, K, bits) == scaled._mpi_
+            sizes = (2, 16, 1000, 10**6)
+            want = _first_ks(radius, [(n, Fraction(1, 10**e)) for n in sizes for e in (1, 6, 20)], bits=160)
+            want.update(_first_ks(radius, [(n, Fraction(1, 10**46)) for n in sizes]))
+            plans = []
+            for (n, eps), K in want.items():
+                assert truncation_order(n, eps, radius) == K, (degree, delta, n, eps)
+                plans.append((n, K))
+            top = max(K for _, K in plans)
+            with _iv_at(400):
+                want = [_iv_ends(t) for t in islice(_iv_tails(radius), top + 1)]
+            for digits in (22, 50):
+                got = list(islice(interpolate._tails(radius, digits), top + 1))
+                for (lo, hi), (want_lo, want_hi) in zip(got, want):
+                    assert lo <= want_lo and want_hi <= hi, (degree, delta, digits)
+                    assert hi - lo <= Fraction(1, 10 ** (digits - 5))
+                for n, K in plans:
+                    lo, hi = interpolate._scaled_tail(n, radius, K, digits)
+                    want_lo, want_hi = want[K]
+                    assert lo <= (n - 1) * want_lo and (n - 1) * want_hi <= hi
+                    assert hi - lo <= (n - 1) * Fraction(1, 10 ** (digits - 5))
+
+
+def test_truncation_order_matches_160_bit_walk_on_grid():
+    """K is the 160-bit mpmath.iv walk's K on a grid of plans: degrees 2-6,
+    delta from 1/2000 to 1/60 (where admissible), n from 2 to 10^6 and eps
+    from 1/2 to 10^-6."""
+    epsilons = [Fraction(1, 2), Fraction(1, 10), Fraction(1, 100)]
+    epsilons += [Fraction(1, 10**e) for e in (3, 4, 5, 6)]
+    sizes = (2, 3, 16, 1000, 10**6)
+    plans = 0
+    for degree in range(2, 7):
+        for delta in (
+            Fraction(1, 2000),
+            Fraction(1, 1000),
+            Fraction(1, 300),
+            Fraction(1, 150),
+            Fraction(1, 100),
+            Fraction(1, 80),
+            Fraction(1, 60),
+        ):
+            if delta >= max_admissible_delta(degree):
+                continue
+            radius = zero_free_radius(delta, degree).radius
+            plans_here = [(n, eps) for n in sizes for eps in epsilons]
+            got = {(n, eps): truncation_order(n, eps, radius) for n, eps in plans_here}
+            assert got == _first_ks(radius, plans_here, bits=160), (degree, delta)
+            plans += len(got)
+    assert plans == 1155
 
 
 _WORKLOAD_QUERIES = [
@@ -333,8 +392,8 @@ def test_enclosure_matches_mpmath_iv():
 # The workload queries, the two exact cases (delta = 0, and a matching) and
 # Petersen at eps = 10^-6 with K = 19 and K = 18, whose sums of a_k have
 # 274- and 279-bit denominators.  Rounding such a denominator to 192 bits
-# before dividing changes xi at K = 18 (not at K = 19), so xi's division
-# must take it exact.
+# before dividing changed the old 192-bit xi at K = 18 (not at K = 19), so
+# S must enter exactly.
 _ANSWER_QUERIES = _WORKLOAD_QUERIES + [
     ("c4", Fraction(0), Fraction(1, 100)),
     ("matching", Fraction(1, 4), Fraction(1, 100)),
@@ -352,13 +411,13 @@ def _answer_graph(name: str) -> Graph:
 
 
 def _high_level_answer(res):
-    """(lower, upper, xi._mpf_) of res by mpmath's high-level expressions:
+    """(lower, upper, xi) of res by mpmath's high-level expressions:
     mpmath.mpf of each 192-bit enclosure endpoint at the current mp.prec,
-    and mpf arithmetic under workprec for xi."""
+    and for xi, mpf arithmetic under workprec(192) rounded to 53 bits (in
+    the exact case, lower correctly rounded to 53 bits)."""
     if res.exact:
-        with mpmath.workprec(96):
-            xi = mpmath.mpf(res.lower.numerator) / res.lower.denominator
-        return res.lower, res.upper, xi._mpf_
+        xi = from_rational(res.lower.numerator, res.lower.denominator, 53, round_nearest)
+        return res.lower, res.upper, Fraction(*to_rational(xi))
     lo, hi = _iv_enclosure(res)
     lower = Fraction(*to_rational(mpmath.mpf(lo._mpi_[0])._mpf_))
     upper = Fraction(*to_rational(mpmath.mpf(hi._mpi_[1])._mpf_))
@@ -368,23 +427,52 @@ def _high_level_answer(res):
         xi = (mpmath.mpf(box.numerator) / box.denominator) ** res.n * mpmath.exp(
             mpmath.mpf(total.numerator) / total.denominator
         )
-    return lower, upper, xi._mpf_
+    with mpmath.workprec(53):
+        xi = mpmath.mpf(xi)
+    return lower, upper, Fraction(*to_rational(xi._mpf_))
 
 
 @pytest.mark.parametrize("prec", [None, 30, 113], ids=["default", "prec30", "prec113"])
 def test_answer_matches_high_level_mpmath(prec):
-    """lower, upper and xi, built from libmp calls, equal the high-level
-    mpmath expressions bit for bit: at the default 53 bits and with
-    mpmath's working precision set to 30 or 113 bits, which moves lower
-    and upper but not xi."""
+    """lower, upper and xi equal the high-level mpmath expressions bit for
+    bit: at the default 53 bits and with mpmath's working precision set to
+    30 or 113 bits, which moves lower and upper but not xi.  xi is a
+    Fraction, and float(xi) is the float of the old 192-bit mpf."""
     context = mpmath.workprec(prec) if prec else nullcontext()
     with context:
         assert mpmath.mp.prec == (prec or 53)
         for name, delta, eps in _ANSWER_QUERIES:
             res = approximate_volume(_answer_graph(name), delta, eps)
             assert res.exact == (delta == 0 or name == "matching"), name
-            assert (res.lower, res.upper, res.xi._mpf_) == _high_level_answer(res), (name, delta)
+            assert isinstance(res.xi, Fraction)
+            assert (res.lower, res.upper, res.xi) == _high_level_answer(res), (name, delta)
     assert res.K == 18
+
+
+def test_answers_ignore_thread_decimal_context():
+    """The radius, K, the tail bound and every answer are the same under a
+    hostile thread decimal context (5 digits, ROUND_UP) as under the
+    default one, with interpolate's caches emptied before each run: every
+    decimal step names its own context."""
+
+    def run():
+        for value in vars(interpolate).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+        radius = zero_free_radius(Fraction(1, 100), 3).radius
+        out = [radius, truncation_order(1000, Fraction(1, 10**6), radius)]
+        out.append(tail_bound(16, radius, 5))
+        for name, delta, eps in _ANSWER_QUERIES:
+            res = approximate_volume(_answer_graph(name), delta, eps)
+            out.append((res.K, res.lower, res.upper, res.xi))
+        return out
+
+    want = run()
+    with decimal.localcontext() as hostile:
+        hostile.prec = 5
+        hostile.rounding = decimal.ROUND_UP
+        assert run() == want
+        assert decimal.getcontext().prec == 5
 
 
 def test_e_bounds_integer_series():

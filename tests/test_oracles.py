@@ -402,7 +402,7 @@ from forestvol.families import petersen_graph
 
 forestvol.approximate_volume(petersen_graph(), Fraction(1, 100), Fraction(1, 100))
 codegen = ("dataclasses", "inspect", "typing")
-unwanted = ("forestvol.oracles", "forestvol.kernel", "forestvol.cli", "numpy", *codegen)
+unwanted = ("forestvol.oracles", "forestvol.kernel", "forestvol.cli", "numpy", "mpmath", *codegen)
 loaded = [name for name in unwanted if name in sys.modules]
 assert not loaded, f"a volume query loaded {loaded}"
 
@@ -421,7 +421,7 @@ except AttributeError:
     pass
 else:
     raise AssertionError("forestvol.no_such_name resolved")
-loaded = [name for name in codegen if name in sys.modules]
+loaded = [name for name in ("mpmath", *codegen) if name in sys.modules]
 assert not loaded, f"the oracles or the kernel loaded {loaded}"
 """
 
@@ -429,7 +429,8 @@ assert not loaded, f"the oracles or the kernel loaded {loaded}"
 def test_package_import_leaves_numpy_out():
     """import forestvol and a volume query load neither numpy nor the
     oracles, the labelling kernel or the CLI, and nothing, the oracles and
-    the kernel included, loads dataclasses, inspect or typing; the oracle
+    the kernel included, loads mpmath (importable there: the child has the
+    site directories), dataclasses, inspect or typing; the oracle
     names and KERNEL_BACKEND still resolve on first access, and every name
     in __all__ resolves and is listed by dir()."""
     out = run_without_site(_IMPORT_FOOTPRINT)

@@ -6,7 +6,6 @@ assignment."""
 import pickle
 from fractions import Fraction
 
-import mpmath
 import pytest
 
 from forestvol.coeffs import TaylorCoeffs
@@ -42,12 +41,12 @@ RECORDS = [
         ),
         (
             5, 5, F(1, 100), F(1, 100), 2, False, F(17),
-            3, (F(0), F(1, 9), F(-1, 81), F(1, 729)), mpmath.mpf(1) / 3,
+            3, (F(0), F(1, 9), F(-1, 81), F(1, 729)), F(6004799503160661, 1 << 54),
             F(1, 33), F(1, 31), 1.5,
         ),
         (
             6, 4, F(1, 50), F(1, 10), 3, True, None,
-            0, (F(0),), mpmath.mpf(2),
+            0, (F(0),), F(2),
             F(1, 64), F(1, 63), 2.5,
         ),
     ),
